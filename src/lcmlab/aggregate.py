@@ -8,12 +8,12 @@ natural log with Kahan compensation.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from dataclasses import dataclass
 
-from . import primes, sieve
-from .modular import roots_mod_p
+from . import modular, primes, sieve
 from .polynomial import IntPoly
 
 
@@ -112,7 +112,9 @@ def sweep(
     """One SweepRecord per N, each from a fresh ledger build.
 
     ``bound_rule`` is "DN" or an explicit bound (must be >= D*N at every N).
-    Returns (records, gaps); a failed N becomes a gap, not a crash.
+    Returns (records, gaps); an N whose cofactor factoring timed out
+    becomes a gap. Any other error, such as a LedgerMismatch, propagates
+    with a note naming f and N.
     """
     schedule = list(schedule)
     if any(b >= a for a, b in zip(schedule[1:], schedule)):
@@ -127,9 +129,12 @@ def sweep(
                 f, N, B=B, seed=seed, workers=workers, segment_size=segment_size
             )
             record = summarize(ledger)
-        except Exception as exc:  # noqa: BLE001 - gaps are recorded, not fatal
+        except primes.FactorTimeout as exc:
             gaps.append((N, f"{type(exc).__name__}: {exc}"))
             continue
+        except Exception as exc:
+            exc.add_note(f"while sweeping {f} at N={N}")
+            raise
         record = dataclasses.replace(record, seconds=time.perf_counter() - t0)
         records.append(record)
         if sink is not None:
@@ -142,8 +147,9 @@ def chebotarev_partial_sum(f: IntPoly, B, seed=0):
     if B < 2:
         raise ValueError("B must be >= 2")
     acc = _Kahan()
-    for p in primes.iter_primes(B):
-        rho = len(roots_mod_p(f, p, seed=seed).roots)
-        if rho:
-            acc.add(rho * math.log(p) / (p - 1))
+    prime_iter = primes.iter_primes(B)
+    while block := list(itertools.islice(prime_iter, modular.BLOCK_SIZE)):
+        for rs in modular.roots_mod_primes(f, block, seed):
+            if rs.roots:
+                acc.add(len(rs.roots) * math.log(rs.p) / (rs.p - 1))
     return acc.value

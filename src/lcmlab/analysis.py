@@ -17,7 +17,6 @@ from itertools import combinations
 from math import comb
 
 from . import aggregate, primes
-from .modular import roots_mod_p
 from .polynomial import IntPoly
 from .sieve import FactorLedger, build_ledger
 
@@ -138,10 +137,10 @@ def refined_multiplicity_threshold(f: IntPoly, n_max=1000, seed=0):
     return worst + 1
 
 
-def check_hensel_formula(ledger: FactorLedger, seed=0) -> VerificationReport:
+def check_hensel_formula(ledger: FactorLedger) -> VerificationReport:
     """Report-only: deviation of alpha_p from N rho_f(p)/(p-1) for
-    unramified p <= N, scaled by ln p / ln N; ramified primes report
-    alpha * p / N."""
+    unramified p <= N, scaled by ln p / ln N, with rho_f(p) read off the
+    ledger's level-1 roots; ramified primes report alpha * p / N."""
     N = ledger.N
     report = VerificationReport(
         check_name="hensel_formula",
@@ -161,7 +160,7 @@ def check_hensel_formula(ledger: FactorLedger, seed=0) -> VerificationReport:
         if p in ramified:
             ram_stats[str(p)] = data.alpha * p / N
             continue
-        rho = len(roots_mod_p(ledger.f, p, seed=seed).roots)
+        rho = len(data.roots)
         dev = abs(data.alpha - N * rho / (p - 1)) * math.log(p) / math.log(N)
         devs.append(dev)
     if devs:
@@ -249,27 +248,32 @@ def check_divisibility_A(f: IntPoly, p, i, points) -> VerificationReport:
 
 
 def harvest_divisibility_tuples(ledger: FactorLedger, above="N", limit=200):
-    """Qualifying (p, i, points) tuples read off the ledger's roots for
-    primes above N (or DN): points are the n <= N hit by p with
-    v_p(f(n)) >= i, taken when exactly enough for arity d - i + 1."""
+    """Qualifying (p, i, points) tuples read off the ledger for primes
+    above N (or DN): points are the n <= N hit by p with v_p(f(n)) >= i,
+    taken when exactly enough for arity d - i + 1. Primes above the sieve
+    bound carry their hits; below it they come from the level-1 roots."""
     f = ledger.f
     d = f.degree
     N = ledger.N
     bound = N if above == "N" else ledger.profile.D * N
     tuples = []
     for p in ledger.primes_above(bound):
-        # p > N: each root of f mod p yields at most one hit, the root itself
-        hits = []
-        for r in roots_mod_p(f, p, seed=ledger.seed).roots:
-            if not 1 <= r <= N:
-                continue
-            fn = abs(f.eval(r))
-            v = 0
-            while fn and fn % p == 0:
-                fn //= p
-                v += 1
-            if v:
-                hits.append((r, v))
+        data = ledger.entries[p]
+        if p > ledger.B:
+            hits = data.hits
+        else:
+            # p > N: each root of f mod p yields at most one hit, the root itself
+            hits = []
+            for r in data.roots:
+                if not 1 <= r <= N:
+                    continue
+                fn = abs(f.eval(r))
+                v = 0
+                while fn and fn % p == 0:
+                    fn //= p
+                    v += 1
+                if v:
+                    hits.append((r, v))
         for i in range(1, d + 1):
             t = d - i + 1
             if t < 2:
@@ -453,7 +457,7 @@ def run_checks(f: IntPoly, N, checks, seed=0, workers=1):
         elif name == "refined_multiplicity":
             reports.append(check_refined_multiplicity(ledger))
         elif name == "hensel_formula":
-            reports.append(check_hensel_formula(ledger, seed=seed))
+            reports.append(check_hensel_formula(ledger))
         elif name == "divided_difference":
             reports.append(check_divided_difference(ledger, seed=seed))
         elif name == "amgm_ratio":

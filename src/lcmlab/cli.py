@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import aggregate, analysis, oracle, polynomial, sieve
+from . import aggregate, analysis, modular, oracle, polynomial, sieve
 from .modular import CapExceeded
 
 SCHEMA_VERSION = "1"
@@ -252,7 +252,8 @@ def cmd_local(args):
     f = _load_poly(args)
     cap = polynomial.max_abs_on_range(f, args.n)
     zeros = tuple(polynomial.integer_roots_in_range(f, args.n))
-    data = sieve.local_data(f, args.p, args.n, cap, seed=args.seed, zeros=zeros)
+    level1 = modular.roots_mod_p(f, args.p, seed=args.seed)
+    data = sieve.local_data(f, level1, args.n, cap, zeros=zeros)
     doc = {
         "version": SCHEMA_VERSION,
         "seed": args.seed,
@@ -365,8 +366,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, sieve.LedgerMismatch) as exc:
+        context = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+        print(f"error: {exc}{context}", file=sys.stderr)
         return 1
 
 

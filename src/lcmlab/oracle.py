@@ -21,9 +21,6 @@ from .sieve import FactorLedger, PrimeLocalData
 HARD_CAP = 10**4
 _TRIAL_LIMIT = 10**6
 
-_factor_cache = {}
-
-
 @dataclass(frozen=True)
 class OracleResult:
     N: int
@@ -34,8 +31,6 @@ class OracleResult:
 
 def trial_factor(n):
     """Factor n >= 1 by trial division to 10^6, sympy beyond; dict p->e."""
-    if n in _factor_cache:
-        return _factor_cache[n]
     m = n
     out = {}
     for p in (2, 3):
@@ -55,7 +50,6 @@ def trial_factor(n):
         else:
             for p, e in sympy.factorint(m).items():
                 out[int(p)] = out.get(int(p), 0) + int(e)
-    _factor_cache[n] = out
     return out
 
 

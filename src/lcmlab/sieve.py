@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import modular, primes, polynomial
-from .modular import CapExceeded, count_progression, lift_roots, roots_mod_p
+from .modular import CapExceeded, RootSet, count_progression, lift_roots
 from .polynomial import IntPoly, PolyProfile
 
 
@@ -30,7 +30,8 @@ class PrimeLocalData:
     """Per-prime statistics of Q(N).
 
     layer_counts[i] = b_{i+1} = #{n <= N : p^(i+1) | f(n)}; trailing zeros
-    are never stored, so max_exp == len(layer_counts).
+    are never stored, so max_exp == len(layer_counts). Primes up to the
+    sieve bound carry their level-1 roots, primes above it their hits.
     """
 
     p: int
@@ -39,6 +40,7 @@ class PrimeLocalData:
     hit_count: int
     layer_counts: tuple
     roots: tuple  # level-1 roots of f mod p
+    hits: tuple = ()  # (n, v_p(f(n))) for each n <= N that p divides
 
     def layer(self, i):
         """b_i for i >= 1."""
@@ -63,14 +65,16 @@ class FactorLedger:
         return sorted(p for p in self.entries if p > bound)
 
 
-def local_data(f: IntPoly, p, N, cap, seed=0, zeros=()):
-    """Exact PrimeLocalData for one prime p <= B via root lifting.
+def local_data(f: IntPoly, level1: RootSet, N, cap, zeros=()):
+    """Exact PrimeLocalData for one prime p <= B via root lifting from
+    ``level1``, the roots of f mod p.
 
     ``zeros`` are the integer roots of f in [1, N] (nonempty only for
     reducible f); the n with f(n) = 0 are excluded from every layer.
     """
     zero_count = len(zeros)
-    rs = roots_mod_p(f, p, seed=seed)
+    p = level1.p
+    rs = level1
     layers = []
     while rs.roots:
         pk = p**rs.k
@@ -84,24 +88,23 @@ def local_data(f: IntPoly, p, N, cap, seed=0, zeros=()):
             rs = lift_roots(f, rs, cap)
         except CapExceeded:
             break
-    alpha = sum(layers)
-    level1 = roots_mod_p(f, p, seed=seed).roots
     return PrimeLocalData(
         p=p,
-        alpha=alpha,
+        alpha=sum(layers),
         max_exp=len(layers),
         hit_count=layers[0] if layers else 0,
         layer_counts=tuple(layers),
-        roots=level1,
+        roots=level1.roots,
     )
 
 
-def _local_chunk(args):
-    coeffs, prime_chunk, N, cap, seed, zeros = args
+def _local_block(args):
+    """PrimeLocalData of the primes of one block that divide Q(N)."""
+    coeffs, block, N, cap, seed, zeros = args
     f = IntPoly(coeffs)
     out = []
-    for p in prime_chunk:
-        data = local_data(f, p, N, cap, seed=seed, zeros=zeros)
+    for rs in modular.roots_mod_primes(f, block, seed):
+        data = local_data(f, rs, N, cap, zeros=zeros)
         if data.alpha > 0:
             out.append(data)
     return out
@@ -140,28 +143,27 @@ def build_ledger(
     cap = polynomial.max_abs_on_range(f, N)
     zeros = tuple(polynomial.integer_roots_in_range(f, N))
 
-    # Leg 1: analytic data for every prime <= B with a root.
+    # Leg 1: analytic data for every prime <= B with a root, one block of
+    # primes per roots_mod_primes call.
     entries = {}
     prime_list = primes.sieve_primes(B)
+    size = modular.BLOCK_SIZE
+    blocks = [
+        (f.coeffs, prime_list[i : i + size], N, cap, seed, zeros)
+        for i in range(0, len(prime_list), size)
+    ]
     if workers > 1:
-        chunk_size = max(64, len(prime_list) // (workers * 8) + 1)
-        chunks = [
-            (f.coeffs, prime_list[i : i + chunk_size], N, cap, seed, zeros)
-            for i in range(0, len(prime_list), chunk_size)
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk_result in pool.map(_local_chunk, chunks):
-                for data in chunk_result:
-                    entries[data.p] = data
+            results = list(pool.map(_local_block, blocks))
     else:
-        for p in prime_list:
-            data = local_data(f, p, N, cap, seed=seed, zeros=zeros)
-            if data.alpha > 0:
-                entries[data.p] = data
+        results = map(_local_block, blocks)
+    for block_result in results:
+        for data in block_result:
+            entries[data.p] = data
 
     # Leg 2 + 3: segmented residual division and cofactor factorization.
     removed = {p: 0 for p in entries}
-    large = {}  # prime > B -> list of per-n valuations
+    large = {}  # prime > B -> tuple of (n, valuation) in n order
     skipped = 0
     lo = 1
     while lo <= N:
@@ -195,7 +197,7 @@ def build_ledger(
                     raise LedgerMismatch(
                         f"prime {q} <= B survived the sieve at n={lo + idx}"
                     )
-                large.setdefault(q, []).append(e)
+                large[q] = large.get(q, ()) + ((lo + idx, e),)
         lo = hi + 1
 
     for p, data in entries.items():
@@ -204,19 +206,20 @@ def build_ledger(
                 f"p={p}: analytic alpha {data.alpha} != sieved {removed[p]}"
             )
 
-    for q, vals in large.items():
-        alpha = sum(vals)
+    for q, hits in large.items():
+        vals = [e for _, e in hits]
         max_exp = max(vals)
         layers = tuple(
             sum(1 for v in vals if v >= i) for i in range(1, max_exp + 1)
         )
         entries[q] = PrimeLocalData(
             p=q,
-            alpha=alpha,
+            alpha=sum(vals),
             max_exp=max_exp,
             hit_count=len(vals),
             layer_counts=layers,
             roots=(),
+            hits=hits,
         )
 
     entries = dict(sorted(entries.items()))

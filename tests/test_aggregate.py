@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from lcmlab import sieve
 from lcmlab.aggregate import chebotarev_partial_sum, summarize, sweep
 from lcmlab.polynomial import parse_poly
+from lcmlab.primes import FactorTimeout
 
 F = parse_poly("x^2+1")
 
@@ -75,6 +77,28 @@ class TestSweep:
         seen = []
         sweep(F, [5, 10, 20], sink=lambda r: seen.append(r.N))
         assert seen == [5, 10, 20]
+
+    def test_factor_timeout_is_a_gap(self, monkeypatch):
+        build = sieve.build_ledger
+
+        def timeout_at_10(f, N, **kwargs):
+            if N == 10:
+                raise FactorTimeout("rho gave up")
+            return build(f, N, **kwargs)
+
+        monkeypatch.setattr(sieve, "build_ledger", timeout_at_10)
+        records, gaps = sweep(F, [5, 10, 20])
+        assert [r.N for r in records] == [5, 20]
+        assert gaps == [(10, "FactorTimeout: rho gave up")]
+
+    def test_ledger_mismatch_propagates(self, monkeypatch):
+        def mismatch(f, N, **kwargs):
+            raise sieve.LedgerMismatch("p=5: analytic alpha 3 != sieved 2")
+
+        monkeypatch.setattr(sieve, "build_ledger", mismatch)
+        with pytest.raises(sieve.LedgerMismatch) as info:
+            sweep(F, [5, 10])
+        assert info.value.__notes__ == ["while sweeping x^2+1 at N=5"]
 
 
 class TestChebotarevPartialSum:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from lcmlab import sieve
 from lcmlab.cli import CSV_COLUMNS, main
 
 
@@ -34,6 +35,16 @@ class TestSweep:
         assert [r[0] for r in rows] == ["10", "100", "1000"]
         ratios = [float(r[CSV_COLUMNS.index("ratio_L")]) for r in rows]
         assert ratios[0] < ratios[1] < ratios[2]
+
+    def test_ledger_mismatch_exit_1(self, monkeypatch, capsys):
+        def mismatch(f, N, **kwargs):
+            raise sieve.LedgerMismatch("p=5: analytic alpha 3 != sieved 2")
+
+        monkeypatch.setattr(sieve, "build_ledger", mismatch)
+        code, _, err = _run(capsys, "sweep", "--poly", "x^2+1", "--n", "10,20")
+        assert code == 1
+        assert "p=5: analytic alpha 3 != sieved 2" in err
+        assert "x^2+1 at N=10" in err
 
     def test_empty_schedule_exit_1(self, capsys):
         code, _, err = _run(capsys, "sweep", "--poly", "x^2+1", "--n", "")

@@ -1,20 +1,65 @@
+import random
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lcmlab import gfpoly
 from lcmlab.modular import (
-    SCAN_THRESHOLD,
     CapExceeded,
     count_progression,
     lift_roots,
     roots_mod_p,
+    roots_mod_primes,
 )
-from lcmlab.polynomial import discriminant, parse_poly
+from lcmlab.polynomial import IntPoly, discriminant, parse_poly
 from lcmlab.primes import sieve_primes
 
 from conftest import TEST_POLYS
 
 F = parse_poly("x^2+1")
+
+# Every prime up to 3000 (p = 2, 3, primes of the content and of the leading
+# coefficient among them), and a few beyond.
+SCAN_PRIMES = sieve_primes(3000) + [3001, 4001, 5003, 65537]
+# Checked against the generic GF(p) route only: the scan would be too slow.
+# 2^31 - 1 is the largest prime of the int64 lockstep, the rest lie above it.
+REFERENCE_PRIMES = [2**31 - 1, 2**31 + 11, 2**32 + 15, 10**12 + 39, 2**61 - 1]
+
+
+def scan_roots(f, p):
+    """Roots of f mod p and their simple flags, by evaluating f and f' at
+    every residue."""
+    x = np.arange(p, dtype=np.int64)
+    val = np.zeros(p, dtype=np.int64)
+    der = np.zeros(p, dtype=np.int64)
+    for c in reversed(f.coeffs):
+        der = (der * x + val) % p
+        val = (val * x + c % p) % p
+    roots = np.flatnonzero(val == 0)
+    return tuple(roots.tolist()), tuple((der[roots] != 0).tolist())
+
+
+def reference_roots(f, p):
+    """Roots of f mod p by gcd(x^p - x, f) and equal-degree splitting, for
+    p not dividing the content of f."""
+    g = gfpoly.frobenius_root_poly(gfpoly.reduce_mod(f.coeffs, p), p)
+    if gfpoly.deg(g) == 0:
+        return ()
+    return tuple(gfpoly.roots_of_split(g, p, random.Random(p)))
+
+
+@st.composite
+def polys(draw):
+    """Integer polynomials of degree 2 to 5: nonmonic, either sign of
+    leading coefficient, content up to 6."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    low = draw(st.lists(st.integers(-50, 50), min_size=d, max_size=d))
+    lead = draw(st.integers(-60, 60).filter(bool))
+    content = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    return IntPoly(tuple(content * c for c in low + [lead]))
 
 
 class TestRootsModP:
@@ -26,10 +71,30 @@ class TestRootsModP:
 
     @pytest.mark.parametrize("p", [2053, 3001, 4001, 5003, 65537])
     def test_gcd_path_matches_scan(self, p):
-        assert p > SCAN_THRESHOLD
         for f in TEST_POLYS.values():
-            expected = tuple(r for r in range(p) if f.eval(r) % p == 0)
-            assert roots_mod_p(f, p).roots == expected
+            rs = roots_mod_p(f, p)
+            assert (rs.roots, rs.simple_flags) == scan_roots(f, p)
+
+    @given(
+        polys(),
+        st.integers(0, 2**20),
+        st.lists(st.integers(3000, 2**31 - 1), min_size=3, max_size=3),
+    )
+    @example(parse_poly("x^2+x+2"), 0, [3000, 3000, 3000])  # 2 | f(n) for all n
+    @example(parse_poly("-6*x^5+4*x^2-2"), 1, [3000, 3000, 3000])
+    @example(parse_poly("9*x^3-9"), 7, [3000, 3000, 3000])  # p = 3 kills f
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_matches_scan_and_reference(self, f, seed, starts):
+        found = roots_mod_primes(f, SCAN_PRIMES, seed=seed)
+        assert [rs.p for rs in found] == SCAN_PRIMES
+        for rs in found:
+            assert (rs.roots, rs.simple_flags) == scan_roots(f, rs.p), rs.p
+        sampled = [int(sympy.nextprime(s)) for s in starts] + REFERENCE_PRIMES
+        for rs in roots_mod_primes(f, sampled, seed=seed):
+            assert rs.roots == reference_roots(f, rs.p), rs.p
+            assert rs.simple_flags == tuple(
+                f.deriv_eval(r) % rs.p != 0 for r in rs.roots
+            )
 
     def test_root_count_at_most_d(self):
         for f in TEST_POLYS.values():

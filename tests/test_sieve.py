@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lcmlab.modular import roots_mod_p
 from lcmlab.oracle import naive_run
 from lcmlab.polynomial import max_abs_on_range, parse_poly
 from lcmlab.primes import FactorTimeout, factorize, is_probable_prime
@@ -19,18 +20,18 @@ def _entry_tuple(d):
 class TestLocalData:
     def test_example_p5(self):
         cap = max_abs_on_range(F, 10)
-        d = local_data(F, 5, 10, cap)
+        d = local_data(F, roots_mod_p(F, 5), 10, cap)
         assert (d.alpha, d.max_exp, d.hit_count) == (5, 2, 4)
         assert d.layer_counts == (4, 1)
 
     def test_example_rho_zero(self):
         cap = max_abs_on_range(F, 100)
-        d = local_data(F, 3, 100, cap)
+        d = local_data(F, roots_mod_p(F, 3), 100, cap)
         assert (d.alpha, d.max_exp, d.hit_count) == (0, 0, 0)
 
     def test_example_single_large_hit(self):
         cap = max_abs_on_range(F, 10)
-        d = local_data(F, 101, 10, cap)
+        d = local_data(F, roots_mod_p(F, 101), 10, cap)
         assert (d.alpha, d.max_exp, d.hit_count) == (1, 1, 1)
 
     def test_layer_identities(self, ledger_factory, test_poly):
@@ -99,6 +100,24 @@ class TestBuildLedger:
         for p in ledger.primes_above(ledger.B):
             data = ledger.entries[p]
             assert data.hit_count <= d and data.max_exp <= d, (p, data)
+
+    def test_large_prime_hits(self, ledger_factory, test_poly):
+        # primes above B carry every (n, v_p(f(n))) with p | f(n), n <= N
+        N = 300
+        ledger = ledger_factory(test_poly, N)
+        for p, data in ledger.entries.items():
+            if p <= ledger.B:
+                assert data.hits == ()
+                continue
+            expected = []
+            for n in range(1, N + 1):
+                v, e = abs(test_poly.eval(n)), 0
+                while v % p == 0:
+                    v //= p
+                    e += 1
+                if e:
+                    expected.append((n, e))
+            assert data.hits == tuple(expected), p
 
     def test_log_sum_agreement(self, ledger_factory, test_poly):
         N = 300
