@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from . import aggregate, primes
+from . import aggregate
 from .polynomial import IntPoly
 from .sieve import FactorLedger, build_ledger
 
@@ -105,35 +105,23 @@ def check_refined_multiplicity(ledger: FactorLedger) -> VerificationReport:
     return _finish(report, applicable=bool(zone))
 
 
-def refined_multiplicity_threshold(f: IntPoly, n_max=1000, seed=0):
+def refined_multiplicity_threshold(ledger: FactorLedger):
     """Smallest N0 such that the refined-multiplicity check has no
-    violation for any N in [N0, n_max]; 1 if it never fails.
+    violation for any N in [N0, ledger.N]; 1 if it never fails.
 
-    One factorization pass over f(n), n <= n_max, then per-prime layer
-    bookkeeping; no ledger builds.
+    For each p > D, the check applies at every N < p/D; the hits of p up
+    to that N are read off the ledger, so nothing is factored again.
     """
-    from . import polynomial
-
-    d = f.degree
-    D = polynomial.profile(f, seed=seed).D
-    hits = {}  # p -> list of (n, valuation) in n order
-    for n in range(1, n_max + 1):
-        v = f.eval(n)
-        if v == 0:
-            continue
-        for p, e in primes.factorize(abs(v), seed=seed):
-            hits.setdefault(p, []).append((n, e))
+    d = ledger.f.degree
+    D = ledger.profile.D
     worst = 0
-    for p, lst in hits.items():
-        n_upper = min(n_max, (p - 1) // D)  # N values with p > D*N
-        if n_upper == 0:
-            continue
+    for p in ledger.primes_above(D):
+        n_upper = min(ledger.N, (p - 1) // D)  # N values with p > D*N
+        hits = prime_hits(ledger, p, n_upper)
         for i in range(1, d + 1):
-            ns = [n for n, v in lst if v >= i]
+            ns = [n for n, v in hits if v >= i]
             if len(ns) > d - i:
-                first_bad = ns[d - i]  # (d-i+1)-th hit
-                if first_bad <= n_upper:
-                    worst = max(worst, n_upper)
+                worst = max(worst, n_upper)  # the (d-i+1)-th hit is <= n_upper
     return worst + 1
 
 
@@ -247,33 +235,40 @@ def check_divisibility_A(f: IntPoly, p, i, points) -> VerificationReport:
     return _finish(report)
 
 
+def prime_hits(ledger: FactorLedger, p, limit):
+    """(n, v_p(f(n))) for each n <= limit that p divides, in n order.
+
+    Primes above the sieve bound carry their hits. Below it, ``limit``
+    must be under p, so each root of f mod p yields at most one hit, the
+    root itself.
+    """
+    data = ledger.entries[p]
+    if p > ledger.B:
+        return [(n, v) for n, v in data.hits if n <= limit]
+    hits = []
+    for r in data.roots:
+        if not 1 <= r <= limit:
+            continue
+        fn = abs(ledger.f.eval(r))
+        v = 0
+        while fn and fn % p == 0:
+            fn //= p
+            v += 1
+        if v:
+            hits.append((r, v))
+    return hits
+
+
 def harvest_divisibility_tuples(ledger: FactorLedger, above="N", limit=200):
     """Qualifying (p, i, points) tuples read off the ledger for primes
     above N (or DN): points are the n <= N hit by p with v_p(f(n)) >= i,
-    taken when exactly enough for arity d - i + 1. Primes above the sieve
-    bound carry their hits; below it they come from the level-1 roots."""
-    f = ledger.f
-    d = f.degree
+    taken when exactly enough for arity d - i + 1."""
+    d = ledger.f.degree
     N = ledger.N
     bound = N if above == "N" else ledger.profile.D * N
     tuples = []
     for p in ledger.primes_above(bound):
-        data = ledger.entries[p]
-        if p > ledger.B:
-            hits = data.hits
-        else:
-            # p > N: each root of f mod p yields at most one hit, the root itself
-            hits = []
-            for r in data.roots:
-                if not 1 <= r <= N:
-                    continue
-                fn = abs(f.eval(r))
-                v = 0
-                while fn and fn % p == 0:
-                    fn //= p
-                    v += 1
-                if v:
-                    hits.append((r, v))
+        hits = prime_hits(ledger, p, N)
         for i in range(1, d + 1):
             t = d - i + 1
             if t < 2:
@@ -431,39 +426,27 @@ def check_zone_inequalities(ledger: FactorLedger) -> VerificationReport:
     return _finish(report)
 
 
-CHECK_NAMES = (
-    "naive_multiplicity",
-    "refined_multiplicity",
-    "hensel_formula",
-    "divided_difference",
-    "amgm_ratio",
-    "squareful_ratios",
-    "zone_inequalities",
-)
+# check name -> callable(ledger, seed) returning its VerificationReport.
+CHECKS = {
+    "naive_multiplicity": lambda ledger, seed: check_naive_multiplicity(ledger),
+    "refined_multiplicity": lambda ledger, seed: check_refined_multiplicity(ledger),
+    "hensel_formula": lambda ledger, seed: check_hensel_formula(ledger),
+    "divided_difference": lambda ledger, seed: check_divided_difference(
+        ledger, seed=seed
+    ),
+    "amgm_ratio": lambda ledger, seed: check_amgm_suite(ledger.f.degree, seed=seed),
+    "squareful_ratios": lambda ledger, seed: check_squareful_ratios(ledger),
+    "zone_inequalities": lambda ledger, seed: check_zone_inequalities(ledger),
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 def run_checks(f: IntPoly, N, checks, seed=0, workers=1):
     """Build one ledger and run the named checks, sorted by check_name."""
-    unknown = sorted(set(checks) - set(CHECK_NAMES))
+    unknown = sorted(set(checks) - set(CHECKS))
     if unknown:
         raise ValueError(
             f"unknown checks {unknown}; valid: {', '.join(CHECK_NAMES)}"
         )
     ledger = build_ledger(f, N, seed=seed, workers=workers)
-    reports = []
-    for name in sorted(set(checks)):
-        if name == "naive_multiplicity":
-            reports.append(check_naive_multiplicity(ledger))
-        elif name == "refined_multiplicity":
-            reports.append(check_refined_multiplicity(ledger))
-        elif name == "hensel_formula":
-            reports.append(check_hensel_formula(ledger))
-        elif name == "divided_difference":
-            reports.append(check_divided_difference(ledger, seed=seed))
-        elif name == "amgm_ratio":
-            reports.append(check_amgm_suite(f.degree, seed=seed))
-        elif name == "squareful_ratios":
-            reports.append(check_squareful_ratios(ledger))
-        elif name == "zone_inequalities":
-            reports.append(check_zone_inequalities(ledger))
-    return reports
+    return [CHECKS[name](ledger, seed) for name in sorted(set(checks))]

@@ -12,9 +12,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
-from . import aggregate, analysis, modular, oracle, polynomial, sieve
+from . import aggregate, analysis, modular, oracle, polynomial, primes, sieve
 from .modular import CapExceeded
 
 SCHEMA_VERSION = "1"
@@ -37,17 +36,6 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass
-class RunConfig:
-    poly: polynomial.IntPoly
-    schedule: list
-    bound_rule: str  # "DN" or an explicit integer string
-    seed: int
-    workers: int
-    output: str  # path or "-"
-    fmt: str  # csv | json | ndjson
-
-
 class ConfigError(ValueError):
     pass
 
@@ -64,22 +52,8 @@ def _json_float(x):
 
 def record_row(record):
     return ",".join(
-        [
-            str(record.N),
-            _fmt_float(record.log_Q),
-            _fmt_float(record.log_QS),
-            _fmt_float(record.log_QLI),
-            _fmt_float(record.log_QL),
-            _fmt_float(record.log_L),
-            _fmt_float(record.log_rad),
-            _fmt_float(record.ratio_L),
-            _fmt_float(record.ratio_rad),
-            _fmt_float(record.ratio_QS),
-            str(record.n_primes),
-            str(record.n_squareful),
-            str(record.n_repeated),
-            _fmt_float(record.seconds),
-        ]
+        _fmt_float(v) if isinstance(v, float) else str(v)
+        for v in (getattr(record, col) for col in CSV_COLUMNS)
     )
 
 
@@ -89,6 +63,32 @@ def _record_dict(record):
         v = getattr(record, col)
         out[col] = _json_float(v) if isinstance(v, float) else v
     return out
+
+
+def _json_doc(meta, records, gaps):
+    doc = {
+        **meta,
+        "records": [_record_dict(r) for r in records],
+        "gaps": [{"N": n, "error": e} for n, e in gaps],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# --format -> (head(meta, banner), row(record), tail(meta, records, gaps)),
+# each returning the text to write.
+SWEEP_FORMATS = {
+    "csv": (
+        lambda meta, banner: f"{banner}\n{','.join(CSV_COLUMNS)}\n",
+        lambda r: record_row(r) + "\n",
+        lambda meta, records, gaps: "",
+    ),
+    "ndjson": (
+        lambda meta, banner: json.dumps({"meta": meta}, sort_keys=True) + "\n",
+        lambda r: json.dumps(_record_dict(r), sort_keys=True) + "\n",
+        lambda meta, records, gaps: "",
+    ),
+    "json": (lambda meta, banner: "", lambda r: "", _json_doc),
+}
 
 
 def _parse_schedule(args):
@@ -107,6 +107,8 @@ def _parse_schedule(args):
             if not schedule or n > schedule[-1]:
                 schedule.append(n)
             x *= ratio
+        if not schedule:
+            raise ConfigError("empty schedule")
         return schedule
     raw = (args.n or "").strip()
     if not raw:
@@ -123,36 +125,35 @@ def _parse_schedule(args):
 
 
 def _resolve_workers(args):
-    env = os.environ.get("LCMLAB_WORKERS")
-    raw = env if env else getattr(args, "workers", "1")
-    if raw == "auto":
+    if args.workers == "auto":
         return os.cpu_count() or 1
     try:
-        w = int(raw)
+        w = int(args.workers)
     except ValueError:
-        raise ConfigError(f"bad worker count {raw!r}")
+        raise ConfigError(f"bad worker count {args.workers!r}")
     if w < 1:
         raise ConfigError("workers must be >= 1")
     return w
 
 
 def _load_poly(args):
+    """The parsed --poly; degree < 2 or a zero discriminant is a
+    ConfigError, and a reducible or uncertified f draws a warning."""
     try:
         f = polynomial.parse_poly(args.poly)
+        prof = polynomial.profile(f, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if f.degree >= 2:
-        prof = polynomial.profile(f, seed=getattr(args, "seed", 0))
-        if prof.rational_roots:
-            print(
-                "warning: reducible: conjecture ratios not meaningful",
-                file=sys.stderr,
-            )
-        elif prof.irreducible_hint == "assumed":
-            print(
-                "warning: irreducibility not certified; assuming it",
-                file=sys.stderr,
-            )
+    if prof.rational_roots:
+        print(
+            "warning: reducible: conjecture ratios not meaningful",
+            file=sys.stderr,
+        )
+    elif prof.irreducible_hint == "assumed":
+        print(
+            "warning: irreducibility not certified; assuming it",
+            file=sys.stderr,
+        )
     return f
 
 
@@ -172,44 +173,25 @@ def cmd_sweep(args):
             int(bound_rule)
         except ValueError:
             raise ConfigError(f"bad sieve bound {bound_rule!r}")
+    banner = (
+        f"# lcmlab sweep v{SCHEMA_VERSION} seed={args.seed} "
+        f'poly="{f}" bound={bound_rule} schedule={",".join(map(str, schedule))}'
+    )
+    meta = {"version": SCHEMA_VERSION, "seed": args.seed, "poly": str(f)}
+    head, row, tail = SWEEP_FORMATS[args.format]
     out, close = _open_sink(args.out)
     try:
-        header = (
-            f"# lcmlab sweep v{SCHEMA_VERSION} seed={args.seed} "
-            f'poly="{f}" bound={bound_rule} schedule={",".join(map(str, schedule))}'
+        out.write(head(meta, banner))
+
+        def sink(record):
+            out.write(row(record))
+            out.flush()
+
+        records, gaps = aggregate.sweep(
+            f, schedule, bound_rule=bound_rule, sink=sink,
+            seed=args.seed, workers=workers,
         )
-        if args.format == "csv":
-            out.write(header + "\n")
-            out.write(",".join(CSV_COLUMNS) + "\n")
-            sink = lambda r: (out.write(record_row(r) + "\n"), out.flush())
-            records, gaps = aggregate.sweep(
-                f, schedule, bound_rule=bound_rule, sink=sink,
-                seed=args.seed, workers=workers,
-            )
-        elif args.format == "ndjson":
-            meta = {"version": SCHEMA_VERSION, "seed": args.seed, "poly": str(f)}
-            out.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-            sink = lambda r: (
-                out.write(json.dumps(_record_dict(r), sort_keys=True) + "\n"),
-                out.flush(),
-            )
-            records, gaps = aggregate.sweep(
-                f, schedule, bound_rule=bound_rule, sink=sink,
-                seed=args.seed, workers=workers,
-            )
-        else:
-            records, gaps = aggregate.sweep(
-                f, schedule, bound_rule=bound_rule,
-                seed=args.seed, workers=workers,
-            )
-            doc = {
-                "version": SCHEMA_VERSION,
-                "seed": args.seed,
-                "poly": str(f),
-                "records": [_record_dict(r) for r in records],
-                "gaps": [{"N": n, "error": e} for n, e in gaps],
-            }
-            out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        out.write(tail(meta, records, gaps))
     finally:
         if close:
             out.close()
@@ -250,6 +232,10 @@ def cmd_verify(args):
 
 def cmd_local(args):
     f = _load_poly(args)
+    if not primes.is_probable_prime(args.p, seed=args.seed):
+        raise ConfigError(f"--p {args.p} is not a prime")
+    if args.n < 1:
+        raise ConfigError("--n must be >= 1")
     cap = polynomial.max_abs_on_range(f, args.n)
     zeros = tuple(polynomial.integer_roots_in_range(f, args.n))
     level1 = modular.roots_mod_p(f, args.p, seed=args.seed)

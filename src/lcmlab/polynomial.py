@@ -250,7 +250,7 @@ def profile(f: IntPoly, seed=0):
     certificate. "unknown" when a rational root exists (f is reducible).
     """
     if f.degree < 2:
-        raise ValueError("profile needs degree >= 2")
+        raise ValueError(f"{f} has degree {f.degree}; profile needs degree >= 2")
     disc = discriminant(f)
     if disc == 0:
         raise ZeroDiscriminant(f"{f} is not squarefree")

@@ -89,11 +89,12 @@ def test_criterion_3_refined_multiplicity(ledger_factory):
     ok = True
     detail = ""
     for name, f in TEST_POLYS.items():
-        report = check_refined_multiplicity(ledger_factory(f, 1000))
+        ledger = ledger_factory(f, 1000)
+        report = check_refined_multiplicity(ledger)
         if report.status != "pass":
             ok, detail = False, f"{name}: {report.violations[:3]}"
             continue
-        threshold = refined_multiplicity_threshold(f, n_max=1000)
+        threshold = refined_multiplicity_threshold(ledger)
         if threshold >= 1000:
             ok, detail = False, f"{name}: empirical N0 = {threshold}"
     _report("criterion 3: refined multiplicity above DN", ok, detail)

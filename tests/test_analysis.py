@@ -22,12 +22,48 @@ from lcmlab.analysis import (
     refined_multiplicity_threshold,
     run_checks,
 )
-from lcmlab.polynomial import IntPoly, parse_poly
+from lcmlab.polynomial import IntPoly, parse_poly, profile
+from lcmlab.sieve import build_ledger
 
 from conftest import TEST_POLYS
 
 F = parse_poly("x^2+1")
 F3 = parse_poly("x^3+2")
+
+
+def trial_division(n):
+    """{p: e} for n >= 1 by trial division."""
+    out = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def brute_threshold(f, n_max):
+    """1 + the largest N <= n_max at which some p > DN has more than d - i
+    of the n <= N with p^i | f(n); 1 if there is none."""
+    d = f.degree
+    D = profile(f).D
+    hits = {}  # p -> [(n, v_p(f(n)))]
+    for n in range(1, n_max + 1):
+        if f.eval(n):
+            for p, e in trial_division(abs(f.eval(n))).items():
+                hits.setdefault(p, []).append((n, e))
+    worst = 0
+    for N in range(1, n_max + 1):
+        for p, lst in hits.items():
+            if p > D * N and any(
+                sum(1 for n, e in lst if n <= N and e >= i) > d - i
+                for i in range(1, d + 1)
+            ):
+                worst = N
+    return worst + 1
 
 
 class TestMultiplicityChecks:
@@ -44,8 +80,23 @@ class TestMultiplicityChecks:
         assert check_naive_multiplicity(led).status == "not-applicable"
         assert check_refined_multiplicity(led).status == "not-applicable"
 
-    def test_threshold_below_1000(self, test_poly):
-        assert refined_multiplicity_threshold(test_poly, n_max=1000) < 1000
+    def test_threshold_below_1000(self, ledger_factory, test_poly):
+        assert refined_multiplicity_threshold(ledger_factory(test_poly, 1000)) < 1000
+
+    @pytest.mark.parametrize("text", ["x^2-2", "x^5-x+1"])
+    def test_threshold_with_unit_values(self, text):
+        # |f(1)| = 1: nothing to factor at n = 1
+        assert refined_multiplicity_threshold(build_ledger(parse_poly(text), 300)) == 1
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("-x^2+17x+23", 30), ("-x^2+25x+11", 56), ("2x^2+30x+6", 4)],
+    )
+    def test_threshold_matches_brute_force(self, text, expected):
+        f = parse_poly(text)
+        n_max = 300
+        threshold = refined_multiplicity_threshold(build_ledger(f, n_max))
+        assert threshold == brute_threshold(f, n_max) == expected
 
 
 class TestHenselFormula:

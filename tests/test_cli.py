@@ -1,17 +1,28 @@
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from lcmlab import sieve
-from lcmlab.cli import CSV_COLUMNS, main
+from lcmlab.cli import CSV_COLUMNS, build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _assert_config_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 def _strip_seconds(csv_text):
@@ -104,6 +115,22 @@ class TestSweep:
         ns = [int(l.split(",")[0]) for l in out.read_text().splitlines()[2:]]
         assert ns == [10, 100, 1000]
 
+    def test_empty_geometric_schedule_exit_1(self, capsys):
+        result = _run(capsys, "sweep", "--poly", "x^2+1", "--n-geom", "100:10:2")
+        _assert_config_error(*result)
+        assert "empty schedule" in result[2]
+
+    def test_degree_1_exit_1(self, capsys):
+        result = _run(capsys, "sweep", "--poly", "x+1", "--n", "10")
+        _assert_config_error(*result)
+        assert "degree" in result[2]
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_zero_discriminant_exit_1(self, capsys, command):
+        result = _run(capsys, command, "--poly", "x^2", "--n", "10")
+        _assert_config_error(*result)
+        assert "squarefree" in result[2]
+
     def test_bad_schedule_exit_1(self, capsys):
         code, _, _ = _run(capsys, "sweep", "--poly", "x^2+1", "--n", "10,5")
         assert code == 1
@@ -156,6 +183,15 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["alpha"] == 5 and doc["roots"] == [2, 3]
 
+    def test_local_composite_p_exit_1(self, capsys):
+        result = _run(capsys, "local", "--poly", "x^2+1", "--p", "4", "--n", "10")
+        _assert_config_error(*result)
+        assert "not a prime" in result[2]
+
+    def test_local_n_0_exit_1(self, capsys):
+        result = _run(capsys, "local", "--poly", "x^2+1", "--p", "5", "--n", "0")
+        _assert_config_error(*result)
+
     def test_oracle_check_pass(self, capsys):
         for poly in ("x^2+1", "x^3+2"):
             code, out, _ = _run(
@@ -178,14 +214,6 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
-    def test_workers_env_override(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("LCMLAB_WORKERS", "2")
-        out = tmp_path / "w.csv"
-        code, _, _ = _run(
-            capsys, "sweep", "--poly", "x^2+1", "--n", "100", "--out", str(out)
-        )
-        assert code == 0
-
     def test_float_format_17_digits(self, tmp_path, capsys):
         out = tmp_path / "f.csv"
         _run(capsys, "sweep", "--poly", "x^2+1", "--n", "100", "--out", str(out))
@@ -193,3 +221,19 @@ class TestOtherCommands:
         val = row[CSV_COLUMNS.index("log_Q")]
         assert float(val) == float(format(float(val), ".17g"))  # round-trips
         assert re.match(r"^\d+\.\d+$", val)
+
+
+def test_readme_cli_examples_parse():
+    """Every lcmlab line of README's CLI block parses with the real parser."""
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [
+        line.strip()
+        for line in block.splitlines()
+        if line.strip().startswith("lcmlab ")
+    ]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from lcmlab.aggregate import summarize
 from lcmlab.modular import roots_mod_p
-from lcmlab.oracle import naive_run
-from lcmlab.polynomial import max_abs_on_range, parse_poly
+from lcmlab.oracle import log_big, naive_run
+from lcmlab.polynomial import IntPoly, discriminant, max_abs_on_range, parse_poly
 from lcmlab.primes import FactorTimeout, factorize, is_probable_prime
 from lcmlab.sieve import build_ledger, factor_cofactor, local_data
 
@@ -15,6 +18,27 @@ F = parse_poly("x^2+1")
 
 def _entry_tuple(d):
     return (d.alpha, d.max_exp, d.hit_count, d.layer_counts)
+
+
+# Largest N per degree: the oracle's trial division grows with |f(N)|.
+ORACLE_N = {2: 120, 3: 120, 4: 60, 5: 40}
+
+
+@st.composite
+def oracle_cases(draw):
+    """(f, N): f of degree 2 to 5, nonmonic, either sign of leading
+    coefficient, content up to 3, and in about a third of the cases an
+    integer zero in [1, N]."""
+    d = draw(st.integers(2, 5))
+    N = draw(st.integers(1, ORACLE_N[d]))
+    zero = draw(st.one_of(st.none(), st.none(), st.integers(1, N)))
+    k = d if zero is None else d - 1
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k))
+    coeffs.append(draw(st.integers(-12, 12).filter(bool)))
+    if zero is not None:  # times (x - zero)
+        coeffs = [a - zero * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    content = draw(st.sampled_from([1, 1, 2, 3]))
+    return IntPoly(tuple(content * c for c in coeffs)), N
 
 
 class TestLocalData:
@@ -77,6 +101,24 @@ class TestBuildLedger:
                 assert _entry_tuple(led.entries[p]) == _entry_tuple(
                     ora.ledger.entries[p]
                 ), (test_poly, N, p)
+
+    @given(oracle_cases())
+    @example((parse_poly("x^2+x+2"), 120))  # 2 | f(n) for all n
+    @example((parse_poly("x^3-5*x^2+x-5"), 120))  # (x - 5)(x^2 + 1)
+    @example((parse_poly("-3*x^5+6*x-9"), 40))  # content 3
+    @example((parse_poly("x^3-x+1"), 60))  # f(56) = 419^2 with 419 > B
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    def test_random_oracle_equivalence(self, case):
+        f, N = case
+        assume(discriminant(f) != 0)
+        led = build_ledger(f, N)
+        ora = naive_run(f, N)
+        assert {p: _entry_tuple(d) for p, d in led.entries.items()} == {
+            p: _entry_tuple(d) for p, d in ora.ledger.entries.items()
+        }
+        rec = summarize(led)
+        for got, exact in ((rec.log_L, ora.lcm_value), (rec.log_rad, ora.rad_value)):
+            assert abs(got - log_big(exact)) <= 1e-9 * max(got, 1.0)
 
     def test_partition_independence(self, test_poly):
         N = 400
