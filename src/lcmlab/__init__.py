@@ -26,9 +26,9 @@ from .polynomial import (
     PolyProfile,
     ZeroDiscriminant,
     discriminant,
-    max_abs_on_range,
     parse_poly,
     profile,
+    value_bound,
 )
 from .sieve import (
     FactorLedger,

@@ -67,7 +67,8 @@ def summarize(ledger: sieve.FactorLedger) -> SweepRecord:
     n_repeated = 0
     for p, data in sorted(ledger.entries.items()):
         lp = math.log(p)
-        contrib = data.alpha * lp
+        alpha = data.alpha
+        contrib = alpha * lp
         q.add(contrib)
         if p <= N:
             qs.add(contrib)
@@ -77,7 +78,7 @@ def summarize(ledger: sieve.FactorLedger) -> SweepRecord:
             ql.add(contrib)
         lsum.add(data.max_exp * lp)
         rad.add(lp)
-        if data.alpha >= 2:
+        if alpha >= 2:
             n_squareful += 1
         if data.hit_count >= 2:
             n_repeated += 1
@@ -100,18 +101,9 @@ def summarize(ledger: sieve.FactorLedger) -> SweepRecord:
     )
 
 
-def sweep(
-    f: IntPoly,
-    schedule,
-    bound_rule="DN",
-    sink=None,
-    seed=0,
-    workers=1,
-    segment_size=sieve.DEFAULT_SEGMENT_SIZE,
-):
+def sweep(f: IntPoly, schedule, sink=None, seed=0, workers=1):
     """One SweepRecord per N, each from a fresh ledger build.
 
-    ``bound_rule`` is "DN" or an explicit bound (must be >= D*N at every N).
     Returns (records, gaps); an N whose cofactor factoring timed out
     becomes a gap. Any other error, such as a LedgerMismatch, propagates
     with a note naming f and N.
@@ -124,10 +116,7 @@ def sweep(
     for N in schedule:
         t0 = time.perf_counter()
         try:
-            B = None if bound_rule == "DN" else int(bound_rule)
-            ledger = sieve.build_ledger(
-                f, N, B=B, seed=seed, workers=workers, segment_size=segment_size
-            )
+            ledger = sieve.build_ledger(f, N, seed=seed, workers=workers)
             record = summarize(ledger)
         except primes.FactorTimeout as exc:
             gaps.append((N, f"{type(exc).__name__}: {exc}"))

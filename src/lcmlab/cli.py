@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import aggregate, analysis, modular, oracle, polynomial, primes, sieve
-from .modular import CapExceeded
 
 SCHEMA_VERSION = "1"
 
@@ -121,7 +120,13 @@ def _parse_schedule(args):
         raise ConfigError("empty schedule")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("schedule must be strictly increasing")
+    _check_n(schedule[0])
     return schedule
+
+
+def _check_n(n):
+    if n < 1:
+        raise ConfigError("--n must be >= 1")
 
 
 def _resolve_workers(args):
@@ -137,8 +142,9 @@ def _resolve_workers(args):
 
 
 def _load_poly(args):
-    """The parsed --poly; degree < 2 or a zero discriminant is a
-    ConfigError, and a reducible or uncertified f draws a warning."""
+    """The parsed --poly and its profile; degree < 2 or a zero
+    discriminant is a ConfigError, and a reducible or uncertified f draws a
+    warning."""
     try:
         f = polynomial.parse_poly(args.poly)
         prof = polynomial.profile(f, seed=args.seed)
@@ -154,7 +160,7 @@ def _load_poly(args):
             "warning: irreducibility not certified; assuming it",
             file=sys.stderr,
         )
-    return f
+    return f, prof
 
 
 def _open_sink(path):
@@ -164,18 +170,12 @@ def _open_sink(path):
 
 
 def cmd_sweep(args):
-    f = _load_poly(args)
+    f, _ = _load_poly(args)
     schedule = _parse_schedule(args)
     workers = _resolve_workers(args)
-    bound_rule = args.sieve_bound
-    if bound_rule != "DN":
-        try:
-            int(bound_rule)
-        except ValueError:
-            raise ConfigError(f"bad sieve bound {bound_rule!r}")
     banner = (
         f"# lcmlab sweep v{SCHEMA_VERSION} seed={args.seed} "
-        f'poly="{f}" bound={bound_rule} schedule={",".join(map(str, schedule))}'
+        f'poly="{f}" bound=DN schedule={",".join(map(str, schedule))}'
     )
     meta = {"version": SCHEMA_VERSION, "seed": args.seed, "poly": str(f)}
     head, row, tail = SWEEP_FORMATS[args.format]
@@ -188,8 +188,7 @@ def cmd_sweep(args):
             out.flush()
 
         records, gaps = aggregate.sweep(
-            f, schedule, bound_rule=bound_rule, sink=sink,
-            seed=args.seed, workers=workers,
+            f, schedule, sink=sink, seed=args.seed, workers=workers
         )
         out.write(tail(meta, records, gaps))
     finally:
@@ -201,7 +200,8 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    f = _load_poly(args)
+    f, _ = _load_poly(args)
+    _check_n(args.n)
     workers = _resolve_workers(args)
     names = (
         list(analysis.CHECK_NAMES)
@@ -231,15 +231,15 @@ def cmd_verify(args):
 
 
 def cmd_local(args):
-    f = _load_poly(args)
+    f, prof = _load_poly(args)
     if not primes.is_probable_prime(args.p, seed=args.seed):
         raise ConfigError(f"--p {args.p} is not a prime")
-    if args.n < 1:
-        raise ConfigError("--n must be >= 1")
-    cap = polynomial.max_abs_on_range(f, args.n)
-    zeros = tuple(polynomial.integer_roots_in_range(f, args.n))
+    _check_n(args.n)
     level1 = modular.roots_mod_p(f, args.p, seed=args.seed)
-    data = sieve.local_data(f, level1, args.n, cap, zeros=zeros)
+    data = sieve.local_data(
+        f, level1, args.n, polynomial.value_bound(f, args.n),
+        zeros=prof.integer_roots_in_range(args.n),
+    )
     doc = {
         "version": SCHEMA_VERSION,
         "seed": args.seed,
@@ -257,10 +257,11 @@ def cmd_local(args):
 
 
 def cmd_oracle_check(args):
-    f = _load_poly(args)
+    f, _ = _load_poly(args)
+    _check_n(args.n)
     try:
         ora = oracle.naive_run(f, args.n)
-    except CapExceeded as exc:
+    except oracle.OracleCapped as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     led = sieve.build_ledger(f, args.n, seed=args.seed, workers=_resolve_workers(args))
@@ -286,8 +287,9 @@ def cmd_oracle_check(args):
 
 
 def cmd_identity(args):
-    f = _load_poly(args)
-    ledger = sieve.build_ledger(f, max(args.n, 1), seed=args.seed)
+    f, _ = _load_poly(args)
+    _check_n(args.n)
+    ledger = sieve.build_ledger(f, args.n, seed=args.seed)
     report = analysis.check_divided_difference(
         ledger, seed=args.seed, trials=args.trials
     )
@@ -315,7 +317,6 @@ def build_parser():
     common(p)
     p.add_argument("--n", default="", help="comma-separated N schedule")
     p.add_argument("--n-geom", default="", help="geometric schedule start:end:ratio")
-    p.add_argument("--sieve-bound", default="DN", help='"DN" or explicit bound')
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json", "ndjson"), default="csv")
     p.set_defaults(func=cmd_sweep)

@@ -27,10 +27,6 @@ from . import gfpoly
 from .polynomial import IntPoly
 
 
-class CapExceeded(RuntimeError):
-    """p^k exceeds the value cap; lifting past this level is pointless."""
-
-
 # Primes per call of roots_mod_primes in the ledger and the Chebotarev sum;
 # bounds the lockstep arrays and the RootSets held at once.
 BLOCK_SIZE = 2048
@@ -193,17 +189,15 @@ def _roots_lockstep(f, primes, seed):
     return out
 
 
-def lift_roots(f: IntPoly, prev: RootSet, cap):
+def lift_roots(f: IntPoly, prev: RootSet):
     """Roots of f mod p^k from the roots mod p^(k-1).
 
     Simple roots get their unique Newton lift; non-simple roots are tested
-    against all p candidates. Raises CapExceeded when p^k > cap.
+    against all p candidates.
     """
     p = prev.p
     k = prev.k + 1
     pk = p**k
-    if pk > cap:
-        raise CapExceeded(f"{p}^{k} exceeds cap {cap}")
     pk_prev = pk // p
     roots = []
     flags = []

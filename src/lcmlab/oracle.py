@@ -14,12 +14,16 @@ from dataclasses import dataclass
 import sympy
 
 from . import polynomial
-from .modular import CapExceeded
 from .polynomial import IntPoly
 from .sieve import FactorLedger, PrimeLocalData
 
 HARD_CAP = 10**4
 _TRIAL_LIMIT = 10**6
+
+
+class OracleCapped(ValueError):
+    """N exceeds HARD_CAP, beyond which brute force is too slow."""
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -66,7 +70,7 @@ def log_big(n):
 def naive_run(f: IntPoly, N) -> OracleResult:
     """Exact lcm, radical, and naively built ledger for f over [1, N]."""
     if N > HARD_CAP:
-        raise CapExceeded(f"oracle capped at N = {HARD_CAP}")
+        raise OracleCapped(f"oracle capped at N = {HARD_CAP}")
     prof = polynomial.profile(f)
     stats = {}  # p -> list of per-n valuations
     lcm_value = 1
@@ -82,14 +86,10 @@ def naive_run(f: IntPoly, N) -> OracleResult:
             stats.setdefault(p, []).append(e)
     entries = {}
     for p, vals in sorted(stats.items()):
-        max_exp = max(vals)
         entries[p] = PrimeLocalData(
             p=p,
-            alpha=sum(vals),
-            max_exp=max_exp,
-            hit_count=len(vals),
             layer_counts=tuple(
-                sum(1 for v in vals if v >= i) for i in range(1, max_exp + 1)
+                sum(1 for v in vals if v >= i) for i in range(1, max(vals) + 1)
             ),
             roots=(),
         )
@@ -103,12 +103,7 @@ def naive_run(f: IntPoly, N) -> OracleResult:
             "ledger-reconstructed lcm disagrees with gcd-chain lcm"
         )
     ledger = FactorLedger(
-        f=f,
-        N=N,
-        B=prof.D * N,
-        entries=entries,
-        skipped_zero_count=skipped,
-        profile=prof,
+        f=f, N=N, entries=entries, skipped_zero_count=skipped, profile=prof
     )
     return OracleResult(
         N=N, lcm_value=lcm_value, rad_value=rad_value, ledger=ledger

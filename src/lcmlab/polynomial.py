@@ -7,12 +7,9 @@ and the linear-zone constant D = 1 + d*|f_d|.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import gfpoly, primes
 
@@ -85,6 +82,12 @@ class PolyProfile:
     ramified_primes: frozenset
     irreducible_hint: str  # "proved" | "assumed" | "unknown"
     rational_roots: tuple  # Fractions; nonempty means f is reducible
+
+    def integer_roots_in_range(self, N):
+        """Integer roots of f inside [1, N] (nonempty only for reducible f)."""
+        return tuple(
+            int(r) for r in self.rational_roots if r.denominator == 1 and 1 <= r <= N
+        )
 
 
 _TERM_RE = re.compile(
@@ -228,15 +231,12 @@ def _eval_fraction(f, x):
 
 
 def _divisors(n):
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+    """Positive divisors of n >= 1, from its prime factorization."""
+    divs = [1]
+    if n > 1:
+        for p, e in primes.factorize(n):
+            divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
 
 
 _CERTIFYING_PRIME_BOUND = 200
@@ -279,30 +279,6 @@ def profile(f: IntPoly, seed=0):
     )
 
 
-def integer_roots_in_range(f: IntPoly, N):
-    """Integer roots of f inside [1, N] (nonempty only for reducible f)."""
-    out = []
-    for r in rational_roots(f):
-        if r.denominator == 1 and 1 <= r.numerator <= N:
-            out.append(int(r))
-    return sorted(out)
-
-
-def max_abs_on_range(f: IntPoly, N):
-    """max over 1 <= n <= N of |f(n)|, exact.
-
-    Candidates are the endpoints plus integer neighborhoods of the real
-    critical points of f, so the scan is O(d) rather than O(N).
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    cands = {1, N}
-    dcoeffs = f.deriv_coeffs()
-    if len(dcoeffs) >= 2:  # f' nonconstant: locate its real roots
-        for z in np.roots(list(reversed(dcoeffs))):
-            if abs(z.imag) < 1e-8:
-                x = float(z.real)
-                for m in range(math.floor(x) - 1, math.ceil(x) + 2):
-                    if 1 <= m <= N:
-                        cands.add(m)
-    return max(abs(f.eval(m)) for m in cands)
+def value_bound(f: IntPoly, N):
+    """sum |f_i| N^i, an exact integer bound on |f(n)| for 1 <= n <= N."""
+    return sum(abs(c) * N**i for i, c in enumerate(f.coeffs))

@@ -1,9 +1,9 @@
 """Exact prime-exponent ledger of Q(N) = prod |f(n)|.
 
-Three legs: analytic per-prime data for p <= B via root lifting, a
-segmented residual-division pass over n in [1, N] that cross-checks the
-analytic totals, and rho factorization of the surviving cofactors (all of
-whose primes exceed B).
+The sieve bound is B = D*N. Three legs: analytic per-prime data for
+p <= B via root lifting, a segmented residual-division pass over n in
+[1, N] that cross-checks the analytic totals, and rho factorization of the
+surviving cofactors (all of whose primes exceed B).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import modular, primes, polynomial
-from .modular import CapExceeded, RootSet, count_progression, lift_roots
+from .modular import RootSet, count_progression, lift_roots
 from .polynomial import IntPoly, PolyProfile
 
 
@@ -20,7 +20,7 @@ class LedgerMismatch(RuntimeError):
     """Analytic per-prime totals disagree with the sieved exponents."""
 
 
-DEFAULT_SEGMENT_SIZE = 1 << 16
+SEGMENT_SIZE = 1 << 16  # values of f held at once by Leg 2
 RHO_MAX_ITERS = 1 << 20
 RHO_ATTEMPTS = 8
 
@@ -30,17 +30,29 @@ class PrimeLocalData:
     """Per-prime statistics of Q(N).
 
     layer_counts[i] = b_{i+1} = #{n <= N : p^(i+1) | f(n)}; trailing zeros
-    are never stored, so max_exp == len(layer_counts). Primes up to the
-    sieve bound carry their level-1 roots, primes above it their hits.
+    are never stored. Primes up to the sieve bound carry their level-1
+    roots, primes above it their hits.
     """
 
     p: int
-    alpha: int
-    max_exp: int
-    hit_count: int
     layer_counts: tuple
     roots: tuple  # level-1 roots of f mod p
     hits: tuple = ()  # (n, v_p(f(n))) for each n <= N that p divides
+
+    @property
+    def alpha(self):
+        """The exponent of p in Q(N)."""
+        return sum(self.layer_counts)
+
+    @property
+    def max_exp(self):
+        """The largest v_p(f(n)) over n <= N: the exponent of p in L(N)."""
+        return len(self.layer_counts)
+
+    @property
+    def hit_count(self):
+        """#{n <= N : p | f(n)}."""
+        return self.layer_counts[0] if self.layer_counts else 0
 
     def layer(self, i):
         """b_i for i >= 1."""
@@ -55,11 +67,14 @@ class FactorLedger:
 
     f: IntPoly
     N: int
-    B: int
     entries: dict  # prime -> PrimeLocalData
     skipped_zero_count: int
     profile: PolyProfile
-    seed: int = 0
+
+    @property
+    def B(self):
+        """The sieve bound D*N."""
+        return self.profile.D * self.N
 
     def primes_above(self, bound):
         return sorted(p for p in self.entries if p > bound)
@@ -69,33 +84,23 @@ def local_data(f: IntPoly, level1: RootSet, N, cap, zeros=()):
     """Exact PrimeLocalData for one prime p <= B via root lifting from
     ``level1``, the roots of f mod p.
 
-    ``zeros`` are the integer roots of f in [1, N] (nonempty only for
-    reducible f); the n with f(n) = 0 are excluded from every layer.
+    ``cap`` bounds every nonzero |f(n)|, n <= N (``value_bound``), so no
+    p^k above it divides one and lifting stops there. ``zeros`` are the
+    integer roots of f in [1, N] (nonempty only for reducible f); the n
+    with f(n) = 0 are excluded from every layer.
     """
-    zero_count = len(zeros)
     p = level1.p
     rs = level1
     layers = []
     while rs.roots:
-        pk = p**rs.k
-        if pk > cap:
-            break
-        cnt = sum(count_progression(r, pk, N) for r in rs.roots) - zero_count
+        cnt = sum(count_progression(r, p**rs.k, N) for r in rs.roots) - len(zeros)
         if cnt <= 0:
             break
         layers.append(cnt)
-        try:
-            rs = lift_roots(f, rs, cap)
-        except CapExceeded:
+        if p ** (rs.k + 1) > cap:
             break
-    return PrimeLocalData(
-        p=p,
-        alpha=sum(layers),
-        max_exp=len(layers),
-        hit_count=layers[0] if layers else 0,
-        layer_counts=tuple(layers),
-        roots=level1.roots,
-    )
+        rs = lift_roots(f, rs)
+    return PrimeLocalData(p=p, layer_counts=tuple(layers), roots=level1.roots)
 
 
 def _local_block(args):
@@ -120,28 +125,12 @@ def factor_cofactor(c, seed=0):
     )
 
 
-def build_ledger(
-    f: IntPoly,
-    N,
-    B=None,
-    seed=0,
-    workers=1,
-    segment_size=DEFAULT_SEGMENT_SIZE,
-):
-    """The exact FactorLedger of Q(N). B defaults to D*N and may only be
-    raised above it."""
+def build_ledger(f: IntPoly, N, seed=0, workers=1):
+    """The exact FactorLedger of Q(N), sieved up to B = D*N."""
     prof = polynomial.profile(f, seed=seed)
-    if B is None:
-        B = prof.D * N
-    if N >= 1 and B < prof.D * N:
-        raise ValueError(f"sieve bound {B} below D*N = {prof.D * N}")
-    if N <= 0:
-        return FactorLedger(
-            f=f, N=N, B=B, entries={}, skipped_zero_count=0, profile=prof, seed=seed
-        )
-
-    cap = polynomial.max_abs_on_range(f, N)
-    zeros = tuple(polynomial.integer_roots_in_range(f, N))
+    B = prof.D * N
+    cap = polynomial.value_bound(f, N)
+    zeros = prof.integer_roots_in_range(N)
 
     # Leg 1: analytic data for every prime <= B with a root, one block of
     # primes per roots_mod_primes call.
@@ -167,7 +156,7 @@ def build_ledger(
     skipped = 0
     lo = 1
     while lo <= N:
-        hi = min(lo + segment_size - 1, N)
+        hi = min(lo + SEGMENT_SIZE - 1, N)
         values = [abs(f.eval(n)) for n in range(lo, hi + 1)]
         for n0 in zeros:
             if lo <= n0 <= hi:
@@ -208,27 +197,12 @@ def build_ledger(
 
     for q, hits in large.items():
         vals = [e for _, e in hits]
-        max_exp = max(vals)
         layers = tuple(
-            sum(1 for v in vals if v >= i) for i in range(1, max_exp + 1)
+            sum(1 for v in vals if v >= i) for i in range(1, max(vals) + 1)
         )
-        entries[q] = PrimeLocalData(
-            p=q,
-            alpha=sum(vals),
-            max_exp=max_exp,
-            hit_count=len(vals),
-            layer_counts=layers,
-            roots=(),
-            hits=hits,
-        )
+        entries[q] = PrimeLocalData(p=q, layer_counts=layers, roots=(), hits=hits)
 
     entries = dict(sorted(entries.items()))
     return FactorLedger(
-        f=f,
-        N=N,
-        B=B,
-        entries=entries,
-        skipped_zero_count=skipped,
-        profile=prof,
-        seed=seed,
+        f=f, N=N, entries=entries, skipped_zero_count=skipped, profile=prof
     )

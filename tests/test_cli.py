@@ -223,6 +223,22 @@ class TestOtherCommands:
         assert re.match(r"^\d+\.\d+$", val)
 
 
+@pytest.mark.parametrize(
+    "command, n",
+    [
+        ("sweep", "0"),
+        ("sweep", "-3,5"),
+        ("verify", "0"),
+        ("oracle-check", "0"),
+        ("identity", "-1"),
+    ],
+)
+def test_n_below_1_exit_1(capsys, command, n):
+    result = _run(capsys, command, "--poly", "x^2+1", f"--n={n}")
+    _assert_config_error(*result)
+    assert "--n must be >= 1" in result[2]
+
+
 def test_readme_cli_examples_parse():
     """Every lcmlab line of README's CLI block parses with the real parser."""
     text = README.read_text()

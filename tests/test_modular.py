@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lcmlab import gfpoly
 from lcmlab.modular import (
-    CapExceeded,
     count_progression,
     lift_roots,
     roots_mod_p,
@@ -104,17 +103,13 @@ class TestRootsModP:
 
 class TestLiftRoots:
     def test_example_mod_25(self):
-        rs = lift_roots(F, roots_mod_p(F, 5), cap=10**6)
+        rs = lift_roots(F, roots_mod_p(F, 5))
         assert rs.roots == (7, 18)
 
     def test_ramified_level_2_empty(self):
         # f(1) = 2 and f(3) = 10 are both 2 mod 4, so no roots mod 4
-        rs = lift_roots(F, roots_mod_p(F, 2), cap=10**6)
+        rs = lift_roots(F, roots_mod_p(F, 2))
         assert rs.roots == ()
-
-    def test_cap_exceeded(self):
-        with pytest.raises(CapExceeded):
-            lift_roots(F, roots_mod_p(F, 5), cap=20)
 
     def test_exhaustive_equivalence(self):
         # lift chain equals brute force {r : p^k | f(r)} for all p^k <= 1e5
@@ -123,7 +118,7 @@ class TestLiftRoots:
                 rs = roots_mod_p(f, p)
                 k = 2
                 while p**k <= 10**5:
-                    rs = lift_roots(f, rs, cap=10**5)
+                    rs = lift_roots(f, rs)
                     pk = p**k
                     brute = tuple(r for r in range(pk) if f.eval(r) % pk == 0)
                     assert rs.roots == brute, (f.coeffs, p, k)
@@ -135,7 +130,7 @@ class TestLiftRoots:
                 prev = roots_mod_p(f, p)
                 k = 2
                 while p**k <= 10**6:
-                    cur = lift_roots(f, prev, cap=10**6)
+                    cur = lift_roots(f, prev)
                     prev_set = set(prev.roots)
                     assert all(r % p ** (k - 1) in prev_set for r in cur.roots)
                     prev = cur
@@ -152,7 +147,7 @@ class TestLiftRoots:
                 rho = len(rs.roots)
                 k = 2
                 while p**k <= 10**6:
-                    rs = lift_roots(f, rs, cap=10**6)
+                    rs = lift_roots(f, rs)
                     assert len(rs.roots) == rho, (f.coeffs, p, k)
                     k += 1
 

@@ -3,8 +3,7 @@ import math
 import pytest
 
 from lcmlab.aggregate import summarize
-from lcmlab.modular import CapExceeded
-from lcmlab.oracle import HARD_CAP, log_big, naive_run, trial_factor
+from lcmlab.oracle import HARD_CAP, OracleCapped, log_big, naive_run, trial_factor
 from lcmlab.polynomial import parse_poly
 
 F = parse_poly("x^2+1")
@@ -19,7 +18,7 @@ class TestNaiveRun:
         assert naive_run(F, 7).lcm_value == 408850
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(OracleCapped):
             naive_run(F, HARD_CAP + 1)
 
     def test_rad_divides_lcm(self, test_poly):

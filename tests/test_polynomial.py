@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -10,11 +11,10 @@ from lcmlab.polynomial import (
     IntPoly,
     ZeroDiscriminant,
     discriminant,
-    integer_roots_in_range,
-    max_abs_on_range,
     parse_poly,
     profile,
     rational_roots,
+    value_bound,
 )
 
 from conftest import TEST_POLYS
@@ -144,19 +144,19 @@ class TestProfile:
         assert rational_roots(parse_poly("x^2+1")) == ()
         roots = rational_roots(parse_poly("2x^3-x"))  # x(2x^2 - 1)
         assert [float(r) for r in roots] == [0.0]
-        assert integer_roots_in_range(parse_poly("x^2-1"), 10) == [1]
+        assert profile(parse_poly("x^2-1")).integer_roots_in_range(10) == (1,)
+
+    def test_large_constant_term(self):
+        # 10^18 + 3 has no small factors: divisors come from its factorization
+        f = parse_poly("x^2+1000000000000000003")
+        assert profile(f).irreducible_hint == "proved"
+        g = parse_poly("2x^3-3x^2+2000000000000000006x-3000000000000000009")
+        assert rational_roots(g) == (Fraction(3, 2),)  # (2x - 3)(x^2 + 10^18 + 3)
 
 
-class TestMaxAbs:
-    def test_examples(self):
-        assert max_abs_on_range(IntPoly((1, 0, 1)), 10) == 101
-        assert max_abs_on_range(IntPoly((0, -10, 1)), 10) == 25
-        assert max_abs_on_range(IntPoly((2, 0, 0, 1)), 4) == 66
-
+class TestValueBound:
     @given(polys, st.integers(min_value=1, max_value=200))
     @settings(max_examples=60)
-    def test_matches_full_scan(self, coeffs, N):
+    def test_bounds_full_scan(self, coeffs, N):
         f = IntPoly(tuple(coeffs))
-        assert max_abs_on_range(f, N) == max(
-            abs(f.eval(n)) for n in range(1, N + 1)
-        )
+        assert value_bound(f, N) >= max(abs(f.eval(n)) for n in range(1, N + 1))

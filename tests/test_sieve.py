@@ -4,10 +4,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lcmlab import sieve
 from lcmlab.aggregate import summarize
 from lcmlab.modular import roots_mod_p
 from lcmlab.oracle import log_big, naive_run
-from lcmlab.polynomial import IntPoly, discriminant, max_abs_on_range, parse_poly
+from lcmlab.polynomial import IntPoly, discriminant, parse_poly, value_bound
 from lcmlab.primes import FactorTimeout, factorize, is_probable_prime
 from lcmlab.sieve import build_ledger, factor_cofactor, local_data
 
@@ -43,20 +44,30 @@ def oracle_cases(draw):
 
 class TestLocalData:
     def test_example_p5(self):
-        cap = max_abs_on_range(F, 10)
-        d = local_data(F, roots_mod_p(F, 5), 10, cap)
+        d = local_data(F, roots_mod_p(F, 5), 10, value_bound(F, 10))
         assert (d.alpha, d.max_exp, d.hit_count) == (5, 2, 4)
         assert d.layer_counts == (4, 1)
 
     def test_example_rho_zero(self):
-        cap = max_abs_on_range(F, 100)
-        d = local_data(F, roots_mod_p(F, 3), 100, cap)
+        d = local_data(F, roots_mod_p(F, 3), 100, value_bound(F, 100))
         assert (d.alpha, d.max_exp, d.hit_count) == (0, 0, 0)
 
     def test_example_single_large_hit(self):
-        cap = max_abs_on_range(F, 10)
-        d = local_data(F, roots_mod_p(F, 101), 10, cap)
+        d = local_data(F, roots_mod_p(F, 101), 10, value_bound(F, 10))
         assert (d.alpha, d.max_exp, d.hit_count) == (1, 1, 1)
+
+    def test_maximum_between_critical_points(self):
+        # f = (x - 5000)^6 - (q^5 + 1): f(4999) = f(5001) = -q^5, while the
+        # largest |f(n)| on [1, 10^4] is |f(5000)| = q^5 + 1, far from the
+        # real critical point a float root finder reports (5005.13).
+        q, N = 27011, 10**4
+        coeffs = [math.comb(6, i) * (-5000) ** (6 - i) for i in range(7)]
+        coeffs[0] -= q**5 + 1
+        f = IntPoly(tuple(coeffs))
+        assert f.eval(5001) == f.eval(4999) == -(q**5)
+        d = local_data(f, roots_mod_p(f, q), N, value_bound(f, N))
+        assert d.roots == (4999, 5001)
+        assert d.layer_counts == (2, 2, 2, 2, 2)
 
     def test_layer_identities(self, ledger_factory, test_poly):
         ledger = ledger_factory(test_poly, 300)
@@ -88,10 +99,6 @@ class TestBuildLedger:
         led = build_ledger(F, 0)
         assert led.entries == {}
 
-    def test_bound_cannot_go_below_DN(self):
-        with pytest.raises(ValueError):
-            build_ledger(F, 100, B=100)
-
     def test_oracle_equivalence(self, ledger_factory, test_poly):
         for N in list(range(1, 60)) + [150, 500]:
             led = ledger_factory(test_poly, N)
@@ -120,11 +127,12 @@ class TestBuildLedger:
         for got, exact in ((rec.log_L, ora.lcm_value), (rec.log_rad, ora.rad_value)):
             assert abs(got - log_big(exact)) <= 1e-9 * max(got, 1.0)
 
-    def test_partition_independence(self, test_poly):
+    def test_partition_independence(self, test_poly, monkeypatch):
         N = 400
-        ledgers = [
-            build_ledger(test_poly, N, segment_size=s) for s in (64, 1000, N)
-        ]
+        ledgers = []
+        for size in (64, 1000, N):
+            monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+            ledgers.append(build_ledger(test_poly, N))
         base = {p: _entry_tuple(d) for p, d in ledgers[0].entries.items()}
         for led in ledgers[1:]:
             assert {p: _entry_tuple(d) for p, d in led.entries.items()} == base
