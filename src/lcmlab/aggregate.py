@@ -67,7 +67,8 @@ def summarize(ledger: sieve.FactorLedger) -> SweepRecord:
     n_repeated = 0
     for p, data in sorted(ledger.entries.items()):
         lp = math.log(p)
-        alpha = data.alpha
+        layers = data.layer_counts
+        alpha = sum(layers)
         contrib = alpha * lp
         q.add(contrib)
         if p <= N:
@@ -76,11 +77,11 @@ def summarize(ledger: sieve.FactorLedger) -> SweepRecord:
             qli.add(contrib)
         else:
             ql.add(contrib)
-        lsum.add(data.max_exp * lp)
+        lsum.add(len(layers) * lp)
         rad.add(lp)
         if alpha >= 2:
             n_squareful += 1
-        if data.hit_count >= 2:
+        if layers and layers[0] >= 2:
             n_repeated += 1
     norm = (d - 1) * N * math.log(N) if d >= 2 and N >= 2 else 0.0
     norm_qs = N * math.log(N) if N >= 2 else 0.0

@@ -138,14 +138,14 @@ def check_hensel_formula(ledger: FactorLedger) -> VerificationReport:
     )
     if N < 2:
         return _finish(report, applicable=False)
-    ramified = ledger.profile.ramified_primes
+    disc = ledger.profile.disc
     devs = []
     ram_stats = {}
     for p in sorted(ledger.entries):
         if p > N:
             break
         data = ledger.entries[p]
-        if p in ramified:
+        if disc % p == 0:
             ram_stats[str(p)] = data.alpha * p / N
             continue
         rho = len(data.roots)

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 
 def trim(a):
+    """a without its trailing zeros; a itself when it has none."""
     i = len(a)
     while i > 0 and a[i - 1] == 0:
         i -= 1
-    return a[:i]
+    return a if i == len(a) else a[:i]
 
 
 def reduce_mod(coeffs, p):
@@ -20,13 +21,6 @@ def reduce_mod(coeffs, p):
 
 def deg(a):
     return len(a) - 1
-
-
-def eval_at(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def mul(a, b, p):
@@ -76,9 +70,10 @@ def quo(a, b, p):
 
 
 def monic(a, p):
+    """a scaled to leading coefficient 1; a itself when it already is."""
     a = trim(a)
     if not a or a[-1] == 1:
-        return list(a)
+        return a
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
@@ -131,7 +126,11 @@ def roots_of_split(g, p, rng):
 
 def frobenius_root_poly(f, p):
     """gcd(x^p - x, f) over GF(p): the product of (x - r) over the distinct
-    roots r of f mod p. f must be nonzero mod p."""
+    roots r of f mod p. f must be nonzero mod p.
+
+    The root finder does not call this (it computes x^p in lockstep); it
+    is the independent reference the root-finder tests compare against,
+    and the benchmark tracer records it by name."""
     xp = powmod([0, 1], p, f, p)
     # x^p - x reduced mod f
     diff = list(xp) + [0] * max(0, 2 - len(xp))

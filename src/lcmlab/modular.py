@@ -1,16 +1,17 @@
 """Roots of f modulo p and modulo prime powers.
 
 Level-1 roots come from ``roots_mod_primes``, which works on a block of
-primes and picks one finder per degree case:
+primes. It reduces f mod each prime once, makes the result monic and
+dispatches on what is left:
 
-- deg f <= 2: the closed form, with a Tonelli-Shanks square root of the
+- zero (p divides the content of f): every residue is a root;
+- p = 2: the residues 0 and 1 are tested;
+- degree <= 2: the closed form, with a Tonelli-Shanks square root of the
   discriminant;
-- deg f >= 3 and p < 2^31: x^p mod (f, p) in lockstep for the whole block
-  in numpy int64 arrays, then per prime gcd(x^p - x, f), whose roots are
-  read off directly (degree 1), by the closed form (degree 2) or by
-  equal-degree splitting (degree >= 3);
-- p = 2, p dividing the leading coefficient, and (for deg f >= 3)
-  p >= 2^31: gcd(x^p - x, f mod p) with the generic GF(p) arithmetic.
+- degree >= 3: x^p mod (g, p) in lockstep for all primes of that degree
+  in numpy columns (int64 below 2^31, Python ints above), then per prime
+  gcd(x^p - x, g), whose roots are read off by the closed form (degree
+  <= 2) or by equal-degree splitting (degree >= 3).
 
 Simple roots lift uniquely by a Newton step (Hensel); roots at ramified
 primes are lifted exhaustively over all p candidates per level.
@@ -31,7 +32,8 @@ from .polynomial import IntPoly
 # bounds the lockstep arrays and the RootSets held at once.
 BLOCK_SIZE = 2048
 
-# Lockstep residues stay below p, so every product stays below 2^62.
+# Below this, lockstep residues fit int64 columns: every product of two
+# residues stays below 2^62.
 _LOCKSTEP_PRIME_LIMIT = 1 << 31
 
 # f vanishing identically mod p (p divides its content) makes every residue
@@ -65,18 +67,23 @@ def roots_mod_primes(f: IntPoly, primes, seed=0):
     random splitting of gcds of degree >= 3.
     """
     primes = list(primes)
-    lead = f.coeffs[-1]
     found = {}
-    lockstep = []
+    lockstep = {}
     for p in dict.fromkeys(primes):
-        if p == 2 or lead % p == 0 or (f.degree > 2 and p >= _LOCKSTEP_PRIME_LIMIT):
-            found[p] = _roots_generic(f, p, seed)
-        elif f.degree <= 2:
-            found[p] = _roots_low_degree([c % p for c in f.coeffs], p)
+        g = gfpoly.monic(gfpoly.reduce_mod(f.coeffs, p), p)
+        if not g:
+            if p > _ALL_RESIDUES_LIMIT:
+                raise ValueError(f"f vanishes identically mod {p}")
+            found[p] = tuple(range(p))
+        elif p == 2:
+            found[p] = tuple(r for r in (0, 1) if f.eval(r) % 2 == 0)
+        elif len(g) <= 3:
+            found[p] = _roots_low_degree(g, p)
         else:
-            lockstep.append(p)
-    if lockstep:
-        found.update(zip(lockstep, _roots_lockstep(f, lockstep, seed)))
+            key = (len(g), p < _LOCKSTEP_PRIME_LIMIT)
+            lockstep.setdefault(key, []).append((p, g))
+    for pairs in lockstep.values():
+        found.update(_roots_lockstep(pairs, seed))
     return [_root_set(f, p, found[p]) for p in primes]
 
 
@@ -85,39 +92,21 @@ def _root_set(f, p, roots):
     return RootSet(p=p, k=1, roots=roots, simple_flags=flags)
 
 
-def _roots_generic(f, p, seed):
-    """Roots of f mod p with the GF(p) polynomial arithmetic alone; the
-    only finder for p = 2, for primes dividing the leading coefficient and,
-    when deg f >= 3, for p >= 2^31."""
-    fred = gfpoly.reduce_mod(f.coeffs, p)
-    if not fred:
-        if p > _ALL_RESIDUES_LIMIT:
-            raise ValueError(f"f vanishes identically mod {p}")
-        return tuple(range(p))
-    if p == 2:
-        return tuple(r for r in (0, 1) if gfpoly.eval_at(fred, r, 2) == 0)
-    if gfpoly.deg(fred) == 0:
+def _roots_low_degree(g, p):
+    """Sorted roots in GF(p), p odd, of the monic g of degree <= 2."""
+    if len(g) == 1:
         return ()
-    g = gfpoly.frobenius_root_poly(fred, p)
-    if gfpoly.deg(g) == 0:
-        return ()
-    return tuple(gfpoly.roots_of_split(g, p, random.Random((seed << 20) ^ p)))
-
-
-def _roots_low_degree(c, p):
-    """Sorted roots in GF(p), p odd, of c[0] + c[1] x (+ c[2] x^2), whose
-    leading coefficient is a unit mod p."""
-    if len(c) == 2:
-        return ((-c[0] * pow(c[1], -1, p)) % p,)
-    c0, c1, c2 = c
-    disc = (c1 * c1 - 4 * c0 * c2) % p
+    if len(g) == 2:
+        return ((-g[0]) % p,)
+    c0, c1, _ = g
+    disc = (c1 * c1 - 4 * c0) % p
     if disc and pow(disc, (p - 1) // 2, p) != 1:
         return ()
-    inv2a = pow(2 * c2, -1, p)
+    half = (p + 1) // 2
     if disc == 0:
-        return ((-c1 * inv2a) % p,)
+        return ((-c1 * half) % p,)
     s = _sqrt_mod(disc, p)
-    return tuple(sorted(((s - c1) * inv2a % p, (-s - c1) * inv2a % p)))
+    return tuple(sorted(((s - c1) * half % p, (-s - c1) * half % p)))
 
 
 def _sqrt_mod(a, p):
@@ -143,49 +132,46 @@ def _sqrt_mod(a, p):
     return r
 
 
-def _roots_lockstep(f, primes, seed):
-    """Root tuples of f mod each odd prime p < 2^31 not dividing the
-    leading coefficient, for deg f >= 3.
+def _roots_lockstep(pairs, seed):
+    """(p, roots) for each pair (p, g) of an odd prime and a monic g of
+    degree d >= 3 over GF(p), d the same for every pair.
 
-    x^p mod (f, p) is computed for all primes at once: one column of int64
-    residues per prime, square-and-multiply over the bits of p from the
-    top, every product reduced mod p before it is added.
+    x^p mod (g, p) is computed for all pairs at once, one column of
+    residues per prime, by square-and-multiply over the bits of p from the
+    top, every product reduced mod p before it is added. The columns are
+    int64 when every p < 2^31 (no product reaches 2^62) and Python ints
+    otherwise; the arithmetic is the same.
     """
-    d = f.degree
-    monic = []
-    for p in primes:
-        inv = pow(f.coeffs[-1], -1, p)
-        monic.append([c * inv % p for c in f.coeffs])
-    P = np.array(primes, dtype=np.int64)
-    # neg_low[j] = -g_j mod p for the monic g = x^d + sum_{j<d} g_j x^j,
+    primes = [p for p, _ in pairs]
+    d = len(pairs[0][1]) - 1
+    dtype = np.int64 if max(primes) < _LOCKSTEP_PRIME_LIMIT else object
+    P = np.array(primes, dtype=dtype)
+    # neg_low[j] = -g_j mod p for g = x^d + sum_{j<d} g_j x^j,
     # so x^d = sum_j neg_low[j] x^j mod (g, p).
-    neg_low = (-np.array(monic, dtype=np.int64)[:, :d].T) % P
-    acc = np.zeros((d, len(primes)), dtype=np.int64)
+    neg_low = (-np.array([g[:d] for _, g in pairs], dtype=dtype).T) % P
+    acc = np.zeros((d, len(primes)), dtype=dtype)
     acc[0] = 1
     for bit in range(max(primes).bit_length() - 1, -1, -1):
-        sq = np.zeros((2 * d - 1, len(primes)), dtype=np.int64)
+        sq = np.zeros((2 * d - 1, len(primes)), dtype=dtype)
         for i in range(d):
             sq[i : i + d] = (sq[i : i + d] + acc[i] * acc % P) % P
         for k in range(2 * d - 2, d - 1, -1):
             sq[k - d : k] = (sq[k - d : k] + sq[k] * neg_low % P) % P
         acc = sq[:d]
-        times_x = np.empty_like(acc)
-        times_x[0] = 0
+        times_x = np.zeros_like(acc)
         times_x[1:] = acc[:-1]
         times_x = (times_x + acc[d - 1] * neg_low % P) % P
         acc = np.where((P >> bit) & 1 == 1, times_x, acc)
     out = []
-    for p, g, xp in zip(primes, monic, acc.T.tolist()):
+    for (p, g), xp in zip(pairs, acc.T.tolist()):
         xp[1] = (xp[1] - 1) % p
         diff = gfpoly.trim(xp)
         h = gfpoly.gcd(diff, g, p) if diff else g
-        if len(h) == 1:
-            out.append(())
-        elif len(h) <= 3:
-            out.append(_roots_low_degree(h, p))
+        if len(h) <= 3:
+            out.append((p, _roots_low_degree(h, p)))
         else:
             rng = random.Random((seed << 20) ^ p)
-            out.append(tuple(gfpoly.roots_of_split(h, p, rng)))
+            out.append((p, tuple(gfpoly.roots_of_split(h, p, rng))))
     return out
 
 

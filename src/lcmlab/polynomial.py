@@ -1,8 +1,8 @@
 """Integer polynomials and their derived constants.
 
 Everything downstream (root lifting, the ledger, the verification checks) consumes
-an IntPoly together with its PolyProfile: discriminant, ramified primes,
-and the linear-zone constant D = 1 + d*|f_d|.
+an IntPoly together with its PolyProfile: discriminant, the linear-zone
+constant D = 1 + d*|f_d|, an irreducibility hint and the rational roots.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class PolyProfile:
 
     disc: int
     D: int
-    ramified_primes: frozenset
     irreducible_hint: str  # "proved" | "assumed" | "unknown"
     rational_roots: tuple  # Fractions; nonempty means f is reducible
 
@@ -242,8 +241,11 @@ def _divisors(n):
 _CERTIFYING_PRIME_BOUND = 200
 
 
-def profile(f: IntPoly, seed=0):
-    """Discriminant, ramified primes, D, and an irreducibility hint.
+def profile(f: IntPoly):
+    """Discriminant, D, rational roots and an irreducibility hint.
+
+    The discriminant is not factored: a prime p ramifies exactly when
+    p | disc, which callers test directly.
 
     hint = "proved" when f mod p is irreducible for some prime p < 200, or
     when d <= 3 and f has no rational root. "assumed" for d >= 4 without a
@@ -254,8 +256,6 @@ def profile(f: IntPoly, seed=0):
     disc = discriminant(f)
     if disc == 0:
         raise ZeroDiscriminant(f"{f} is not squarefree")
-    ad = abs(disc)
-    ramified = frozenset(p for p, _ in primes.factorize(ad, seed=seed)) if ad > 1 else frozenset()
     D = 1 + f.degree * abs(f.coeffs[-1])
     rr = rational_roots(f)
     hint = None
@@ -273,7 +273,6 @@ def profile(f: IntPoly, seed=0):
     return PolyProfile(
         disc=disc,
         D=D,
-        ramified_primes=ramified,
         irreducible_hint=hint,
         rational_roots=rr,
     )

@@ -6,6 +6,7 @@ every run is reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -15,8 +16,7 @@ class FactorTimeout(RuntimeError):
     """Pollard rho exhausted its iteration budget without finding a factor."""
 
 
-_SEGMENT_SPAN = 1 << 22
-_SEGMENTED_ABOVE = 10**8
+_SEGMENT_SPAN = 1 << 22  # numbers per sieve segment
 
 # Deterministic Miller-Rabin witness set, valid for all n < 2^64.
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -25,32 +25,27 @@ _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def sieve_primes(limit):
-    """All primes <= limit as a list (bit-packed Eratosthenes)."""
+    """All primes <= limit as a list."""
     return list(iter_primes(limit))
 
 
 def iter_primes(limit):
-    """Yield primes <= limit in order, segmenting above 10^8."""
-    if limit < 2:
-        return
-    if limit <= _SEGMENTED_ABOVE:
-        yield from _simple_sieve(limit)
-        return
-    root = math.isqrt(limit)
-    base = _simple_sieve(root)
-    yield from base
-    lo = root + 1
+    """Yield the primes <= limit in order: a segmented sieve of
+    Eratosthenes over [2, limit] with the base primes <= sqrt(limit)."""
+    base = _simple_sieve(math.isqrt(limit)) if limit >= 2 else []
+    lo = 2
     while lo <= limit:
-        hi = min(lo + _SEGMENT_SPAN - 1, limit)
-        seg = bytearray([1]) * (hi - lo + 1)
+        hi = min(lo + _SEGMENT_SPAN, limit + 1)
+        seg = bytearray([1]) * (hi - lo)
         for p in base:
-            start = ((lo + p - 1) // p) * p
-            for m in range(start, hi + 1, p):
-                seg[m - lo] = 0
-        for i, alive in enumerate(seg):
-            if alive:
-                yield lo + i
-        lo = hi + 1
+            if p * p >= hi:
+                break
+            # the first multiple of p in the segment that is >= p^2; the
+            # count below is 0 when it lies past the segment
+            start = max(p * p, -(-lo // p) * p)
+            seg[start - lo :: p] = bytes((hi - 1 - start) // p + 1)
+        yield from itertools.compress(range(lo, hi), seg)
+        lo = hi
 
 
 def _simple_sieve(limit):
@@ -58,8 +53,8 @@ def _simple_sieve(limit):
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, alive in enumerate(sieve) if alive]
+            sieve[p * p :: p] = bytes((limit - p * p) // p + 1)
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
 def _mr_composite(n, a, d, r):

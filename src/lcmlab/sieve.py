@@ -127,7 +127,7 @@ def factor_cofactor(c, seed=0):
 
 def build_ledger(f: IntPoly, N, seed=0, workers=1):
     """The exact FactorLedger of Q(N), sieved up to B = D*N."""
-    prof = polynomial.profile(f, seed=seed)
+    prof = polynomial.profile(f)
     B = prof.D * N
     cap = polynomial.value_bound(f, N)
     zeros = prof.integer_roots_in_range(N)

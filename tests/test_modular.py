@@ -82,6 +82,13 @@ class TestRootsModP:
     @example(parse_poly("x^2+x+2"), 0, [3000, 3000, 3000])  # 2 | f(n) for all n
     @example(parse_poly("-6*x^5+4*x^2-2"), 1, [3000, 3000, 3000])
     @example(parse_poly("9*x^3-9"), 7, [3000, 3000, 3000])  # p = 3 kills f
+    # primes of the leading coefficient where f keeps degree >= 3: p = 3
+    # (int64 lockstep) and p = 2^31 + 11 (Python-int lockstep), also with
+    # content 2, so that p = 2 finds every residue
+    @example(parse_poly("6*x^5+x^4+x+1"), 0, [3000, 3000, 3000])
+    @example(parse_poly("6*x^5+2*x^4+2*x+2"), 0, [3000, 3000, 3000])
+    @example(IntPoly((1, 2, 0, 1, 0, 2**31 + 11)), 0, [3000, 3000, 3000])
+    @example(IntPoly((2, 4, 0, 2, 0, 2**32 + 22)), 0, [3000, 3000, 3000])
     @settings(derandomize=True, max_examples=40, deadline=None)
     def test_matches_scan_and_reference(self, f, seed, starts):
         found = roots_mod_primes(f, SCAN_PRIMES, seed=seed)

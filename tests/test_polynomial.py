@@ -115,11 +115,11 @@ class TestDiscriminant:
 class TestProfile:
     def test_examples(self):
         prof = profile(IntPoly((1, 0, 1)))
-        assert prof.D == 3 and prof.ramified_primes == {2}
+        assert prof.D == 3 and prof.disc == -4
         prof = profile(IntPoly((2, 0, 0, 1)))
-        assert prof.D == 4 and prof.ramified_primes == {2, 3}
+        assert prof.D == 4 and prof.disc == -108
         prof = profile(IntPoly((1, 2, 3)))
-        assert prof.D == 7 and prof.ramified_primes == {2}
+        assert prof.D == 7 and prof.disc == -8
 
     def test_zero_discriminant_fatal(self):
         with pytest.raises(ZeroDiscriminant):
@@ -152,6 +152,15 @@ class TestProfile:
         assert profile(f).irreducible_hint == "proved"
         g = parse_poly("2x^3-3x^2+2000000000000000006x-3000000000000000009")
         assert rational_roots(g) == (Fraction(3, 2),)  # (2x - 3)(x^2 + 10^18 + 3)
+
+    def test_large_discriminant(self):
+        # (x - 5000)^6 - (27011^5 + 1) has a 116-digit discriminant that
+        # rho cannot split; profile never factors it
+        coeffs = [math.comb(6, i) * (-5000) ** (6 - i) for i in range(7)]
+        coeffs[0] -= 27011**5 + 1
+        prof = profile(IntPoly(tuple(coeffs)))
+        assert len(str(abs(prof.disc))) == 116
+        assert prof.rational_roots == () and prof.D == 7
 
 
 class TestValueBound:

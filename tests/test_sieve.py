@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lcmlab import sieve
+from lcmlab import primes, sieve
 from lcmlab.aggregate import summarize
 from lcmlab.modular import roots_mod_p
 from lcmlab.oracle import log_big, naive_run
@@ -187,6 +187,20 @@ class TestBuildLedger:
         )
         from_ledger = sum(d.alpha * math.log(p) for p, d in led.entries.items())
         assert abs(from_ledger - direct) <= 1e-9 * abs(direct)
+
+
+@pytest.mark.parametrize("span", [64, 1000])
+def test_iter_primes_segments(span, monkeypatch):
+    import sympy
+
+    monkeypatch.setattr(primes, "_SEGMENT_SPAN", span)
+    # segments are [2 + i*span, 2 + (i+1)*span); base primes up to 346
+    # exceed the smaller span, so some have no multiple in a segment
+    edges = [1 + i * span + j for i in (1, 2, 3) for j in (-1, 0, 1)]
+    for limit in [0, 1, 2, 3, *edges, 120_011]:
+        assert list(primes.iter_primes(limit)) == list(
+            sympy.primerange(limit + 1)
+        ), limit
 
 
 class TestFactorCofactor:
