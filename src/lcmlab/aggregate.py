@@ -13,28 +13,21 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import modular, primes, sieve
 from .polynomial import IntPoly
 
 
-class _Kahan:
-    """Compensated summation; sweeps accumulate ~1e6 log terms."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x):
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-    @property
-    def value(self):
-        return self.s
+def _kahan_sum(terms):
+    """Compensated sum of ``terms`` in order; sweeps add ~1e6 log terms."""
+    s = c = 0.0
+    for x in terms:
+        y = x - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+    return s
 
 
 @dataclass(frozen=True)
@@ -62,43 +55,34 @@ def summarize(ledger: sieve.FactorLedger) -> SweepRecord:
     d = ledger.f.degree
     D = ledger.profile.D
     N = ledger.N
-    q, qs, qli, ql, lsum, rad = (_Kahan() for _ in range(6))
-    n_squareful = 0
-    n_repeated = 0
-    for p, data in sorted(ledger.entries.items()):
-        lp = math.log(p)
-        layers = data.layer_counts
-        alpha = sum(layers)
-        contrib = alpha * lp
-        q.add(contrib)
-        if p <= N:
-            qs.add(contrib)
-        elif p <= D * N:
-            qli.add(contrib)
-        else:
-            ql.add(contrib)
-        lsum.add(len(layers) * lp)
-        rad.add(lp)
-        if alpha >= 2:
-            n_squareful += 1
-        if layers and layers[0] >= 2:
-            n_repeated += 1
+    # ascending p, math.log and one sequential sum per statistic keep
+    # every float, and so the CSV, byte-reproducible
+    logs = [math.log(p) for p in ledger.p.tolist()]
+    alpha = ledger.alpha
+    contrib = [a * lp for a, lp in zip(alpha.tolist(), logs)]
+    small, linear = np.searchsorted(ledger.p, (N, D * N), side="right").tolist()
+    log_q = _kahan_sum(contrib)
+    log_qs = _kahan_sum(contrib[:small])
+    log_qli = _kahan_sum(contrib[small:linear])
+    log_ql = _kahan_sum(contrib[linear:])
+    log_l = _kahan_sum([m * lp for m, lp in zip(ledger.max_exp.tolist(), logs)])
+    log_rad = _kahan_sum(logs)
     norm = (d - 1) * N * math.log(N) if d >= 2 and N >= 2 else 0.0
     norm_qs = N * math.log(N) if N >= 2 else 0.0
     return SweepRecord(
         N=N,
-        log_Q=q.value,
-        log_QS=qs.value,
-        log_QLI=qli.value,
-        log_QL=ql.value,
-        log_L=lsum.value,
-        log_rad=rad.value,
-        ratio_L=lsum.value / norm if norm else math.nan,
-        ratio_rad=rad.value / norm if norm else math.nan,
-        ratio_QS=qs.value / norm_qs if norm_qs else math.nan,
-        n_primes=len(ledger.entries),
-        n_squareful=n_squareful,
-        n_repeated=n_repeated,
+        log_Q=log_q,
+        log_QS=log_qs,
+        log_QLI=log_qli,
+        log_QL=log_ql,
+        log_L=log_l,
+        log_rad=log_rad,
+        ratio_L=log_l / norm if norm else math.nan,
+        ratio_rad=log_rad / norm if norm else math.nan,
+        ratio_QS=log_qs / norm_qs if norm_qs else math.nan,
+        n_primes=len(ledger.p),
+        n_squareful=int(np.count_nonzero(alpha >= 2)),
+        n_repeated=int(np.count_nonzero(ledger.hit_count >= 2)),
     )
 
 
@@ -136,10 +120,10 @@ def chebotarev_partial_sum(f: IntPoly, B, seed=0):
     """sum over p <= B of rho_f(p) * ln p / (p - 1); grows like ln B."""
     if B < 2:
         raise ValueError("B must be >= 2")
-    acc = _Kahan()
+    terms = []
     prime_iter = primes.iter_primes(B)
     while block := list(itertools.islice(prime_iter, modular.BLOCK_SIZE)):
         for rs in modular.roots_mod_primes(f, block, seed):
             if rs.roots:
-                acc.add(len(rs.roots) * math.log(rs.p) / (rs.p - 1))
-    return acc.value
+                terms.append(len(rs.roots) * math.log(rs.p) / (rs.p - 1))
+    return _kahan_sum(terms)

@@ -70,8 +70,9 @@ def check_naive_multiplicity(ledger: FactorLedger) -> VerificationReport:
         N=ledger.N,
         parameters={"bound": d * d},
     )
-    zone = ledger.primes_above(ledger.N)
-    for p in zone:
+    above = ledger.p > ledger.N
+    worse = (ledger.alpha > d * d) | (ledger.hit_count > d) | (ledger.max_exp > d)
+    for p in ledger.p[above & worse].tolist():
         data = ledger.entries[p]
         if data.alpha > d * d:
             report.violations.append((p, "alpha", data.alpha, d * d))
@@ -79,7 +80,7 @@ def check_naive_multiplicity(ledger: FactorLedger) -> VerificationReport:
             report.violations.append((p, "hit_count", data.hit_count, d))
         if data.max_exp > d:
             report.violations.append((p, "max_exp", data.max_exp, d))
-    return _finish(report, applicable=bool(zone))
+    return _finish(report, applicable=bool(above.any()))
 
 
 def check_refined_multiplicity(ledger: FactorLedger) -> VerificationReport:
@@ -94,15 +95,18 @@ def check_refined_multiplicity(ledger: FactorLedger) -> VerificationReport:
         N=ledger.N,
         parameters={"bound": bound, "DN": DN},
     )
-    zone = ledger.primes_above(DN)
-    for p in zone:
+    above = ledger.p > DN
+    worse = ledger.alpha > bound
+    for i in range(1, d + 1):
+        worse |= ledger.layer(i) > d - i
+    for p in ledger.p[above & worse].tolist():
         data = ledger.entries[p]
         if data.alpha > bound:
             report.violations.append((p, "alpha", data.alpha, bound))
         for i in range(1, d + 1):
             if data.layer(i) > d - i:
                 report.violations.append((p, f"b_{i}", data.layer(i), d - i))
-    return _finish(report, applicable=bool(zone))
+    return _finish(report, applicable=bool(above.any()))
 
 
 def refined_multiplicity_threshold(ledger: FactorLedger):
@@ -115,7 +119,9 @@ def refined_multiplicity_threshold(ledger: FactorLedger):
     d = ledger.f.degree
     D = ledger.profile.D
     worst = 0
-    for p in ledger.primes_above(D):
+    # a violation needs two hits, or one hit with v_p(f(n)) >= d
+    maybe = (ledger.p > D) & ((ledger.hit_count >= 2) | (ledger.max_exp >= d))
+    for p in ledger.p[maybe].tolist():
         n_upper = min(ledger.N, (p - 1) // D)  # N values with p > D*N
         hits = prime_hits(ledger, p, n_upper)
         for i in range(1, d + 1):
@@ -141,15 +147,13 @@ def check_hensel_formula(ledger: FactorLedger) -> VerificationReport:
     disc = ledger.profile.disc
     devs = []
     ram_stats = {}
-    for p in sorted(ledger.entries):
-        if p > N:
-            break
-        data = ledger.entries[p]
+    upto = ledger.p <= N
+    columns = (ledger.p, ledger.alpha, ledger.roots.lengths())
+    for p, alpha, rho in zip(*(col[upto].tolist() for col in columns)):
         if disc % p == 0:
-            ram_stats[str(p)] = data.alpha * p / N
+            ram_stats[str(p)] = alpha * p / N
             continue
-        rho = len(data.roots)
-        dev = abs(data.alpha - N * rho / (p - 1)) * math.log(p) / math.log(N)
+        dev = abs(alpha - N * rho / (p - 1)) * math.log(p) / math.log(N)
         devs.append(dev)
     if devs:
         devs.sort()
@@ -267,7 +271,8 @@ def harvest_divisibility_tuples(ledger: FactorLedger, above="N", limit=200):
     N = ledger.N
     bound = N if above == "N" else ledger.profile.D * N
     tuples = []
-    for p in ledger.primes_above(bound):
+    # every tuple has t >= 2 points, so only primes with two hits qualify
+    for p in ledger.p[(ledger.p > bound) & (ledger.hit_count >= 2)].tolist():
         hits = prime_hits(ledger, p, N)
         for i in range(1, d + 1):
             t = d - i + 1

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import sympy
-
 from . import polynomial
 from .polynomial import IntPoly
 from .sieve import FactorLedger, PrimeLocalData
@@ -52,6 +50,8 @@ def trial_factor(n):
         if d * d > m:
             out[m] = out.get(m, 0) + 1
         else:
+            import sympy  # slow to import; only this fallback needs it
+
             for p, e in sympy.factorint(m).items():
                 out[int(p)] = out.get(int(p), 0) + int(e)
     return out
@@ -102,7 +102,7 @@ def naive_run(f: IntPoly, N) -> OracleResult:
         raise AssertionError(
             "ledger-reconstructed lcm disagrees with gcd-chain lcm"
         )
-    ledger = FactorLedger(
+    ledger = FactorLedger.from_entries(
         f=f, N=N, entries=entries, skipped_zero_count=skipped, profile=prof
     )
     return OracleResult(

@@ -31,6 +31,10 @@ class IntPoly:
             raise ValueError("degree must be at least 1")
         if coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
+        # f' for deriv_eval; not a field, so equality and hashing see only
+        # coeffs
+        deriv = tuple(i * c for i, c in enumerate(coeffs) if i >= 1)
+        object.__setattr__(self, "_deriv", deriv)
 
     @property
     def degree(self):
@@ -45,11 +49,11 @@ class IntPoly:
 
     def deriv_coeffs(self):
         """Coefficients of f', ascending (length d; may be constant)."""
-        return tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1)
+        return self._deriv
 
     def deriv_eval(self, n):
         acc = 0
-        for c in reversed(self.deriv_coeffs()):
+        for c in reversed(self._deriv):
             acc = acc * n + c
         return acc
 

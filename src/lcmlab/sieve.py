@@ -1,15 +1,31 @@
 """Exact prime-exponent ledger of Q(N) = prod |f(n)|.
 
-The sieve bound is B = D*N. Three legs: analytic per-prime data for
-p <= B via root lifting, a segmented residual-division pass over n in
-[1, N] that cross-checks the analytic totals, and rho factorization of the
-surviving cofactors (all of whose primes exceed B).
+The sieve bound is B = D*N. Three legs:
+
+- Leg 1: the layer counts b_k = #{n <= N : p^k | f(n)} of every prime
+  p <= B, by lifting the roots of f mod p (``local_data``).
+- Leg 2: |f(n)| for n in [1, N], one segment at a time in numpy columns
+  (int64 when ``value_bound`` is below 2^63, Python ints otherwise). Each
+  level-1 progression n = r mod p is expanded into its hits and p is
+  divided out again and again, which gives every v_p(f(n)) exactly. The
+  layer vector counted from these valuations must equal Leg 1's for
+  every prime, or the build raises LedgerMismatch.
+- Leg 3: what remains of each |f(n)| has only prime factors above B. A
+  cofactor below B^2 is then prime; it must pass a base-2 Fermat test
+  first, so that a prime Leg 1 missed cannot pass for one. Larger
+  cofactors are split by rho.
+
+A FactorLedger holds columns sorted by p; ``FactorLedger.entries`` reads
+them as a mapping p -> PrimeLocalData.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import modular, primes, polynomial
 from .modular import RootSet, count_progression, lift_roots
@@ -23,6 +39,9 @@ class LedgerMismatch(RuntimeError):
 SEGMENT_SIZE = 1 << 16  # values of f held at once by Leg 2
 RHO_MAX_ITERS = 1 << 20
 RHO_ATTEMPTS = 8
+
+_INT64_LIMIT = 1 << 63  # integer columns below this are int64
+_MULMOD_INT64_LIMIT = 1 << 50  # the float-quotient mulmod is exact below
 
 
 @dataclass(frozen=True)
@@ -61,23 +80,164 @@ class PrimeLocalData:
         return self.layer_counts[i - 1] if i <= len(self.layer_counts) else 0
 
 
-@dataclass
+def _int_column(values):
+    """Nonnegative integers as an int64 array, or as an object array of
+    Python ints when one of them is >= 2^63."""
+    if not isinstance(values, np.ndarray):
+        values = np.array(values, dtype=object)
+    if values.dtype == object and (not len(values) or values.max() < _INT64_LIMIT):
+        values = values.astype(np.int64)
+    return values
+
+
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """A ragged table: row i is values[offsets[i] : offsets[i + 1]]."""
+
+    offsets: np.ndarray  # int64, one longer than the table
+    values: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows, column=_int_column):
+        """The table of a list of sequences; ``column`` makes the values
+        array from their concatenation."""
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=offsets[1:])
+        return cls(offsets, column([v for row in rows for v in row]))
+
+    @classmethod
+    def from_levels(cls, levels, rows):
+        """The table of layer vectors with levels[k - 1][i] = b_k of row i.
+
+        Every row must be nonincreasing, so its nonzero counts are a
+        prefix.
+        """
+        counts = np.array(levels, dtype=np.int64).reshape(len(levels), rows).T
+        offsets = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(counts, axis=1), out=offsets[1:])
+        return cls(offsets, counts[counts > 0])
+
+    def row(self, i):
+        return self.values[self.offsets[i] : self.offsets[i + 1]]
+
+    def lengths(self):
+        return np.diff(self.offsets)
+
+    def concat(self, other):
+        """The rows of self followed by the rows of other."""
+        return Csr(
+            np.concatenate((self.offsets, other.offsets[1:] + self.offsets[-1])),
+            np.concatenate((self.values, other.values)),
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class FactorLedger:
-    """The exact factorization of Q(N) for one (f, N) run."""
+    """The exact factorization of Q(N) for one (f, N) run, as columns
+    sorted by p: row i of each table belongs to the prime p[i]."""
 
     f: IntPoly
     N: int
-    entries: dict  # prime -> PrimeLocalData
     skipped_zero_count: int
     profile: PolyProfile
+    p: np.ndarray  # int64, or object when a prime is >= 2^63
+    layers: Csr  # layer_counts
+    roots: Csr  # level-1 roots; empty rows above B
+    hits: Csr  # (n, v_p(f(n))) pairs, an (h, 2) array; empty rows up to B
+
+    @classmethod
+    def from_entries(cls, f, N, entries, skipped_zero_count, profile):
+        """The ledger of a dict p -> PrimeLocalData."""
+        data = [entries[p] for p in sorted(entries)]
+        return cls(
+            f=f,
+            N=N,
+            skipped_zero_count=skipped_zero_count,
+            profile=profile,
+            p=_int_column([d.p for d in data]),
+            layers=Csr.from_rows([d.layer_counts for d in data]),
+            roots=Csr.from_rows([d.roots for d in data]),
+            hits=Csr.from_rows(
+                [d.hits for d in data],
+                lambda flat: np.array(flat, dtype=np.int64).reshape(-1, 2),
+            ),
+        )
 
     @property
     def B(self):
         """The sieve bound D*N."""
         return self.profile.D * self.N
 
+    @property
+    def entries(self):
+        """The read-only mapping p -> PrimeLocalData, in ascending p."""
+        return LedgerEntries(self)
+
+    @property
+    def alpha(self):
+        """The exponent of each p in Q(N), as an array."""
+        sums = np.concatenate(([0], np.cumsum(self.layers.values, dtype=np.int64)))
+        return sums[self.layers.offsets[1:]] - sums[self.layers.offsets[:-1]]
+
+    @property
+    def max_exp(self):
+        """The exponent of each p in L(N), as an array."""
+        return self.layers.lengths()
+
+    @property
+    def hit_count(self):
+        """#{n <= N : p | f(n)} for each p, as an array."""
+        return self.layer(1)
+
+    def layer(self, i):
+        """b_i of each p for i >= 1, as an array."""
+        if i < 1:
+            raise ValueError("layers are 1-indexed")
+        out = np.zeros(len(self.p), dtype=np.int64)
+        has = self.max_exp >= i
+        out[has] = self.layers.values[self.layers.offsets[:-1][has] + i - 1]
+        return out
+
     def primes_above(self, bound):
-        return sorted(p for p in self.entries if p > bound)
+        """The primes > bound, ascending."""
+        return self.p[np.searchsorted(self.p, bound, side="right") :].tolist()
+
+
+class LedgerEntries(Mapping):
+    """A FactorLedger's columns read as a mapping p -> PrimeLocalData, in
+    ascending p. An entry is built only when it is read."""
+
+    def __init__(self, ledger):
+        self._ledger = ledger
+
+    def _index(self, p):
+        col = self._ledger.p
+        if isinstance(p, (int, np.integer)):
+            i = int(np.searchsorted(col, p))
+            if i < len(col) and col[i] == p:
+                return i
+        return None
+
+    def __getitem__(self, p):
+        i = self._index(p)
+        if i is None:
+            raise KeyError(p)
+        led = self._ledger
+        return PrimeLocalData(
+            p=int(led.p[i]),
+            layer_counts=tuple(led.layers.row(i).tolist()),
+            roots=tuple(led.roots.row(i).tolist()),
+            hits=tuple(map(tuple, led.hits.row(i).tolist())),
+        )
+
+    def __contains__(self, p):
+        return self._index(p) is not None
+
+    def __iter__(self):
+        return iter(self._ledger.p.tolist())
+
+    def __len__(self):
+        return len(self._ledger.p)
 
 
 def local_data(f: IntPoly, level1: RootSet, N, cap, zeros=()):
@@ -125,6 +285,151 @@ def factor_cofactor(c, seed=0):
     )
 
 
+def _abs_values(f: IntPoly, lo, hi, dtype):
+    """|f(n)| for n in [lo, hi] by Horner's rule in a ``dtype`` column.
+
+    In int64 every partial sum stays below ``value_bound(f, hi)``.
+    """
+    n = np.arange(lo, hi + 1).astype(dtype)
+    acc = np.zeros_like(n)
+    for c in reversed(f.coeffs):
+        acc = acc * n + c
+    return np.abs(acc)
+
+
+def _divide_segment(values, lo, prog, levels):
+    """The cofactors of values = |f(n)|, n = lo, lo + 1, ..., once every
+    small prime is divided out along its level-1 progressions.
+
+    ``prog`` holds the columns (p, r, i): the prime, the root and the
+    prime's row. levels[k - 1][i] gains the number of n with
+    p_i^k | f(n) != 0; a level is appended when first reached.
+    """
+    p, r, row = prog
+    hi = lo + len(values) - 1
+    first = lo + (r - lo) % p
+    count = np.where(first <= hi, (hi - first) // p + 1, 0)
+    # hit j of progression g lies at first[g] + j * p[g], j < count[g]
+    g = np.repeat(np.arange(len(p)), count)
+    j = np.arange(len(g)) - np.repeat(np.cumsum(count) - count, count)
+    q, row = p[g], row[g]
+    at = first[g] - lo + j * q
+    live = values[at] != 0
+    at, q, row = at[live], q[live].astype(values.dtype), row[live]
+    cur = values[at]
+    divisor = np.ones_like(values)
+    k = 0
+    while True:
+        divisible = cur % q == 0
+        if not divisible.any():
+            return values // divisor
+        at, q, row = at[divisible], q[divisible], row[divisible]
+        cur = cur[divisible] // q
+        np.multiply.at(divisor, at, q)
+        if k == len(levels):
+            levels.append(np.zeros_like(levels[0]))
+        levels[k] += np.bincount(row, minlength=len(levels[0]))
+        k += 1
+
+
+def _mulmod(a, b, m):
+    """a * b mod m for residues a, b in [0, m).
+
+    In int64 (m < 2^50) the quotient q = floor(a*b/m) is taken in float64,
+    off by at most one, and a*b - q*m, computed with wrapping, lands in
+    [-m, 2m); one correction each way makes it exact.
+    """
+    if m.dtype == object:
+        return a * b % m
+    q = np.floor(a.astype(np.float64) * b / m).astype(np.int64)
+    r = a * b - q * m
+    r = np.where(r < 0, r + m, r)
+    return np.where(r >= m, r - m, r)
+
+
+def _fermat_base2(m):
+    """Whether 2^(m-1) = 1 mod m, for each m > 2 of an integer array, by
+    square-and-multiply in lockstep: int64 columns below 2^50, Python ints
+    above."""
+    passed = np.ones(len(m), dtype=bool)
+    small = m < _MULMOD_INT64_LIMIT
+    for part, dtype in ((small, np.int64), (~small, object)):
+        if not part.any():
+            continue
+        mod = m[part].astype(dtype)
+        e = mod - 1
+        acc = np.ones_like(mod)
+        for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+            acc = _mulmod(acc, acc, mod)
+            twice = acc + acc
+            twice = np.where(twice >= mod, twice - mod, twice)
+            acc = np.where((e >> bit) & 1 == 1, twice, acc)
+        passed[part] = acc == 1
+    return passed
+
+
+def _large_hits(f, N, B, cofactors, lo, seed):
+    """(q, n, e) columns of the primes q > B in ``cofactors`` (of
+    n = lo, lo + 1, ...), each prime to B divided out.
+
+    A cofactor in (B, B^2) is prime unless a prime <= B was missed, and
+    must pass a base-2 Fermat test; larger ones are factored by rho.
+    """
+    n = np.flatnonzero(cofactors > 1)
+    c = cofactors[n]
+    n += lo
+    below = c < B * B
+    missed = c <= B
+    missed[below] |= ~_fermat_base2(c[below])
+    if missed.any():
+        i = int(np.argmax(missed))
+        raise LedgerMismatch(
+            f"{f} at N={N}: the cofactor {c[i]} of f({n[i]}) is not a "
+            "prime above B, so the sieve missed a prime <= B"
+        )
+    rho = np.array(
+        [
+            (prime, nn, k)
+            for nn, cc in zip(n[~below].tolist(), c[~below].tolist())
+            for prime, k in factor_cofactor(cc, seed=seed)
+        ],
+        dtype=object,
+    ).reshape(-1, 3)
+    missed = rho[:, 0] <= B
+    if missed.any():
+        prime, nn, _ = rho[np.argmax(missed)]
+        raise LedgerMismatch(
+            f"{f} at N={N}: prime {prime} <= B survived the sieve at n={nn}"
+        )
+    return (
+        np.concatenate((c[below], rho[:, 0].astype(c.dtype))),
+        np.concatenate((n[below], rho[:, 1].astype(np.int64))),
+        np.concatenate(
+            (np.ones(len(n[below]), np.int64), rho[:, 2].astype(np.int64))
+        ),
+    )
+
+
+def _group_large(q, n, e):
+    """The p column, layer table and hit table of the primes above B from
+    their (q, n, e) hit columns, sorted by (q, n)."""
+    if q.dtype == object:
+        order = sorted(range(len(q)), key=lambda j: (q[j], n[j]))
+    else:
+        order = np.lexsort((n, q))
+    q, n, e = q[order], n[order], e[order]
+    new = np.ones(len(q), dtype=bool)
+    new[1:] = q[1:] != q[:-1]
+    starts = np.flatnonzero(new)
+    group = np.cumsum(new) - 1
+    levels = [
+        np.bincount(group[e >= k], minlength=len(starts))
+        for k in range(1, int(e.max(initial=0)) + 1)
+    ]
+    hits = Csr(np.append(starts, len(q)), np.stack((n, e), axis=1))
+    return q[starts], Csr.from_levels(levels, len(starts)), hits
+
+
 def build_ledger(f: IntPoly, N, seed=0, workers=1):
     """The exact FactorLedger of Q(N), sieved up to B = D*N."""
     prof = polynomial.profile(f)
@@ -134,7 +439,6 @@ def build_ledger(f: IntPoly, N, seed=0, workers=1):
 
     # Leg 1: analytic data for every prime <= B with a root, one block of
     # primes per roots_mod_primes call.
-    entries = {}
     prime_list = primes.sieve_primes(B)
     size = modular.BLOCK_SIZE
     blocks = [
@@ -146,63 +450,56 @@ def build_ledger(f: IntPoly, N, seed=0, workers=1):
             results = list(pool.map(_local_block, blocks))
     else:
         results = map(_local_block, blocks)
-    for block_result in results:
-        for data in block_result:
-            entries[data.p] = data
+    small = [data for block_result in results for data in block_result]
+    small_p = _int_column([d.p for d in small])
+    layers = Csr.from_rows([d.layer_counts for d in small])
+    roots = Csr.from_rows([d.roots for d in small])
 
-    # Leg 2 + 3: segmented residual division and cofactor factorization.
-    removed = {p: 0 for p in entries}
-    large = {}  # prime > B -> tuple of (n, valuation) in n order
+    # Legs 2 and 3, one segment of n at a time.
+    dtype = np.int64 if cap < _INT64_LIMIT else object
+    per_root = roots.lengths()
+    prog = (
+        np.repeat(small_p, per_root),
+        roots.values,
+        np.repeat(np.arange(len(small)), per_root),
+    )
+    levels = [np.zeros(len(small), dtype=np.int64)]
+    no_hit = np.zeros(0, np.int64)
+    large = [(np.zeros(0, dtype=dtype), no_hit, no_hit)]
     skipped = 0
-    lo = 1
-    while lo <= N:
-        hi = min(lo + SEGMENT_SIZE - 1, N)
-        values = [abs(f.eval(n)) for n in range(lo, hi + 1)]
-        for n0 in zeros:
-            if lo <= n0 <= hi:
-                skipped += 1
-        for p, data in entries.items():
-            for r in data.roots:
-                start = lo + (r - lo) % p
-                for n in range(start, hi + 1, p):
-                    if values[n - lo] == 0:
-                        continue
-                    v = values[n - lo]
-                    e = 0
-                    while v % p == 0:
-                        v //= p
-                        e += 1
-                    values[n - lo] = v
-                    removed[p] += e
-        for idx, v in enumerate(values):
-            if v <= 1:
-                continue
-            if v < B * B:
-                fac = [(v, 1)]  # all factors > B and v < B^2 forces primality
-            else:
-                fac = factor_cofactor(v, seed=seed)
-            for q, e in fac:
-                if q <= B:
-                    raise LedgerMismatch(
-                        f"prime {q} <= B survived the sieve at n={lo + idx}"
-                    )
-                large[q] = large.get(q, ()) + ((lo + idx, e),)
-        lo = hi + 1
+    for lo in range(1, N + 1, SEGMENT_SIZE):
+        values = _abs_values(f, lo, min(lo + SEGMENT_SIZE - 1, N), dtype)
+        skipped += int(np.count_nonzero(values == 0))
+        cofactors = _divide_segment(values, lo, prog, levels)
+        large.append(_large_hits(f, N, B, cofactors, lo, seed))
 
-    for p, data in entries.items():
-        if removed[p] != data.alpha:
-            raise LedgerMismatch(
-                f"p={p}: analytic alpha {data.alpha} != sieved {removed[p]}"
-            )
-
-    for q, hits in large.items():
-        vals = [e for _, e in hits]
-        layers = tuple(
-            sum(1 for v in vals if v >= i) for i in range(1, max(vals) + 1)
+    sieved = Csr.from_levels(levels, len(small))
+    if not (
+        np.array_equal(layers.offsets, sieved.offsets)
+        and np.array_equal(layers.values, sieved.values)
+    ):
+        i = next(
+            i for i in range(len(small))
+            if layers.row(i).tolist() != sieved.row(i).tolist()
         )
-        entries[q] = PrimeLocalData(p=q, layer_counts=layers, roots=(), hits=hits)
+        raise LedgerMismatch(
+            f"{f} at N={N}: p={small[i].p}: analytic layers "
+            f"{tuple(layers.row(i).tolist())} != sieved "
+            f"{tuple(sieved.row(i).tolist())}"
+        )
 
-    entries = dict(sorted(entries.items()))
+    big_p, big_layers, big_hits = _group_large(
+        *(np.concatenate(col) for col in zip(*large))
+    )
+    no_roots = Csr(np.zeros(len(big_p) + 1, dtype=np.int64), roots.values[:0])
+    no_hits = Csr(np.zeros(len(small) + 1, dtype=np.int64), big_hits.values[:0])
     return FactorLedger(
-        f=f, N=N, entries=entries, skipped_zero_count=skipped, profile=prof
+        f=f,
+        N=N,
+        skipped_zero_count=skipped,
+        profile=prof,
+        p=_int_column(np.concatenate((small_p, big_p))),
+        layers=layers.concat(big_layers),
+        roots=roots.concat(no_roots),
+        hits=no_hits.concat(big_hits),
     )

@@ -2,6 +2,8 @@ import json
 import math
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,3 +255,15 @@ def test_readme_cli_examples_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+def test_import_does_not_load_sympy():
+    # sympy is only the oracle's fallback factorizer and slow to import
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, lcmlab.cli; print('sympy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "False"

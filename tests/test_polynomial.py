@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,13 @@ class TestEval:
     def test_horner_matches_power_sum(self, coeffs, n):
         f = IntPoly(tuple(coeffs))
         assert f.eval(n) == sum(c * n**i for i, c in enumerate(coeffs))
+
+    def test_derivative_survives_pickle(self):
+        f = IntPoly((7, -1, 0, 2))
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and hash(g) == hash(f) and g == IntPoly([7, -1, 0, 2])
+        assert g.deriv_coeffs() == (-1, 0, 6)
+        assert g.deriv_eval(3) == f.deriv_eval(3) == 53
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):

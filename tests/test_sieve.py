@@ -1,16 +1,19 @@
+import dataclasses
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lcmlab import primes, sieve
+from lcmlab import modular, primes, sieve
 from lcmlab.aggregate import summarize
 from lcmlab.modular import roots_mod_p
 from lcmlab.oracle import log_big, naive_run
 from lcmlab.polynomial import IntPoly, discriminant, parse_poly, value_bound
 from lcmlab.primes import FactorTimeout, factorize, is_probable_prime
-from lcmlab.sieve import build_ledger, factor_cofactor, local_data
+from lcmlab.sieve import LedgerMismatch, build_ledger, factor_cofactor, local_data
 
 from conftest import TEST_POLYS
 
@@ -187,6 +190,107 @@ class TestBuildLedger:
         )
         from_ledger = sum(d.alpha * math.log(p) for p, d in led.entries.items())
         assert abs(from_ledger - direct) <= 1e-9 * abs(direct)
+
+
+class TestColumnarLedger:
+    def test_object_columns(self):
+        # value_bound >= 2^63, so Legs 2 and 3 run in Python-int columns
+        f = parse_poly("x^2+18446744073709551617")
+        N = 300
+        assert value_bound(f, N) >= 2**63
+        led = build_ledger(f, N)
+        assert led.p.dtype == object
+        values = [abs(f.eval(n)) for n in range(1, N + 1)]
+        assert math.prod(p**d.alpha for p, d in led.entries.items()) == math.prod(
+            values
+        )
+        assert math.prod(
+            p**d.max_exp for p, d in led.entries.items()
+        ) == math.lcm(*values)
+        for p in led.primes_above(led.B):
+            expected = []
+            for n, v in enumerate(values, start=1):
+                e = 0
+                while v % p == 0:
+                    v //= p
+                    e += 1
+                if e:
+                    expected.append((n, e))
+            assert led.entries[p].hits == tuple(expected), p
+
+    def test_entries_mapping(self):
+        N = 300
+        led = build_ledger(F, N)
+        ora = naive_run(F, N)
+        keys = list(led.entries)
+        assert keys == sorted(keys) and len(led.entries) == len(keys)
+        with pytest.raises(TypeError):
+            led.entries[keys[0]] = led.entries[keys[0]]
+        assert 3 not in led.entries and "5" not in led.entries
+        with pytest.raises(KeyError):
+            led.entries[3]
+        assert ora.ledger.entries == {
+            p: dataclasses.replace(d, roots=(), hits=())
+            for p, d in led.entries.items()
+        }
+        again = sieve.FactorLedger.from_entries(
+            f=F, N=N, entries=dict(led.entries.items()),
+            skipped_zero_count=0, profile=led.profile,
+        )
+        assert again.entries == led.entries
+        assert summarize(again) == summarize(led)
+
+
+class TestLegCrossCheck:
+    def test_missed_root_fails(self, monkeypatch):
+        # Without root 514 of x^3+2 mod 2069, f(514) = 2069 * 10939 is left
+        # as a cofactor below B^2 = 8000^2 that is not prime.
+        f = parse_poly("x^3+2")
+        assert roots_mod_p(f, 2069).roots == (514,)
+        found = modular.roots_mod_primes
+
+        def drop_root(g, block, seed=0):
+            out = found(g, block, seed)
+            return [
+                modular.RootSet(rs.p, 1, (), ()) if rs.p == 2069 else rs
+                for rs in out
+            ]
+
+        monkeypatch.setattr(modular, "roots_mod_primes", drop_root)
+        with pytest.raises(LedgerMismatch, match="22632791"):
+            build_ledger(f, 2000)
+
+    def test_layer_vector_checked(self, monkeypatch):
+        # (4, 1) -> (5,) keeps alpha = 5 at p = 5 for x^2+1, N = 10
+        exact = sieve.local_data
+
+        def wrong_layers(*args, **kwargs):
+            data = exact(*args, **kwargs)
+            if data.layer_counts == (4, 1):
+                return dataclasses.replace(data, layer_counts=(5,))
+            return data
+
+        monkeypatch.setattr(sieve, "local_data", wrong_layers)
+        with pytest.raises(LedgerMismatch, match="p=5: "):
+            build_ledger(F, 10)
+
+    def test_fermat_kernel_matches_pow(self):
+        rng = random.Random(7)
+        # near 2^50 the float quotient is off by one in either direction
+        # for a few percent of products
+        m = [rng.randrange(1 << 49, 1 << 50) for _ in range(2000)]
+        a, b = ([rng.randrange(x) for x in m] for _ in range(2))
+        got = sieve._mulmod(*(np.array(v, dtype=np.int64) for v in (a, b, m)))
+        assert got.tolist() == [x * y % z for x, y, z in zip(a, b, m)]
+        ms = [
+            rng.randrange(3, 1 << bits)
+            for bits in (12, 40, 50, 51, 62, 90)
+            for _ in range(300)
+        ]
+        ms += [(1 << 50) - 1, 1 << 50, 341, 561, 2069 * 10939, 1093**2]
+        for column in (np.array(ms, dtype=object), sieve._int_column(ms[:1500])):
+            got = sieve._fermat_base2(column)
+            assert got.tolist() == [pow(2, x - 1, x) == 1 for x in column.tolist()]
 
 
 @pytest.mark.parametrize("span", [64, 1000])
