@@ -6,7 +6,7 @@ small/linear/large prime zone decomposition, and verifies the finite
 multiplicity bounds and identities those statistics rest on.
 """
 
-from .aggregate import SweepRecord, chebotarev_partial_sum, summarize, sweep
+from .aggregate import SweepRecord, summarize, sweep
 from .analysis import (
     VerificationReport,
     check_amgm_ratio,

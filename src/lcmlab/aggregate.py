@@ -8,14 +8,13 @@ natural log with Kahan compensation.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import modular, primes, sieve
+from . import primes, sieve
 from .polynomial import IntPoly
 
 
@@ -115,15 +114,3 @@ def sweep(f: IntPoly, schedule, sink=None, seed=0, workers=1):
             sink(record)
     return records, gaps
 
-
-def chebotarev_partial_sum(f: IntPoly, B, seed=0):
-    """sum over p <= B of rho_f(p) * ln p / (p - 1); grows like ln B."""
-    if B < 2:
-        raise ValueError("B must be >= 2")
-    terms = []
-    prime_iter = primes.iter_primes(B)
-    while block := list(itertools.islice(prime_iter, modular.BLOCK_SIZE)):
-        for rs in modular.roots_mod_primes(f, block, seed):
-            if rs.roots:
-                terms.append(len(rs.roots) * math.log(rs.p) / (rs.p - 1))
-    return _kahan_sum(terms)

@@ -18,16 +18,12 @@ from math import comb
 
 from . import aggregate
 from .polynomial import IntPoly
-from .sieve import FactorLedger, build_ledger
+from .sieve import FactorLedger, build_ledger, content_layers
 
 
 class NonIntegral(ArithmeticError):
     """The divided-difference sum failed to be an integer (impossible for
     a correct implementation; kept as a tripwire)."""
-
-
-class PreconditionUnmet(ValueError):
-    """A divisibility check was invoked on points that do not qualify."""
 
 
 @dataclass
@@ -212,45 +208,20 @@ def divided_difference_A(f: IntPoly, points):
     return int(direct)
 
 
-def check_divisibility_A(f: IntPoly, p, i, points) -> VerificationReport:
-    """p^i | A for d-i+1 points m_j with p^i | f(m_j) and |m_j - m_k| < p."""
-    points = list(points)
-    d = f.degree
-    t = d - i + 1
-    report = VerificationReport(
-        check_name="divisibility_A",
-        poly=str(f),
-        N=None,
-        parameters={"p": p, "i": i, "points": points},
-    )
-    if t < 2 or len(points) != t:
-        return _finish(report, applicable=False)
-    pi = p**i
-    for m in points:
-        if f.eval(m) % pi != 0:
-            raise PreconditionUnmet(f"p^{i} does not divide f({m})")
-    for a, b in combinations(points, 2):
-        if abs(a - b) >= p:
-            raise PreconditionUnmet("point gap not below p")
-    A = divided_difference_A(f, points)
-    report.empirical_constants["A"] = float(A) if abs(A) < 2**53 else None
-    if A % pi != 0:
-        report.violations.append((tuple(points), "A mod p^i", A % pi, 0))
-    return _finish(report)
-
-
 def prime_hits(ledger: FactorLedger, p, limit):
     """(n, v_p(f(n))) for each n <= limit that p divides, in n order.
 
     Primes above the sieve bound carry their hits. Below it, ``limit``
     must be under p, so each root of f mod p yields at most one hit, the
-    root itself.
+    root itself; a prime of the content of f divides every f(n), so every
+    n <= limit is a hit.
     """
     data = ledger.entries[p]
     if p > ledger.B:
         return [(n, v) for n, v in data.hits if n <= limit]
+    every = content_layers(ledger.f, p, limit)
     hits = []
-    for r in data.roots:
+    for r in (range(1, limit + 1) if every else data.roots):
         if not 1 <= r <= limit:
             continue
         fn = abs(ledger.f.eval(r))

@@ -1,5 +1,5 @@
 """Command-line surface: sweeps to CSV/JSON/NDJSON, verification reports,
-per-prime dumps, oracle diffs, and divided-difference identity trials.
+per-prime dumps and oracle diffs.
 
 Outputs are byte-reproducible for a fixed config and seed regardless of
 worker count (the wall-clock ``seconds`` column is the one exception).
@@ -8,6 +8,7 @@ worker count (the wall-clock ``seconds`` column is the one exception).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -235,11 +236,14 @@ def cmd_local(args):
     if not primes.is_probable_prime(args.p, seed=args.seed):
         raise ConfigError(f"--p {args.p} is not a prime")
     _check_n(args.n)
-    level1 = modular.roots_mod_p(f, args.p, seed=args.seed)
+    g = sieve.primitive_part(f)
+    zeros = prof.integer_roots_in_range(args.n)
     data = sieve.local_data(
-        f, level1, args.n, polynomial.value_bound(f, args.n),
-        zeros=prof.integer_roots_in_range(args.n),
+        g, modular.roots_mod_p(g, args.p, seed=args.seed), args.n,
+        polynomial.value_bound(g, args.n), zeros=zeros,
     )
+    layers = sieve.content_layers(f, args.p, args.n - len(zeros)) + data.layer_counts
+    data = dataclasses.replace(data, layer_counts=layers)
     doc = {
         "version": SCHEMA_VERSION,
         "seed": args.seed,
@@ -286,17 +290,6 @@ def cmd_oracle_check(args):
     return 0
 
 
-def cmd_identity(args):
-    f, _ = _load_poly(args)
-    _check_n(args.n)
-    ledger = sieve.build_ledger(f, args.n, seed=args.seed)
-    report = analysis.check_divided_difference(
-        ledger, seed=args.seed, trials=args.trials
-    )
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    return 0 if report.status != "fail" else 1
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lcmlab",
@@ -338,12 +331,6 @@ def build_parser():
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_oracle_check)
-
-    p = sub.add_parser("identity", help="random divided-difference trials")
-    common(p, with_workers=False)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--trials", type=int, default=1000)
-    p.set_defaults(func=cmd_identity)
 
     return parser
 

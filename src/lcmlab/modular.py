@@ -4,7 +4,6 @@ Level-1 roots come from ``roots_mod_primes``, which works on a block of
 primes. It reduces f mod each prime once, makes the result monic and
 dispatches on what is left:
 
-- zero (p divides the content of f): every residue is a root;
 - p = 2: the residues 0 and 1 are tested;
 - degree <= 2: the closed form, with a Tonelli-Shanks square root of the
   discriminant;
@@ -12,6 +11,10 @@ dispatches on what is left:
   in numpy columns (int64 below 2^31, Python ints above), then per prime
   gcd(x^p - x, g), whose roots are read off by the closed form (degree
   <= 2) or by equal-degree splitting (degree >= 3).
+
+f must not vanish identically mod p: a prime of the content of f is
+refused, since every residue would be a root. The ledger strips the
+content first.
 
 Simple roots lift uniquely by a Newton step (Hensel); roots at ramified
 primes are lifted exhaustively over all p candidates per level.
@@ -21,24 +24,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import gfpoly
-from .polynomial import IntPoly
+
+if TYPE_CHECKING:
+    from .polynomial import IntPoly
 
 
-# Primes per call of roots_mod_primes in the ledger and the Chebotarev sum;
-# bounds the lockstep arrays and the RootSets held at once.
+# Primes per call of roots_mod_primes in the ledger; bounds the lockstep
+# arrays and the RootSets held at once.
 BLOCK_SIZE = 2048
 
 # Below this, lockstep residues fit int64 columns: every product of two
 # residues stays below 2^62.
 _LOCKSTEP_PRIME_LIMIT = 1 << 31
-
-# f vanishing identically mod p (p divides its content) makes every residue
-# a root; the roots are listed for primes up to this size, refused above.
-_ALL_RESIDUES_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,8 @@ def roots_mod_primes(f: IntPoly, primes, seed=0):
     """The level-1 RootSet of f for each prime in ``primes``, in order.
 
     Roots are sorted and do not depend on ``seed``, which only drives the
-    random splitting of gcds of degree >= 3.
+    random splitting of gcds of degree >= 3. A prime that divides every
+    coefficient of f raises ValueError.
     """
     primes = list(primes)
     found = {}
@@ -72,10 +75,8 @@ def roots_mod_primes(f: IntPoly, primes, seed=0):
     for p in dict.fromkeys(primes):
         g = gfpoly.monic(gfpoly.reduce_mod(f.coeffs, p), p)
         if not g:
-            if p > _ALL_RESIDUES_LIMIT:
-                raise ValueError(f"f vanishes identically mod {p}")
-            found[p] = tuple(range(p))
-        elif p == 2:
+            raise ValueError(f"f vanishes identically mod {p}")
+        if p == 2:
             found[p] = tuple(r for r in (0, 1) if f.eval(r) % 2 == 0)
         elif len(g) <= 3:
             found[p] = _roots_low_degree(g, p)

@@ -7,11 +7,12 @@ constant D = 1 + d*|f_d|, an irreducibility hint and the rational roots.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import gfpoly, primes
+from . import gfpoly, modular, primes
 
 
 class ZeroDiscriminant(ValueError):
@@ -202,27 +203,35 @@ def discriminant(f: IntPoly):
 
 
 def rational_roots(f: IntPoly):
-    """All rational roots of f, via the rational root test."""
-    c0 = f.coeffs[0]
-    cd = f.coeffs[-1]
+    """All rational roots of the squarefree f, p-adically.
+
+    A root z of f has lead*z in Z with |lead*z| <= |lead| + max_{i<d} |f_i|
+    (Cauchy's bound), and z = r mod l^k for a root r of f mod l^k at every
+    prime l that does not divide lead*disc. So the roots of f mod the least
+    such l are lifted until l^k exceeds twice that bound, and each symmetric
+    residue y of lead*r mod l^k is kept when f(y/lead) = 0 exactly. Nothing
+    is factored.
+    """
+    lead = f.coeffs[-1]
+    disc = discriminant(f)
+    if disc == 0:
+        raise ZeroDiscriminant(f"{f} is not squarefree")
+    ell = next(
+        q
+        for q in itertools.count(2)
+        if lead * disc % q and primes.is_probable_prime(q)
+    )
+    bound = 2 * (abs(lead) + max(abs(c) for c in f.coeffs[:-1]))
+    rs = modular.roots_mod_p(f, ell)
+    while ell**rs.k <= bound:
+        rs = modular.lift_roots(f, rs)
+    pk = ell**rs.k
     roots = set()
-    if c0 == 0:
-        roots.add(Fraction(0))
-        # strip x factors so the test below sees a nonzero constant term
-        coeffs = list(f.coeffs)
-        while coeffs[0] == 0:
-            coeffs.pop(0)
-        if len(coeffs) < 2:
-            return tuple(sorted(roots))
-        c0 = coeffs[0]
-        probe = IntPoly(tuple(coeffs))
-    else:
-        probe = f
-    for q in _divisors(abs(cd)):
-        for p_ in _divisors(abs(c0)):
-            for cand in (Fraction(p_, q), Fraction(-p_, q)):
-                if _eval_fraction(probe, cand) == 0:
-                    roots.add(cand)
+    for r in rs.roots:
+        y = lead * r % pk
+        cand = Fraction(y - pk if 2 * y > pk else y, lead)
+        if _eval_fraction(f, cand) == 0:
+            roots.add(cand)
     return tuple(sorted(roots))
 
 
@@ -233,23 +242,15 @@ def _eval_fraction(f, x):
     return acc
 
 
-def _divisors(n):
-    """Positive divisors of n >= 1, from its prime factorization."""
-    divs = [1]
-    if n > 1:
-        for p, e in primes.factorize(n):
-            divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
 _CERTIFYING_PRIME_BOUND = 200
 
 
 def profile(f: IntPoly):
     """Discriminant, D, rational roots and an irreducibility hint.
 
-    The discriminant is not factored: a prime p ramifies exactly when
-    p | disc, which callers test directly.
+    Nothing is factored: a prime p ramifies exactly when p | disc, which
+    callers test directly, and the rational roots are lifted from the roots
+    of f mod one small prime.
 
     hint = "proved" when f mod p is irreducible for some prime p < 200, or
     when d <= 3 and f has no rational root. "assumed" for d >= 4 without a

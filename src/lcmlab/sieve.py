@@ -1,6 +1,7 @@
 """Exact prime-exponent ledger of Q(N) = prod |f(n)|.
 
-The sieve bound is B = D*N. Three legs:
+The sieve bound is B = D*N. Three legs run on the primitive part f/c,
+c the content of f (the gcd of its coefficients), written f below:
 
 - Leg 1: the layer counts b_k = #{n <= N : p^k | f(n)} of every prime
   p <= B, by lifting the roots of f mod p (``local_data``).
@@ -15,12 +16,18 @@ The sieve bound is B = D*N. Three legs:
   first, so that a prime Leg 1 missed cannot pass for one. Larger
   cofactors are split by rho.
 
+As v_p(c*g(n)) = v_p(c) + v_p(g(n)), each prime p of c then gets v_p(c)
+leading layers that count every n with f(n) != 0 (``content_layers``).
+Such a p is at most |f_d| < D, so it is a Leg 1 prime.
+
 A FactorLedger holds columns sorted by p; ``FactorLedger.entries`` reads
 them as a mapping p -> PrimeLocalData.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -142,7 +149,9 @@ class FactorLedger:
     profile: PolyProfile
     p: np.ndarray  # int64, or object when a prime is >= 2^63
     layers: Csr  # layer_counts
-    roots: Csr  # level-1 roots; empty rows above B
+    # level-1 roots; empty rows above B. A prime of the content c of f
+    # holds the roots of f/c.
+    roots: Csr
     hits: Csr  # (n, v_p(f(n))) pairs, an (h, 2) array; empty rows up to B
 
     @classmethod
@@ -261,6 +270,24 @@ def local_data(f: IntPoly, level1: RootSet, N, cap, zeros=()):
             break
         rs = lift_roots(f, rs)
     return PrimeLocalData(p=p, layer_counts=tuple(layers), roots=level1.roots)
+
+
+def content_layers(f: IntPoly, p, live):
+    """The leading layers of f at p that come from its content c: p^e
+    divides every f(n) for e = v_p(c), so b_1 = ... = b_e = live, the
+    number of n <= N with f(n) != 0. The layers of f/c at p follow them."""
+    c = math.gcd(*f.coeffs)
+    e = 0
+    while live > 0 and c % p == 0:
+        c //= p
+        e += 1
+    return (live,) * e
+
+
+def primitive_part(f: IntPoly):
+    """f divided by its content."""
+    c = math.gcd(*f.coeffs)
+    return f if c == 1 else IntPoly(tuple(x // c for x in f.coeffs))
 
 
 def _local_block(args):
@@ -430,19 +457,30 @@ def _group_large(q, n, e):
     return q[starts], Csr.from_levels(levels, len(starts)), hits
 
 
+def _columns(small):
+    """The p column and the layer and root tables of a list of
+    PrimeLocalData sorted by p."""
+    return (
+        _int_column([d.p for d in small]),
+        Csr.from_rows([d.layer_counts for d in small]),
+        Csr.from_rows([d.roots for d in small]),
+    )
+
+
 def build_ledger(f: IntPoly, N, seed=0, workers=1):
     """The exact FactorLedger of Q(N), sieved up to B = D*N."""
     prof = polynomial.profile(f)
     B = prof.D * N
-    cap = polynomial.value_bound(f, N)
+    g = primitive_part(f)
+    cap = polynomial.value_bound(g, N)
     zeros = prof.integer_roots_in_range(N)
 
-    # Leg 1: analytic data for every prime <= B with a root, one block of
-    # primes per roots_mod_primes call.
+    # Leg 1: analytic data of g for every prime <= B with a root, one block
+    # of primes per roots_mod_primes call.
     prime_list = primes.sieve_primes(B)
     size = modular.BLOCK_SIZE
     blocks = [
-        (f.coeffs, prime_list[i : i + size], N, cap, seed, zeros)
+        (g.coeffs, prime_list[i : i + size], N, cap, seed, zeros)
         for i in range(0, len(prime_list), size)
     ]
     if workers > 1:
@@ -451,11 +489,9 @@ def build_ledger(f: IntPoly, N, seed=0, workers=1):
     else:
         results = map(_local_block, blocks)
     small = [data for block_result in results for data in block_result]
-    small_p = _int_column([d.p for d in small])
-    layers = Csr.from_rows([d.layer_counts for d in small])
-    roots = Csr.from_rows([d.roots for d in small])
+    small_p, layers, roots = _columns(small)
 
-    # Legs 2 and 3, one segment of n at a time.
+    # Legs 2 and 3 on g, one segment of n at a time.
     dtype = np.int64 if cap < _INT64_LIMIT else object
     per_root = roots.lengths()
     prog = (
@@ -468,7 +504,7 @@ def build_ledger(f: IntPoly, N, seed=0, workers=1):
     large = [(np.zeros(0, dtype=dtype), no_hit, no_hit)]
     skipped = 0
     for lo in range(1, N + 1, SEGMENT_SIZE):
-        values = _abs_values(f, lo, min(lo + SEGMENT_SIZE - 1, N), dtype)
+        values = _abs_values(g, lo, min(lo + SEGMENT_SIZE - 1, N), dtype)
         skipped += int(np.count_nonzero(values == 0))
         cofactors = _divide_segment(values, lo, prog, levels)
         large.append(_large_hits(f, N, B, cofactors, lo, seed))
@@ -487,6 +523,19 @@ def build_ledger(f: IntPoly, N, seed=0, workers=1):
             f"{tuple(layers.row(i).tolist())} != sieved "
             f"{tuple(sieved.row(i).tolist())}"
         )
+
+    # each prime of the content: its layers first, then those of f/c
+    if g is not f:
+        data = {d.p: d for d in small}
+        for q, _ in primes.factorize(math.gcd(*f.coeffs), seed=seed):
+            d = data.get(q) or local_data(
+                g, modular.roots_mod_p(g, q, seed), N, cap, zeros
+            )
+            data[q] = dataclasses.replace(
+                d, layer_counts=content_layers(f, q, N - len(zeros)) + d.layer_counts
+            )
+        small = [data[q] for q in sorted(data) if data[q].layer_counts]
+        small_p, layers, roots = _columns(small)
 
     big_p, big_layers, big_hits = _group_large(
         *(np.concatenate(col) for col in zip(*large))

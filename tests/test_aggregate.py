@@ -3,7 +3,7 @@ import math
 import pytest
 
 from lcmlab import sieve
-from lcmlab.aggregate import chebotarev_partial_sum, summarize, sweep
+from lcmlab.aggregate import summarize, sweep
 from lcmlab.polynomial import parse_poly
 from lcmlab.primes import FactorTimeout
 
@@ -100,17 +100,3 @@ class TestSweep:
             sweep(F, [5, 10])
         assert info.value.__notes__ == ["while sweeping x^2+1 at N=5"]
 
-
-class TestChebotarevPartialSum:
-    def test_example_b10(self):
-        # rho: p=2 -> 1, p=3 -> 0, p=5 -> 2, p=7 -> 0
-        expected = math.log(2) + 2 * math.log(5) / 4
-        assert chebotarev_partial_sum(F, 10) == pytest.approx(expected, rel=1e-12)
-
-    def test_single_term(self):
-        assert chebotarev_partial_sum(F, 2) == pytest.approx(math.log(2))
-
-    def test_grows_like_log(self):
-        # ln B + O(1); the offset band is a regression pin from observed runs
-        val = chebotarev_partial_sum(F, 10**5)
-        assert abs(val - math.log(10**5)) < 2.0

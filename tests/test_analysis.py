@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from lcmlab.analysis import (
     NonIntegral,
-    PreconditionUnmet,
     check_amgm_ratio,
     check_amgm_suite,
     check_divided_difference,
-    check_divisibility_A,
     check_hensel_formula,
     check_naive_multiplicity,
     check_refined_multiplicity,
@@ -19,6 +17,7 @@ from lcmlab.analysis import (
     complete_homogeneous,
     divided_difference_A,
     harvest_divisibility_tuples,
+    prime_hits,
     refined_multiplicity_threshold,
     run_checks,
 )
@@ -173,17 +172,14 @@ class TestDividedDifference:
 
 
 class TestDivisibilityA:
-    def test_example_p5(self):
-        report = check_divisibility_A(F, 5, 1, [2, 3])
-        assert report.status == "pass"
-
-    def test_degenerate_arity_not_applicable(self):
-        report = check_divisibility_A(F, 5, 2, [7])
-        assert report.status == "not-applicable"
-
-    def test_precondition_unmet(self):
-        with pytest.raises(PreconditionUnmet):
-            check_divisibility_A(F, 5, 1, [1, 2])  # 5 does not divide f(1)
+    def test_prime_hits_content_prime(self):
+        # 101 divides every f(n), and divides f(10) = 101^2 twice
+        f = parse_poly("101x^2+101")
+        led = build_ledger(f, 50)
+        assert led.entries[101].roots == (10, 91)  # the roots of x^2+1
+        assert prime_hits(led, 101, 50) == [
+            (n, trial_division(f.eval(n))[101]) for n in range(1, 51)
+        ]
 
     def test_harvested_tuples_all_pass(self, ledger_factory):
         led = ledger_factory(F, 1000)

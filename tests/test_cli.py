@@ -209,12 +209,30 @@ class TestOtherCommands:
         assert code == 1
         assert "capped" in err
 
-    def test_identity_trials(self, capsys):
+    def test_local_content_prime_above_2048(self, capsys):
+        # 4099 divides every coefficient, so it divides every f(n) once
         code, out, _ = _run(
-            capsys, "identity", "--poly", "x^3+2", "--trials", "100"
+            capsys, "local", "--poly", "4099x^2+4099", "--p", "4099", "--n", "10"
         )
         assert code == 0
-        assert json.loads(out)["status"] == "pass"
+        doc = json.loads(out)
+        assert doc["layer_counts"] == [10] and doc["roots"] == []
+
+    def test_sweep_content_prime_above_2048(self, capsys):
+        code, out, _ = _run(capsys, "sweep", "--poly", "4099x^2+4099", "--n", "10")
+        assert code == 0
+        assert out.splitlines()[2].startswith("10,")
+
+    def test_local_large_constant_term(self, capsys):
+        # a 41-digit semiprime constant term: rational roots are lifted
+        # from roots mod a small prime, not read off its divisors
+        code, out, _ = _run(
+            capsys, "local", "--poly",
+            "x^2+30000000000000000017000000000000000002067",
+            "--p", "5", "--n", "10",
+        )
+        assert code == 0
+        assert json.loads(out)["prime"] == 5
 
     def test_float_format_17_digits(self, tmp_path, capsys):
         out = tmp_path / "f.csv"
@@ -232,7 +250,6 @@ class TestOtherCommands:
         ("sweep", "-3,5"),
         ("verify", "0"),
         ("oracle-check", "0"),
-        ("identity", "-1"),
     ],
 )
 def test_n_below_1_exit_1(capsys, command, n):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -84,17 +85,25 @@ class TestRootsModP:
     @example(parse_poly("9*x^3-9"), 7, [3000, 3000, 3000])  # p = 3 kills f
     # primes of the leading coefficient where f keeps degree >= 3: p = 3
     # (int64 lockstep) and p = 2^31 + 11 (Python-int lockstep), also with
-    # content 2, so that p = 2 finds every residue
+    # content 2, which p = 2 refuses
     @example(parse_poly("6*x^5+x^4+x+1"), 0, [3000, 3000, 3000])
     @example(parse_poly("6*x^5+2*x^4+2*x+2"), 0, [3000, 3000, 3000])
     @example(IntPoly((1, 2, 0, 1, 0, 2**31 + 11)), 0, [3000, 3000, 3000])
     @example(IntPoly((2, 4, 0, 2, 0, 2**32 + 22)), 0, [3000, 3000, 3000])
     @settings(derandomize=True, max_examples=40, deadline=None)
     def test_matches_scan_and_reference(self, f, seed, starts):
-        found = roots_mod_primes(f, SCAN_PRIMES, seed=seed)
+        # f is refused at the primes of its content; its primitive part is
+        # compared with the scan at every prime
+        c = math.gcd(*f.coeffs)
+        for p in SCAN_PRIMES:
+            if c % p == 0:
+                with pytest.raises(ValueError, match="vanishes identically"):
+                    roots_mod_p(f, p)
+        g = IntPoly(tuple(x // c for x in f.coeffs))
+        found = roots_mod_primes(g, SCAN_PRIMES, seed=seed)
         assert [rs.p for rs in found] == SCAN_PRIMES
         for rs in found:
-            assert (rs.roots, rs.simple_flags) == scan_roots(f, rs.p), rs.p
+            assert (rs.roots, rs.simple_flags) == scan_roots(g, rs.p), rs.p
         sampled = [int(sympy.nextprime(s)) for s in starts] + REFERENCE_PRIMES
         for rs in roots_mod_primes(f, sampled, seed=seed):
             assert rs.roots == reference_roots(f, rs.p), rs.p

@@ -31,6 +31,41 @@ coeff = st.integers(min_value=-50, max_value=50)
 polys = st.lists(coeff, min_size=2, max_size=7).filter(lambda c: c[-1] != 0)
 
 
+def _divisors(n):
+    """Positive divisors of n != 0, by trial division to sqrt|n|."""
+    n = abs(n)
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return sorted(set(small + [n // k for k in small]))
+
+
+def divisor_roots(f):
+    """Rational roots of f by the rational root test: every +-a/b with
+    a | f_0 and b | f_d, once the factors x are taken out."""
+    coeffs = list(f.coeffs)
+    roots = set()
+    while coeffs[0] == 0:
+        roots.add(Fraction(0))
+        coeffs.pop(0)
+    for b in _divisors(coeffs[-1]) if len(coeffs) > 1 else ():
+        for a in _divisors(coeffs[0]):
+            for z in (Fraction(a, b), Fraction(-a, b)):
+                if sum(c * z**i for i, c in enumerate(coeffs)) == 0:
+                    roots.add(z)
+    return tuple(sorted(roots))
+
+
+@st.composite
+def split_polys(draw):
+    """Products of one to four linear factors a*x - b and a cofactor of
+    degree 0 to 2."""
+    coeffs = draw(st.lists(coeff, max_size=2)) + [draw(coeff.filter(bool))]
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(1, 12))
+        b = draw(st.integers(-30, 30))
+        coeffs = [a * hi - b * lo for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    return IntPoly(tuple(coeffs))
+
+
 class TestEval:
     def test_examples(self):
         assert IntPoly((1, 0, 1)).eval(3) == 10
@@ -155,11 +190,24 @@ class TestProfile:
         assert profile(parse_poly("x^2-1")).integer_roots_in_range(10) == (1,)
 
     def test_large_constant_term(self):
-        # 10^18 + 3 has no small factors: divisors come from its factorization
+        # nothing is factored: 10^18 + 3 and a 41-digit semiprime are as
+        # cheap as small constant terms
         f = parse_poly("x^2+1000000000000000003")
         assert profile(f).irreducible_hint == "proved"
         g = parse_poly("2x^3-3x^2+2000000000000000006x-3000000000000000009")
         assert rational_roots(g) == (Fraction(3, 2),)  # (2x - 3)(x^2 + 10^18 + 3)
+        p, q = 10**20 + 39, 10**20 + 129
+        assert rational_roots(IntPoly((p * q, 0, 1))) == ()
+        assert rational_roots(IntPoly((p * q, -p - q, 1))) == (p, q)
+
+    @given(split_polys())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_rational_roots_match_divisor_test(self, f):
+        if discriminant(f) == 0:
+            with pytest.raises(ZeroDiscriminant):
+                rational_roots(f)
+            return
+        assert rational_roots(f) == divisor_roots(f)
 
     def test_large_discriminant(self):
         # (x - 5000)^6 - (27011^5 + 1) has a 116-digit discriminant that

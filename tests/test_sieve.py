@@ -117,6 +117,8 @@ class TestBuildLedger:
     @example((parse_poly("x^3-5*x^2+x-5"), 120))  # (x - 5)(x^2 + 1)
     @example((parse_poly("-3*x^5+6*x-9"), 40))  # content 3
     @example((parse_poly("x^3-x+1"), 60))  # f(56) = 419^2 with 419 > B
+    @example((parse_poly("4099*x^2+4099"), 30))  # content 4099 > 2048
+    @example((parse_poly("24*x^2+24*x+48"), 120))  # 24 = 2^3 * 3, 2 | f(n)/24
     @settings(derandomize=True, max_examples=80, deadline=None)
     def test_random_oracle_equivalence(self, case):
         f, N = case
