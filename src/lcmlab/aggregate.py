@@ -52,14 +52,13 @@ class SweepRecord:
 def summarize(ledger: sieve.FactorLedger) -> SweepRecord:
     """Zone sums and counts from a complete ledger."""
     d = ledger.f.degree
-    D = ledger.profile.D
     N = ledger.N
     # ascending p, math.log and one sequential sum per statistic keep
     # every float, and so the CSV, byte-reproducible
     logs = [math.log(p) for p in ledger.p.tolist()]
     alpha = ledger.alpha
     contrib = [a * lp for a, lp in zip(alpha.tolist(), logs)]
-    small, linear = np.searchsorted(ledger.p, (N, D * N), side="right").tolist()
+    small, linear = np.searchsorted(ledger.p, (N, ledger.B), side="right").tolist()
     log_q = _kahan_sum(contrib)
     log_qs = _kahan_sum(contrib[:small])
     log_qli = _kahan_sum(contrib[small:linear])

@@ -16,9 +16,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from . import aggregate
 from .polynomial import IntPoly
-from .sieve import FactorLedger, build_ledger, content_layers
+from .sieve import FactorLedger, build_ledger
 
 
 class NonIntegral(ArithmeticError):
@@ -56,27 +58,39 @@ def _finish(report, applicable=True):
     return report
 
 
+def _multiplicity_check(name, ledger, above, parameters, rows):
+    """The report ``name`` with a violation (p, label, value, bound) for
+    each prime p > above and each row (label, column, bound) of ``rows``
+    with column[p] > bound, by p and then in row order."""
+    report = VerificationReport(
+        check_name=name, poly=str(ledger.f), N=ledger.N, parameters=parameters
+    )
+    keep = ledger.p > above
+    p = ledger.p[keep].tolist()
+    values = np.array([column[keep] for _, column, _ in rows])
+    bounds = np.array([bound for _, _, bound in rows])[:, None]
+    at, row = np.nonzero((values > bounds).T)
+    report.violations = [
+        (p[i], rows[j][0], int(values[j, i]), rows[j][2])
+        for i, j in zip(at.tolist(), row.tolist())
+    ]
+    return _finish(report, applicable=bool(keep.any()))
+
+
 def check_naive_multiplicity(ledger: FactorLedger) -> VerificationReport:
     """alpha_p <= d^2 for p > N, plus the proof's sub-claims
-    hit_count <= d and max_exp <= d."""
+    hit_count <= d and max_exp <= d. The bounds hold for primitive f, so a
+    prime of the content c of f is tested on the layers of f/c."""
     d = ledger.f.degree
-    report = VerificationReport(
-        check_name="naive_multiplicity",
-        poly=str(ledger.f),
-        N=ledger.N,
-        parameters={"bound": d * d},
+    led = ledger.without_content()
+    rows = [
+        ("alpha", led.alpha, d * d),
+        ("hit_count", led.hit_count, d),
+        ("max_exp", led.max_exp, d),
+    ]
+    return _multiplicity_check(
+        "naive_multiplicity", led, ledger.N, {"bound": d * d}, rows
     )
-    above = ledger.p > ledger.N
-    worse = (ledger.alpha > d * d) | (ledger.hit_count > d) | (ledger.max_exp > d)
-    for p in ledger.p[above & worse].tolist():
-        data = ledger.entries[p]
-        if data.alpha > d * d:
-            report.violations.append((p, "alpha", data.alpha, d * d))
-        if data.hit_count > d:
-            report.violations.append((p, "hit_count", data.hit_count, d))
-        if data.max_exp > d:
-            report.violations.append((p, "max_exp", data.max_exp, d))
-    return _finish(report, applicable=bool(above.any()))
 
 
 def check_refined_multiplicity(ledger: FactorLedger) -> VerificationReport:
@@ -84,25 +98,11 @@ def check_refined_multiplicity(ledger: FactorLedger) -> VerificationReport:
     hit_count <= d-1 bound)."""
     d = ledger.f.degree
     bound = d * (d - 1) // 2
-    DN = ledger.profile.D * ledger.N
-    report = VerificationReport(
-        check_name="refined_multiplicity",
-        poly=str(ledger.f),
-        N=ledger.N,
-        parameters={"bound": bound, "DN": DN},
+    rows = [("alpha", ledger.alpha, bound)]
+    rows += [(f"b_{i}", ledger.layer(i), d - i) for i in range(1, d + 1)]
+    return _multiplicity_check(
+        "refined_multiplicity", ledger, ledger.B, {"bound": bound, "DN": ledger.B}, rows
     )
-    above = ledger.p > DN
-    worse = ledger.alpha > bound
-    for i in range(1, d + 1):
-        worse |= ledger.layer(i) > d - i
-    for p in ledger.p[above & worse].tolist():
-        data = ledger.entries[p]
-        if data.alpha > bound:
-            report.violations.append((p, "alpha", data.alpha, bound))
-        for i in range(1, d + 1):
-            if data.layer(i) > d - i:
-                report.violations.append((p, f"b_{i}", data.layer(i), d - i))
-    return _finish(report, applicable=bool(above.any()))
 
 
 def refined_multiplicity_threshold(ledger: FactorLedger):
@@ -119,7 +119,7 @@ def refined_multiplicity_threshold(ledger: FactorLedger):
     maybe = (ledger.p > D) & ((ledger.hit_count >= 2) | (ledger.max_exp >= d))
     for p in ledger.p[maybe].tolist():
         n_upper = min(ledger.N, (p - 1) // D)  # N values with p > D*N
-        hits = prime_hits(ledger, p, n_upper)
+        hits = ledger.prime_hits(p, n_upper)
         for i in range(1, d + 1):
             ns = [n for n, v in hits if v >= i]
             if len(ns) > d - i:
@@ -208,43 +208,17 @@ def divided_difference_A(f: IntPoly, points):
     return int(direct)
 
 
-def prime_hits(ledger: FactorLedger, p, limit):
-    """(n, v_p(f(n))) for each n <= limit that p divides, in n order.
-
-    Primes above the sieve bound carry their hits. Below it, ``limit``
-    must be under p, so each root of f mod p yields at most one hit, the
-    root itself; a prime of the content of f divides every f(n), so every
-    n <= limit is a hit.
-    """
-    data = ledger.entries[p]
-    if p > ledger.B:
-        return [(n, v) for n, v in data.hits if n <= limit]
-    every = content_layers(ledger.f, p, limit)
-    hits = []
-    for r in (range(1, limit + 1) if every else data.roots):
-        if not 1 <= r <= limit:
-            continue
-        fn = abs(ledger.f.eval(r))
-        v = 0
-        while fn and fn % p == 0:
-            fn //= p
-            v += 1
-        if v:
-            hits.append((r, v))
-    return hits
-
-
 def harvest_divisibility_tuples(ledger: FactorLedger, above="N", limit=200):
     """Qualifying (p, i, points) tuples read off the ledger for primes
     above N (or DN): points are the n <= N hit by p with v_p(f(n)) >= i,
     taken when exactly enough for arity d - i + 1."""
     d = ledger.f.degree
     N = ledger.N
-    bound = N if above == "N" else ledger.profile.D * N
+    bound = N if above == "N" else ledger.B
     tuples = []
     # every tuple has t >= 2 points, so only primes with two hits qualify
     for p in ledger.p[(ledger.p > bound) & (ledger.hit_count >= 2)].tolist():
-        hits = prime_hits(ledger, p, N)
+        hits = ledger.prime_hits(p, N)
         for i in range(1, d + 1):
             t = d - i + 1
             if t < 2:
@@ -355,13 +329,12 @@ def check_squareful_ratios(ledger: FactorLedger) -> VerificationReport:
     """Report-only: the two conjecture-equivalence ratios and the split of
     prime counts below/above DN."""
     record = aggregate.summarize(ledger)
-    DN = ledger.profile.D * ledger.N
-    below = sum(1 for p in ledger.entries if p <= DN)
+    below = int(np.searchsorted(ledger.p, ledger.B, side="right"))
     report = VerificationReport(
         check_name="squareful_ratios",
         poly=str(ledger.f),
         N=ledger.N,
-        parameters={"DN": DN},
+        parameters={"DN": ledger.B},
     )
     n = record.n_primes
     report.empirical_constants = {

@@ -8,13 +8,12 @@ worker count (the wall-clock ``seconds`` column is the one exception).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 
-from . import aggregate, analysis, modular, oracle, polynomial, primes, sieve
+from . import aggregate, analysis, oracle, polynomial, primes, sieve
 
 SCHEMA_VERSION = "1"
 
@@ -236,14 +235,9 @@ def cmd_local(args):
     if not primes.is_probable_prime(args.p, seed=args.seed):
         raise ConfigError(f"--p {args.p} is not a prime")
     _check_n(args.n)
-    g = sieve.primitive_part(f)
-    zeros = prof.integer_roots_in_range(args.n)
-    data = sieve.local_data(
-        g, modular.roots_mod_p(g, args.p, seed=args.seed), args.n,
-        polynomial.value_bound(g, args.n), zeros=zeros,
+    data = sieve.prime_data(
+        f, args.p, args.n, prof.integer_roots_in_range(args.n), args.seed
     )
-    layers = sieve.content_layers(f, args.p, args.n - len(zeros)) + data.layer_counts
-    data = dataclasses.replace(data, layer_counts=layers)
     doc = {
         "version": SCHEMA_VERSION,
         "seed": args.seed,
@@ -344,6 +338,11 @@ def main(argv=None):
         context = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
         print(f"error: {exc}{context}", file=sys.stderr)
         return 1
+    except primes.FactorTimeout as exc:
+        # exit 2 as for a sweep gap; sweep itself turns a timeout into one
+        f = polynomial.parse_poly(args.poly)
+        print(f"error: {f} at N={args.n}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

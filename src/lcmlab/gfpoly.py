@@ -39,16 +39,16 @@ def rem(a, b, p):
     b = trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = [c % p for c in a]
+    a = trim([c % p for c in a])
     inv_lead = pow(b[-1], -1, p)
     db = len(b) - 1
-    while len(trim(a)) - 1 >= db and trim(a):
-        a = trim(a)
+    while len(a) - 1 >= db:
         shift = len(a) - 1 - db
         factor = a[-1] * inv_lead % p
         for i, bc in enumerate(b):
             a[shift + i] = (a[shift + i] - factor * bc) % p
-    return trim(a)
+        a = trim(a)
+    return a
 
 
 def quo(a, b, p):

@@ -202,8 +202,9 @@ def discriminant(f: IntPoly):
     return sign * res // f.coeffs[-1]
 
 
-def rational_roots(f: IntPoly):
-    """All rational roots of the squarefree f, p-adically.
+def rational_roots(f: IntPoly, disc):
+    """All rational roots of the squarefree f with discriminant ``disc``,
+    p-adically.
 
     A root z of f has lead*z in Z with |lead*z| <= |lead| + max_{i<d} |f_i|
     (Cauchy's bound), and z = r mod l^k for a root r of f mod l^k at every
@@ -213,7 +214,6 @@ def rational_roots(f: IntPoly):
     is factored.
     """
     lead = f.coeffs[-1]
-    disc = discriminant(f)
     if disc == 0:
         raise ZeroDiscriminant(f"{f} is not squarefree")
     ell = next(
@@ -259,10 +259,8 @@ def profile(f: IntPoly):
     if f.degree < 2:
         raise ValueError(f"{f} has degree {f.degree}; profile needs degree >= 2")
     disc = discriminant(f)
-    if disc == 0:
-        raise ZeroDiscriminant(f"{f} is not squarefree")
     D = 1 + f.degree * abs(f.coeffs[-1])
-    rr = rational_roots(f)
+    rr = rational_roots(f, disc)
     hint = None
     if not rr:
         for p in primes.sieve_primes(_CERTIFYING_PRIME_BOUND):

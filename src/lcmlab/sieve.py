@@ -17,11 +17,12 @@ c the content of f (the gcd of its coefficients), written f below:
   cofactors are split by rho.
 
 As v_p(c*g(n)) = v_p(c) + v_p(g(n)), each prime p of c then gets v_p(c)
-leading layers that count every n with f(n) != 0 (``content_layers``).
-Such a p is at most |f_d| < D, so it is a Leg 1 prime.
+leading layers that count every n with f(n) != 0 (``prime_data``). Such a
+p is at most |f_d| < D, so it is a Leg 1 prime.
 
 A FactorLedger holds columns sorted by p; ``FactorLedger.entries`` reads
-them as a mapping p -> PrimeLocalData.
+them as a mapping p -> PrimeLocalData, and ``FactorLedger.prime_hits``
+reads the hits of one prime. No other module reads the layout.
 """
 
 from __future__ import annotations
@@ -79,12 +80,6 @@ class PrimeLocalData:
     def hit_count(self):
         """#{n <= N : p | f(n)}."""
         return self.layer_counts[0] if self.layer_counts else 0
-
-    def layer(self, i):
-        """b_i for i >= 1."""
-        if i < 1:
-            raise ValueError("layers are 1-indexed")
-        return self.layer_counts[i - 1] if i <= len(self.layer_counts) else 0
 
 
 def _int_column(values):
@@ -207,9 +202,55 @@ class FactorLedger:
         out[has] = self.layers.values[self.layers.offsets[:-1][has] + i - 1]
         return out
 
-    def primes_above(self, bound):
-        """The primes > bound, ascending."""
-        return self.p[np.searchsorted(self.p, bound, side="right") :].tolist()
+    def _row(self, p):
+        """The row of the prime p; KeyError when p has none."""
+        if isinstance(p, (int, np.integer)):
+            i = int(np.searchsorted(self.p, p))
+            if i < len(self.p) and self.p[i] == p:
+                return i
+        raise KeyError(p)
+
+    def prime_hits(self, p, limit):
+        """(n, v_p(f(n))) for each n <= limit that p divides, in n order.
+
+        Primes above B carry their hits. Below it, ``limit`` must be under
+        p, so each root of f mod p yields at most one hit, the root itself;
+        a prime of the content of f divides every f(n), so every n <= limit
+        is a hit.
+        """
+        i = self._row(p)
+        if p > self.B:
+            return [(n, v) for n, v in self.hits.row(i).tolist() if n <= limit]
+        if _content_exp(self.f, p):
+            candidates = range(1, limit + 1)
+        else:
+            candidates = [r for r in self.roots.row(i).tolist() if 1 <= r <= limit]
+        hits = []
+        for n in candidates:
+            fn = abs(self.f.eval(n))
+            v = 0
+            while fn and fn % p == 0:
+                fn //= p
+                v += 1
+            if v:
+                hits.append((n, v))
+        return hits
+
+    def without_content(self):
+        """This ledger with the layers of the content c of f dropped: at
+        each prime p of c, the layer vector after its first v_p(c) entries,
+        which is that of f/c. Every prime of c is at most c."""
+        upto = np.searchsorted(self.p, math.gcd(*self.f.coeffs), side="right")
+        drop = np.zeros(len(self.p), dtype=np.int64)
+        drop[:upto] = [_content_exp(self.f, q) for q in self.p[:upto].tolist()]
+        offsets, values = self.layers.offsets, self.layers.values
+        lengths = self.layers.lengths()
+        at = np.arange(len(values)) - np.repeat(offsets[:-1], lengths)
+        layers = Csr(
+            np.concatenate(([0], np.cumsum(lengths - drop))),
+            values[at >= np.repeat(drop, lengths)],
+        )
+        return dataclasses.replace(self, layers=layers)
 
 
 class LedgerEntries(Mapping):
@@ -219,28 +260,15 @@ class LedgerEntries(Mapping):
     def __init__(self, ledger):
         self._ledger = ledger
 
-    def _index(self, p):
-        col = self._ledger.p
-        if isinstance(p, (int, np.integer)):
-            i = int(np.searchsorted(col, p))
-            if i < len(col) and col[i] == p:
-                return i
-        return None
-
     def __getitem__(self, p):
-        i = self._index(p)
-        if i is None:
-            raise KeyError(p)
         led = self._ledger
+        i = led._row(p)
         return PrimeLocalData(
             p=int(led.p[i]),
             layer_counts=tuple(led.layers.row(i).tolist()),
             roots=tuple(led.roots.row(i).tolist()),
             hits=tuple(map(tuple, led.hits.row(i).tolist())),
         )
-
-    def __contains__(self, p):
-        return self._index(p) is not None
 
     def __iter__(self):
         return iter(self._ledger.p.tolist())
@@ -272,16 +300,30 @@ def local_data(f: IntPoly, level1: RootSet, N, cap, zeros=()):
     return PrimeLocalData(p=p, layer_counts=tuple(layers), roots=level1.roots)
 
 
-def content_layers(f: IntPoly, p, live):
-    """The leading layers of f at p that come from its content c: p^e
-    divides every f(n) for e = v_p(c), so b_1 = ... = b_e = live, the
-    number of n <= N with f(n) != 0. The layers of f/c at p follow them."""
-    c = math.gcd(*f.coeffs)
-    e = 0
-    while live > 0 and c % p == 0:
+def _content_exp(f: IntPoly, p):
+    """v_p(c) for the content c of f."""
+    c, e = math.gcd(*f.coeffs), 0
+    while c % p == 0:
         c //= p
         e += 1
-    return (live,) * e
+    return e
+
+
+def prime_data(f: IntPoly, p, N, zeros, seed):
+    """Exact PrimeLocalData of f at one prime p.
+
+    The layers of f/c, c the content of f, are lifted from its roots mod p
+    (``local_data``). p^e divides every f(n) for e = v_p(c), so they follow
+    e leading layers b_1 = ... = b_e that count the n <= N with f(n) != 0;
+    ``zeros`` are the integer roots of f in [1, N].
+    """
+    g = primitive_part(f)
+    data = local_data(
+        g, modular.roots_mod_p(g, p, seed), N, polynomial.value_bound(g, N), zeros
+    )
+    live = N - len(zeros)
+    content = (live,) * _content_exp(f, p) if live > 0 else ()
+    return dataclasses.replace(data, layer_counts=content + data.layer_counts)
 
 
 def primitive_part(f: IntPoly):
@@ -457,16 +499,6 @@ def _group_large(q, n, e):
     return q[starts], Csr.from_levels(levels, len(starts)), hits
 
 
-def _columns(small):
-    """The p column and the layer and root tables of a list of
-    PrimeLocalData sorted by p."""
-    return (
-        _int_column([d.p for d in small]),
-        Csr.from_rows([d.layer_counts for d in small]),
-        Csr.from_rows([d.roots for d in small]),
-    )
-
-
 def build_ledger(f: IntPoly, N, seed=0, workers=1):
     """The exact FactorLedger of Q(N), sieved up to B = D*N."""
     prof = polynomial.profile(f)
@@ -488,18 +520,19 @@ def build_ledger(f: IntPoly, N, seed=0, workers=1):
             results = list(pool.map(_local_block, blocks))
     else:
         results = map(_local_block, blocks)
-    small = [data for block_result in results for data in block_result]
-    small_p, layers, roots = _columns(small)
+    data = {d.p: d for block_result in results for d in block_result}
+    small = FactorLedger.from_entries(g, N, data, 0, prof)
+    rows = len(small.p)
 
     # Legs 2 and 3 on g, one segment of n at a time.
     dtype = np.int64 if cap < _INT64_LIMIT else object
-    per_root = roots.lengths()
+    per_root = small.roots.lengths()
     prog = (
-        np.repeat(small_p, per_root),
-        roots.values,
-        np.repeat(np.arange(len(small)), per_root),
+        np.repeat(small.p, per_root),
+        small.roots.values,
+        np.repeat(np.arange(rows), per_root),
     )
-    levels = [np.zeros(len(small), dtype=np.int64)]
+    levels = [np.zeros(rows, dtype=np.int64)]
     no_hit = np.zeros(0, np.int64)
     large = [(np.zeros(0, dtype=dtype), no_hit, no_hit)]
     skipped = 0
@@ -509,46 +542,39 @@ def build_ledger(f: IntPoly, N, seed=0, workers=1):
         cofactors = _divide_segment(values, lo, prog, levels)
         large.append(_large_hits(f, N, B, cofactors, lo, seed))
 
-    sieved = Csr.from_levels(levels, len(small))
+    layers, sieved = small.layers, Csr.from_levels(levels, rows)
     if not (
         np.array_equal(layers.offsets, sieved.offsets)
         and np.array_equal(layers.values, sieved.values)
     ):
         i = next(
-            i for i in range(len(small))
+            i for i in range(rows)
             if layers.row(i).tolist() != sieved.row(i).tolist()
         )
         raise LedgerMismatch(
-            f"{f} at N={N}: p={small[i].p}: analytic layers "
+            f"{f} at N={N}: p={small.p[i]}: analytic layers "
             f"{tuple(layers.row(i).tolist())} != sieved "
             f"{tuple(sieved.row(i).tolist())}"
         )
 
     # each prime of the content: its layers first, then those of f/c
     if g is not f:
-        data = {d.p: d for d in small}
         for q, _ in primes.factorize(math.gcd(*f.coeffs), seed=seed):
-            d = data.get(q) or local_data(
-                g, modular.roots_mod_p(g, q, seed), N, cap, zeros
-            )
-            data[q] = dataclasses.replace(
-                d, layer_counts=content_layers(f, q, N - len(zeros)) + d.layer_counts
-            )
-        small = [data[q] for q in sorted(data) if data[q].layer_counts]
-        small_p, layers, roots = _columns(small)
+            data[q] = prime_data(f, q, N, zeros, seed)
+        data = {q: d for q, d in data.items() if d.layer_counts}
+        small = FactorLedger.from_entries(g, N, data, 0, prof)
 
     big_p, big_layers, big_hits = _group_large(
         *(np.concatenate(col) for col in zip(*large))
     )
-    no_roots = Csr(np.zeros(len(big_p) + 1, dtype=np.int64), roots.values[:0])
-    no_hits = Csr(np.zeros(len(small) + 1, dtype=np.int64), big_hits.values[:0])
+    no_roots = Csr(np.zeros(len(big_p) + 1, dtype=np.int64), small.roots.values[:0])
     return FactorLedger(
         f=f,
         N=N,
         skipped_zero_count=skipped,
         profile=prof,
-        p=_int_column(np.concatenate((small_p, big_p))),
-        layers=layers.concat(big_layers),
-        roots=roots.concat(no_roots),
-        hits=no_hits.concat(big_hits),
+        p=_int_column(np.concatenate((small.p, big_p))),
+        layers=small.layers.concat(big_layers),
+        roots=small.roots.concat(no_roots),
+        hits=small.hits.concat(big_hits),
     )

@@ -17,7 +17,6 @@ from lcmlab.analysis import (
     complete_homogeneous,
     divided_difference_A,
     harvest_divisibility_tuples,
-    prime_hits,
     refined_multiplicity_threshold,
     run_checks,
 )
@@ -73,6 +72,17 @@ class TestMultiplicityChecks:
     def test_refined_passes_at_moderate_N(self, ledger_factory, test_poly):
         report = check_refined_multiplicity(ledger_factory(test_poly, 500))
         assert report.status == "pass"
+
+    def test_naive_content_prime(self):
+        # the bound holds for f/c: 4099 and 101 divide every f(n), and
+        # 101^2 divides f(10) = 101 * 101
+        assert check_naive_multiplicity(
+            build_ledger(parse_poly("4099x^2+4099"), 300)
+        ).status == "pass"
+        led = build_ledger(parse_poly("101x^2+101"), 50)
+        assert led.entries[101].layer_counts == (50, 1)
+        assert led.without_content().entries[101].layer_counts == (1,)
+        assert check_naive_multiplicity(led).status == "pass"
 
     def test_not_applicable_on_empty_zone(self, ledger_factory):
         led = ledger_factory(F, 0)
@@ -177,7 +187,7 @@ class TestDivisibilityA:
         f = parse_poly("101x^2+101")
         led = build_ledger(f, 50)
         assert led.entries[101].roots == (10, 91)  # the roots of x^2+1
-        assert prime_hits(led, 101, 50) == [
+        assert led.prime_hits(101, 50) == [
             (n, trial_division(f.eval(n))[101]) for n in range(1, 51)
         ]
 

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from lcmlab import sieve
+from lcmlab import parse_poly, primes, sieve
 from lcmlab.cli import CSV_COLUMNS, build_parser, main
+
+from conftest import TEST_POLYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -233,6 +235,34 @@ class TestOtherCommands:
         )
         assert code == 0
         assert json.loads(out)["prime"] == 5
+
+    @pytest.mark.parametrize("command", ["verify", "oracle-check"])
+    def test_rho_timeout_exit_2(self, monkeypatch, capsys, command):
+        def timeout(c, seed=0):
+            raise primes.FactorTimeout(f"rho gave up on {c}")
+
+        # x^5-x+1 at N=30 leaves cofactors above B^2 = 180^2 for rho
+        monkeypatch.setattr(sieve, "factor_cofactor", timeout)
+        code, out, err = _run(capsys, command, "--poly", "x^5-x+1", "--n", "30")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: x^5-x+1 at N=30: ")
+        assert "FactorTimeout: rho gave up on" in lines[0]
+
+    @pytest.mark.parametrize("poly", [*TEST_POLYS, "2039x^2+2039", "24x^2+24x+48"])
+    def test_local_matches_ledger(self, ledger_factory, capsys, poly):
+        # p = 2, 3, the primes of the content and the least prime above D*N
+        N = 300
+        led = ledger_factory(parse_poly(poly), N)
+        content = math.gcd(*led.f.coeffs)
+        ps = {2, 3, *(q for q in led.entries if content % q == 0)}
+        ps.update(led.p[led.p > led.B][:1].tolist())
+        for p in sorted(ps):
+            code, out, _ = _run(
+                capsys, "local", "--poly", poly, "--p", str(p), "--n", str(N)
+            )
+            expected = led.entries[p].layer_counts if p in led.entries else ()
+            assert code == 0 and tuple(json.loads(out)["layer_counts"]) == expected, p
 
     def test_float_format_17_digits(self, tmp_path, capsys):
         out = tmp_path / "f.csv"

@@ -184,8 +184,8 @@ class TestProfile:
         assert len(red.rational_roots) == 2
 
     def test_rational_roots(self):
-        assert rational_roots(parse_poly("x^2+1")) == ()
-        roots = rational_roots(parse_poly("2x^3-x"))  # x(2x^2 - 1)
+        assert rational_roots(parse_poly("x^2+1"), -4) == ()
+        roots = rational_roots(parse_poly("2x^3-x"), 8)  # x(2x^2 - 1)
         assert [float(r) for r in roots] == [0.0]
         assert profile(parse_poly("x^2-1")).integer_roots_in_range(10) == (1,)
 
@@ -195,19 +195,20 @@ class TestProfile:
         f = parse_poly("x^2+1000000000000000003")
         assert profile(f).irreducible_hint == "proved"
         g = parse_poly("2x^3-3x^2+2000000000000000006x-3000000000000000009")
-        assert rational_roots(g) == (Fraction(3, 2),)  # (2x - 3)(x^2 + 10^18 + 3)
+        assert rational_roots(g, discriminant(g)) == (Fraction(3, 2),)  # (2x - 3)(x^2 + 10^18 + 3)
         p, q = 10**20 + 39, 10**20 + 129
-        assert rational_roots(IntPoly((p * q, 0, 1))) == ()
-        assert rational_roots(IntPoly((p * q, -p - q, 1))) == (p, q)
+        assert rational_roots(IntPoly((p * q, 0, 1)), -4 * p * q) == ()
+        assert rational_roots(IntPoly((p * q, -p - q, 1)), (p - q) ** 2) == (p, q)
 
     @given(split_polys())
     @settings(derandomize=True, max_examples=150, deadline=None)
     def test_rational_roots_match_divisor_test(self, f):
-        if discriminant(f) == 0:
+        disc = discriminant(f)
+        if disc == 0:
             with pytest.raises(ZeroDiscriminant):
-                rational_roots(f)
+                rational_roots(f, disc)
             return
-        assert rational_roots(f) == divisor_roots(f)
+        assert rational_roots(f, disc) == divisor_roots(f)
 
     def test_large_discriminant(self):
         # (x - 5000)^6 - (27011^5 + 1) has a 116-digit discriminant that

@@ -152,7 +152,7 @@ class TestBuildLedger:
     def test_zone_consistency_large_primes(self, ledger_factory, test_poly):
         d = test_poly.degree
         ledger = ledger_factory(test_poly, 300)
-        for p in ledger.primes_above(ledger.B):
+        for p in ledger.p[ledger.p > ledger.B].tolist():
             data = ledger.entries[p]
             assert data.hit_count <= d and data.max_exp <= d, (p, data)
 
@@ -209,7 +209,7 @@ class TestColumnarLedger:
         assert math.prod(
             p**d.max_exp for p, d in led.entries.items()
         ) == math.lcm(*values)
-        for p in led.primes_above(led.B):
+        for p in led.p[led.p > led.B].tolist():
             expected = []
             for n, v in enumerate(values, start=1):
                 e = 0
