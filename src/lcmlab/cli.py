@@ -91,6 +91,8 @@ SWEEP_FORMATS = {
 
 
 def _parse_schedule(args):
+    if args.n and args.n_geom:
+        raise ConfigError("give --n or --n-geom, not both")
     if args.n_geom:
         try:
             start, end, ratio = args.n_geom.split(":")
@@ -100,12 +102,15 @@ def _parse_schedule(args):
         if ratio <= 1 or start < 1:
             raise ConfigError("geometric schedule needs start >= 1, ratio > 1")
         schedule = []
-        x = float(start)
-        while round(x) <= end:
-            n = int(round(x))
-            if not schedule or n > schedule[-1]:
-                schedule.append(n)
-            x *= ratio
+        try:  # a nan or inf ratio, or a value past the float range
+            x = float(start)
+            while round(x) <= end:
+                n = int(round(x))
+                if not schedule or n > schedule[-1]:
+                    schedule.append(n)
+                x *= ratio
+        except (ValueError, OverflowError):
+            raise ConfigError(f"bad geometric schedule {args.n_geom!r}")
         if not schedule:
             raise ConfigError("empty schedule")
         return schedule
@@ -208,6 +213,8 @@ def cmd_verify(args):
         if args.checks == "all"
         else [s.strip() for s in args.checks.split(",") if s.strip()]
     )
+    if not names:
+        raise ConfigError(f"--checks {args.checks!r} names no check")
     try:
         reports = analysis.run_checks(
             f, args.n, names, seed=args.seed, workers=workers

@@ -1,24 +1,23 @@
 """Exact prime-exponent ledger of Q(N) = prod |f(n)|.
 
-The sieve bound is B = D*N. Three legs run on the primitive part f/c,
-c the content of f (the gcd of its coefficients), written f below:
+The sieve bound is B = D*N; c is the content of f (the gcd of its
+coefficients) and g = f/c its primitive part. Three legs run:
 
 - Leg 1: the layer counts b_k = #{n <= N : p^k | f(n)} of every prime
-  p <= B, by lifting the roots of f mod p (``local_data``).
-- Leg 2: |f(n)| for n in [1, N], one segment at a time in numpy columns
+  p <= B (``_block_data``). The layers of g are lifted from the roots of
+  g mod p (``local_data``). As v_p(c*g(n)) = v_p(c) + v_p(g(n)), a prime p
+  of c puts v_p(c) leading layers that count every n with f(n) != 0 in
+  front of them. Such a p is at most |f_d| < D, so it is a Leg 1 prime.
+- Leg 2: |g(n)| for n in [1, N], one segment at a time in numpy columns
   (int64 when ``value_bound`` is below 2^63, Python ints otherwise). Each
   level-1 progression n = r mod p is expanded into its hits and p is
-  divided out again and again, which gives every v_p(f(n)) exactly. The
-  layer vector counted from these valuations must equal Leg 1's for
-  every prime, or the build raises LedgerMismatch.
-- Leg 3: what remains of each |f(n)| has only prime factors above B. A
+  divided out again and again, which gives every v_p(g(n)) exactly. The
+  layer vector counted from these valuations must equal Leg 1's layers of
+  g for every prime, or the build raises LedgerMismatch.
+- Leg 3: what remains of each |g(n)| has only prime factors above B. A
   cofactor below B^2 is then prime; it must pass a base-2 Fermat test
   first, so that a prime Leg 1 missed cannot pass for one. Larger
   cofactors are split by rho.
-
-As v_p(c*g(n)) = v_p(c) + v_p(g(n)), each prime p of c then gets v_p(c)
-leading layers that count every n with f(n) != 0 (``prime_data``). Such a
-p is at most |f_d| < D, so it is a Leg 1 prime.
 
 A FactorLedger holds columns sorted by p; ``FactorLedger.entries`` reads
 them as a mapping p -> PrimeLocalData, and ``FactorLedger.prime_hits``
@@ -28,6 +27,8 @@ reads the hits of one prime. No other module reads the layout.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
@@ -310,20 +311,8 @@ def _content_exp(f: IntPoly, p):
 
 
 def prime_data(f: IntPoly, p, N, zeros, seed):
-    """Exact PrimeLocalData of f at one prime p.
-
-    The layers of f/c, c the content of f, are lifted from its roots mod p
-    (``local_data``). p^e divides every f(n) for e = v_p(c), so they follow
-    e leading layers b_1 = ... = b_e that count the n <= N with f(n) != 0;
-    ``zeros`` are the integer roots of f in [1, N].
-    """
-    g = primitive_part(f)
-    data = local_data(
-        g, modular.roots_mod_p(g, p, seed), N, polynomial.value_bound(g, N), zeros
-    )
-    live = N - len(zeros)
-    content = (live,) * _content_exp(f, p) if live > 0 else ()
-    return dataclasses.replace(data, layer_counts=content + data.layer_counts)
+    """Exact PrimeLocalData of f at one prime p: ``_block_data`` on (p,)."""
+    return next(_block_data(f.coeffs, (p,), N, zeros, seed))
 
 
 def primitive_part(f: IntPoly):
@@ -332,16 +321,27 @@ def primitive_part(f: IntPoly):
     return f if c == 1 else IntPoly(tuple(x // c for x in f.coeffs))
 
 
-def _local_block(args):
-    """PrimeLocalData of the primes of one block that divide Q(N)."""
-    coeffs, block, N, cap, seed, zeros = args
+def _block_data(coeffs, block, N, zeros, seed):
+    """Exact PrimeLocalData of f = IntPoly(coeffs) at each prime of
+    ``block``, in order: the layers of g = f/c lifted from the roots of g
+    mod p, after e = v_p(c) leading layers b_1 = ... = b_e that count the
+    n <= N with f(n) != 0. ``zeros`` are the integer roots of f in [1, N].
+    """
     f = IntPoly(coeffs)
-    out = []
-    for rs in modular.roots_mod_primes(f, block, seed):
-        data = local_data(f, rs, N, cap, zeros=zeros)
-        if data.alpha > 0:
-            out.append(data)
-    return out
+    g = primitive_part(f)
+    cap = polynomial.value_bound(g, N)
+    c, live = math.gcd(*coeffs), N - len(zeros)
+    for rs in modular.roots_mod_primes(g, block, seed):
+        data = local_data(g, rs, N, cap, zeros=zeros)
+        if c % rs.p == 0 and live > 0:
+            content = (live,) * _content_exp(f, rs.p)
+            data = dataclasses.replace(data, layer_counts=content + data.layer_counts)
+        yield data
+
+
+def _local_block(coeffs, block, N, zeros, seed):
+    """The PrimeLocalData of the primes of one block that divide Q(N)."""
+    return [d for d in _block_data(coeffs, block, N, zeros, seed) if d.layer_counts]
 
 
 def factor_cofactor(c, seed=0):
@@ -507,21 +507,18 @@ def build_ledger(f: IntPoly, N, seed=0, workers=1):
     cap = polynomial.value_bound(g, N)
     zeros = prof.integer_roots_in_range(N)
 
-    # Leg 1: analytic data of g for every prime <= B with a root, one block
-    # of primes per roots_mod_primes call.
-    prime_list = primes.sieve_primes(B)
-    size = modular.BLOCK_SIZE
-    blocks = [
-        (g.coeffs, prime_list[i : i + size], N, cap, seed, zeros)
-        for i in range(0, len(prime_list), size)
-    ]
+    # Leg 1: the data of f at every prime <= B that divides Q(N), one
+    # block of primes per roots_mod_primes call.
+    stream = primes.iter_primes(B)
+    blocks = iter(lambda: tuple(itertools.islice(stream, modular.BLOCK_SIZE)), ())
+    leg1 = functools.partial(_local_block, f.coeffs, N=N, zeros=zeros, seed=seed)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_local_block, blocks))
+            results = list(pool.map(leg1, blocks))
     else:
-        results = map(_local_block, blocks)
-    data = {d.p: d for block_result in results for d in block_result}
-    small = FactorLedger.from_entries(g, N, data, 0, prof)
+        results = map(leg1, blocks)
+    data = {d.p: d for block in results for d in block}
+    small = FactorLedger.from_entries(f, N, data, 0, prof)
     rows = len(small.p)
 
     # Legs 2 and 3 on g, one segment of n at a time.
@@ -542,7 +539,8 @@ def build_ledger(f: IntPoly, N, seed=0, workers=1):
         cofactors = _divide_segment(values, lo, prog, levels)
         large.append(_large_hits(f, N, B, cofactors, lo, seed))
 
-    layers, sieved = small.layers, Csr.from_levels(levels, rows)
+    layers = small.without_content().layers
+    sieved = Csr.from_levels(levels, rows)
     if not (
         np.array_equal(layers.offsets, sieved.offsets)
         and np.array_equal(layers.values, sieved.values)
@@ -556,13 +554,6 @@ def build_ledger(f: IntPoly, N, seed=0, workers=1):
             f"{tuple(layers.row(i).tolist())} != sieved "
             f"{tuple(sieved.row(i).tolist())}"
         )
-
-    # each prime of the content: its layers first, then those of f/c
-    if g is not f:
-        for q, _ in primes.factorize(math.gcd(*f.coeffs), seed=seed):
-            data[q] = prime_data(f, q, N, zeros, seed)
-        data = {q: d for q, d in data.items() if d.layer_counts}
-        small = FactorLedger.from_entries(g, N, data, 0, prof)
 
     big_p, big_layers, big_hits = _group_large(
         *(np.concatenate(col) for col in zip(*large))

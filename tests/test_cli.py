@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lcmlab import parse_poly, primes, sieve
+from lcmlab import analysis, parse_poly, primes, sieve
 from lcmlab.cli import CSV_COLUMNS, build_parser, main
 
 from conftest import TEST_POLYS
@@ -139,6 +139,20 @@ class TestSweep:
         code, _, _ = _run(capsys, "sweep", "--poly", "x^2+1", "--n", "10,5")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            (("--n", "7,9", "--n-geom", "10:20:2"), "not both"),
+            (("--n-geom", "1:10:nan"), "bad geometric schedule"),
+            (("--n-geom", "1:10:inf"), "bad geometric schedule"),
+            (("--n-geom", f"1:{10**400}:1e300"), "bad geometric schedule"),
+        ],
+    )
+    def test_bad_schedule_options_exit_1(self, capsys, schedule, message):
+        result = _run(capsys, "sweep", "--poly", "x^2+1", *schedule)
+        _assert_config_error(*result)
+        assert message in result[2]
+
 
 class TestVerify:
     def test_single_check_pass(self, capsys):
@@ -158,6 +172,18 @@ class TestVerify:
         )
         assert code == 1
         assert "naive_multiplicity" in err  # lists valid names
+
+    @pytest.mark.parametrize("checks", [",", ""])
+    def test_no_check_named_exit_1(self, monkeypatch, capsys, checks):
+        def no_build(*args, **kwargs):
+            raise AssertionError("ledger built")
+
+        monkeypatch.setattr(analysis, "build_ledger", no_build)
+        result = _run(
+            capsys, "verify", "--poly", "x^2+1", "--n", "50", "--checks", checks
+        )
+        _assert_config_error(*result)
+        assert "names no check" in result[2]
 
     def test_all_checks_seven_reports(self, capsys):
         code, out, _ = _run(

@@ -138,6 +138,10 @@ class TestBuildLedger:
         for size in (64, 1000, N):
             monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
             ledgers.append(build_ledger(test_poly, N))
+        # Leg 1 with the primes streamed in blocks of 1 and of 7
+        for size in (1, 7):
+            monkeypatch.setattr(modular, "BLOCK_SIZE", size)
+            ledgers.append(build_ledger(test_poly, N))
         base = {p: _entry_tuple(d) for p, d in ledgers[0].entries.items()}
         for led in ledgers[1:]:
             assert {p: _entry_tuple(d) for p, d in led.entries.items()} == base
@@ -262,8 +266,11 @@ class TestLegCrossCheck:
         with pytest.raises(LedgerMismatch, match="22632791"):
             build_ledger(f, 2000)
 
-    def test_layer_vector_checked(self, monkeypatch):
-        # (4, 1) -> (5,) keeps alpha = 5 at p = 5 for x^2+1, N = 10
+    @pytest.mark.parametrize("poly", ["x^2+1", "5x^2+5"])
+    def test_layer_vector_checked(self, monkeypatch, poly):
+        # (4, 1) -> (5,) keeps alpha = 5 at p = 5 for x^2+1, N = 10. For
+        # 5x^2+5 the stored row at p = 5 is the content layer (10,)
+        # followed by the corrupted layers of x^2+1.
         exact = sieve.local_data
 
         def wrong_layers(*args, **kwargs):
@@ -274,7 +281,7 @@ class TestLegCrossCheck:
 
         monkeypatch.setattr(sieve, "local_data", wrong_layers)
         with pytest.raises(LedgerMismatch, match="p=5: "):
-            build_ledger(F, 10)
+            build_ledger(parse_poly(poly), 10)
 
     def test_fermat_kernel_matches_pow(self):
         rng = random.Random(7)
