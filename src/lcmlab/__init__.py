@@ -36,7 +36,6 @@ from .sieve import (
     PrimeLocalData,
     build_ledger,
     factor_cofactor,
-    local_data,
 )
 
 __version__ = "0.1.0"

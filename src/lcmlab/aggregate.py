@@ -1,8 +1,8 @@
 """Scalar statistics derived from a FactorLedger.
 
 Zone decomposition (p <= N, N < p <= DN, p > DN), log of the LCM and its
-radical, conjecture ratios, and multi-N sweeps. All log-space sums use
-natural log with Kahan compensation.
+radical, conjecture ratios, and multi-N sweeps from one ledger pass. All
+log-space sums use natural log with Kahan compensation.
 """
 
 from __future__ import annotations
@@ -85,31 +85,33 @@ def summarize(ledger: sieve.FactorLedger) -> SweepRecord:
 
 
 def sweep(f: IntPoly, schedule, sink=None, seed=0, workers=1):
-    """One SweepRecord per N, each from a fresh ledger build.
+    """One SweepRecord per N of the strictly increasing ``schedule``, all
+    from one ledger pass up to its largest N (``sieve.iter_ledgers``).
 
-    Returns (records, gaps); an N whose cofactor factoring timed out
-    becomes a gap. Any other error, such as a LedgerMismatch, propagates
-    with a note naming f and N.
+    Each record goes to ``sink`` as soon as its N is passed; its
+    ``seconds`` is the time since the previous record, or since the start.
+    Returns (records, gaps). A rho timeout at some n ends the pass, and
+    every N >= n becomes a gap; any other error, such as a LedgerMismatch,
+    propagates with a note naming f and the N in progress.
     """
     schedule = list(schedule)
-    if any(b >= a for a, b in zip(schedule[1:], schedule)):
-        raise ValueError("schedule must be strictly increasing")
+    ledgers = sieve.iter_ledgers(f, schedule, seed=seed, workers=workers)
     records = []
     gaps = []
+    t0 = time.perf_counter()
     for N in schedule:
-        t0 = time.perf_counter()
         try:
-            ledger = sieve.build_ledger(f, N, seed=seed, workers=workers)
-            record = summarize(ledger)
+            record = summarize(next(ledgers))
         except primes.FactorTimeout as exc:
-            gaps.append((N, f"{type(exc).__name__}: {exc}"))
-            continue
+            error = f"{type(exc).__name__}: {exc}"
+            gaps = [(n, error) for n in schedule[len(records) :]]
+            break
         except Exception as exc:
             exc.add_note(f"while sweeping {f} at N={N}")
             raise
-        record = dataclasses.replace(record, seconds=time.perf_counter() - t0)
-        records.append(record)
+        t1 = time.perf_counter()
+        records.append(dataclasses.replace(record, seconds=t1 - t0))
+        t0 = t1
         if sink is not None:
-            sink(record)
+            sink(records[-1])
     return records, gaps
-

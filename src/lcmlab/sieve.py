@@ -1,31 +1,42 @@
 """Exact prime-exponent ledger of Q(N) = prod |f(n)|.
 
-The sieve bound is B = D*N; c is the content of f (the gcd of its
-coefficients) and g = f/c its primitive part. Three legs run:
+One pass (``iter_ledgers``) makes the ledger at every N of an increasing
+schedule; ``build_ledger(f, N)`` is the pass with the one checkpoint N.
+The sieve bound is B = D*N for the largest N; c is the content of f (the
+gcd of its coefficients) and g = f/c its primitive part. Three legs run:
 
-- Leg 1: the layer counts b_k = #{n <= N : p^k | f(n)} of every prime
-  p <= B (``_block_data``). The layers of g are lifted from the roots of
-  g mod p (``local_data``). As v_p(c*g(n)) = v_p(c) + v_p(g(n)), a prime p
-  of c puts v_p(c) leading layers that count every n with f(n) != 0 in
-  front of them. Such a p is at most |f_d| < D, so it is a Leg 1 prime.
-- Leg 2: |g(n)| for n in [1, N], one segment at a time in numpy columns
-  (int64 when ``value_bound`` is below 2^63, Python ints otherwise). Each
-  level-1 progression n = r mod p is expanded into its hits and p is
-  divided out again and again, which gives every v_p(g(n)) exactly. The
-  layer vector counted from these valuations must equal Leg 1's layers of
-  g for every prime, or the build raises LedgerMismatch.
+- Leg 1: every prime p <= B, in blocks of streamed primes
+  (``_prime_columns``), as ``PrimeColumns``: the roots of g mod p and the
+  progressions n = r mod p^k of the roots lifted while some n <= N is in
+  one. The layer counts b_k = #{n <= N_i : p^k | f(n) != 0} at any
+  checkpoint N_i are vectorised counts of these progressions. As
+  v_p(c*g(n)) = v_p(c) + v_p(g(n)), a prime p of c puts v_p(c) leading
+  layers that count every n with f(n) != 0 in front of them. Such a p is
+  at most |f_d| < D, so it is a Leg 1 prime.
+- Leg 2: |g(n)| for n = 1, 2, ..., one segment at a time in numpy columns
+  (int64 when ``value_bound`` is below 2^63, Python ints otherwise);
+  segments end at each checkpoint. Each level-1 progression n = r mod p
+  is expanded into its hits and p is divided out again and again, which
+  gives every v_p(g(n)) exactly. At each checkpoint the layer vector
+  counted from these valuations must equal Leg 1's layers of g for every
+  prime, or the pass raises LedgerMismatch naming that N.
 - Leg 3: what remains of each |g(n)| has only prime factors above B. A
   cofactor below B^2 is then prime; it must pass a base-2 Fermat test
   first, so that a prime Leg 1 missed cannot pass for one. Larger
-  cofactors are split by rho.
+  cofactors are split by rho. The hits of such primes up to a checkpoint
+  are those read so far.
 
-A FactorLedger holds columns sorted by p; ``FactorLedger.entries`` reads
-them as a mapping p -> PrimeLocalData, and ``FactorLedger.prime_hits``
-reads the hits of one prime. No other module reads the layout.
+The ledger at checkpoint N_i equals a pass to N_i alone: a Leg 1 prime in
+(D*N_i, B] holds its hits n <= N_i, read off the lifted roots, in place of
+its roots. A FactorLedger holds columns sorted by p;
+``FactorLedger.entries`` reads them as a mapping p -> PrimeLocalData, and
+``FactorLedger.prime_hits`` reads the hits of one prime. No other module
+reads the layout.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -37,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modular, primes, polynomial
-from .modular import RootSet, count_progression, lift_roots
+from .modular import count_progression, lift_roots
 from .polynomial import IntPoly, PolyProfile
 
 
@@ -132,6 +143,18 @@ class Csr:
             np.concatenate((self.offsets, other.offsets[1:] + self.offsets[-1])),
             np.concatenate((self.values, other.values)),
         )
+
+    def take(self, rows):
+        """The table of the rows the boolean mask ``rows`` selects."""
+        lengths = self.lengths()
+        return Csr(
+            np.concatenate(([0], np.cumsum(lengths[rows]))),
+            self.values[np.repeat(rows, lengths)],
+        )
+
+    def empty_rows(self, rows):
+        """A table of ``rows`` empty rows with values like self's."""
+        return Csr(np.zeros(rows + 1, dtype=np.int64), self.values[:0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,29 +301,6 @@ class LedgerEntries(Mapping):
         return len(self._ledger.p)
 
 
-def local_data(f: IntPoly, level1: RootSet, N, cap, zeros=()):
-    """Exact PrimeLocalData for one prime p <= B via root lifting from
-    ``level1``, the roots of f mod p.
-
-    ``cap`` bounds every nonzero |f(n)|, n <= N (``value_bound``), so no
-    p^k above it divides one and lifting stops there. ``zeros`` are the
-    integer roots of f in [1, N] (nonempty only for reducible f); the n
-    with f(n) = 0 are excluded from every layer.
-    """
-    p = level1.p
-    rs = level1
-    layers = []
-    while rs.roots:
-        cnt = sum(count_progression(r, p**rs.k, N) for r in rs.roots) - len(zeros)
-        if cnt <= 0:
-            break
-        layers.append(cnt)
-        if p ** (rs.k + 1) > cap:
-            break
-        rs = lift_roots(f, rs)
-    return PrimeLocalData(p=p, layer_counts=tuple(layers), roots=level1.roots)
-
-
 def _content_exp(f: IntPoly, p):
     """v_p(c) for the content c of f."""
     c, e = math.gcd(*f.coeffs), 0
@@ -310,38 +310,164 @@ def _content_exp(f: IntPoly, p):
     return e
 
 
-def prime_data(f: IntPoly, p, N, zeros, seed):
-    """Exact PrimeLocalData of f at one prime p: ``_block_data`` on (p,)."""
-    return next(_block_data(f.coeffs, (p,), N, zeros, seed))
-
-
 def primitive_part(f: IntPoly):
     """f divided by its content."""
     c = math.gcd(*f.coeffs)
     return f if c == 1 else IntPoly(tuple(x // c for x in f.coeffs))
 
 
-def _block_data(coeffs, block, N, zeros, seed):
-    """Exact PrimeLocalData of f = IntPoly(coeffs) at each prime of
-    ``block``, in order: the layers of g = f/c lifted from the roots of g
-    mod p, after e = v_p(c) leading layers b_1 = ... = b_e that count the
-    n <= N with f(n) != 0. ``zeros`` are the integer roots of f in [1, N].
+@dataclass(frozen=True, eq=False)
+class PrimeColumns:
+    """Leg 1's data of f up to some N at primes up to the sieve bound: row i
+    belongs to the prime p[i], and ``roots`` holds its level-1 roots of
+    g = f/c.
+
+    Layer k of a row is a run of progressions, entry j adding the n with
+    n = r[j] mod m[j]: one per root of g mod p^k, after v_p(c) content
+    layers of the one progression 0 mod 1, which is the only m = 1. So at
+    any n_max <= N, b_k = #{n <= n_max : p^k | f(n) != 0} is the sum of its
+    progressions' counts less the integer zeros of f up to n_max. A modulus
+    above N is stored as N + 1 and a residue above N as 0, which changes
+    no such count and keeps the columns int64.
+    """
+
+    p: np.ndarray  # int64, or object when a prime is >= 2^63
+    roots: Csr
+    row: np.ndarray  # per progression, all int64, in (row, level) order
+    level: np.ndarray
+    r: np.ndarray
+    m: np.ndarray
+
+    @classmethod
+    def concat(cls, parts):
+        """The rows of ``parts``, blocks of ascending primes, in order."""
+        parts = list(parts)
+        shift = np.cumsum([0] + [len(c.p) for c in parts])
+        per_row = [c.roots.lengths() for c in parts]
+
+        def column(values):
+            return np.concatenate([np.zeros(0, np.int64), *values])
+
+        return cls(
+            p=_int_column(column(c.p for c in parts)),
+            roots=Csr(
+                np.concatenate(([0], np.cumsum(column(per_row)))),
+                _int_column(column(c.roots.values for c in parts)),
+            ),
+            row=column(c.row + s for c, s in zip(parts, shift)),
+            level=column(c.level for c in parts),
+            r=column(c.r for c in parts),
+            m=column(c.m for c in parts),
+        )
+
+    def layers(self, n_max, nzeros):
+        """The layer tables at n_max <= N, of f and of g, for ``nzeros``
+        integer zeros of f in [1, n_max]."""
+        count = (n_max - self.r) // self.m + (self.r > 0)
+        new = np.ones(len(count), dtype=bool)
+        new[1:] = (np.diff(self.row) != 0) | (np.diff(self.level) != 0)
+        starts = np.flatnonzero(new)
+        b = np.maximum(np.add.reduceat(count, starts) - nzeros, 0)
+        row = self.row[starts]
+        g = self.m[starts] > 1
+        return self._table(b, row), self._table(b[g], row[g])
+
+    def _table(self, b, row):
+        """The layer table of the layer counts b of rows ``row``; every row
+        is nonincreasing, so its positive counts are a prefix."""
+        keep = b > 0
+        offsets = np.zeros(len(self.p) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row[keep], minlength=len(self.p)), out=offsets[1:])
+        return Csr(offsets, b[keep])
+
+    def hits(self, rows, n_max, zeros):
+        """The hit table of the rows the mask ``rows`` selects, whose primes
+        all exceed n_max: n <= n_max lies in a progression of layer k only
+        as its residue, so v_p(f(n)) is the number of layers with residue
+        n. ``zeros`` are the integer zeros of f, which are no hits."""
+        at = rows[self.row] & (self.r > 0) & (self.r <= n_max)
+        at &= ~np.isin(self.r, zeros)
+        row, n = self.row[at], self.r[at]
+        order = np.lexsort((n, row))
+        row, n = row[order], n[order]
+        new = np.ones(len(n), dtype=bool)
+        new[1:] = (row[1:] != row[:-1]) | (n[1:] != n[:-1])
+        starts = np.flatnonzero(new)
+        v = np.diff(np.append(starts, len(n)))
+        offsets = np.concatenate(
+            ([0], np.cumsum(np.bincount(row[starts], minlength=len(self.p))[rows]))
+        )
+        return Csr(offsets, np.stack((n[starts], v), axis=1))
+
+
+def _prime_columns(coeffs, block, N, zeros, seed):
+    """Leg 1: the PrimeColumns of f = IntPoly(coeffs) at the primes of
+    ``block`` that have a root of g = f/c or divide c. ``zeros`` are the
+    integer roots of f in [1, N].
+
+    A prime of c first gets e = v_p(c) content layers. The roots of g mod
+    p^k are lifted (Hensel) while some n <= N with g(n) != 0 lies in one of
+    their progressions and p^k is at most ``value_bound(g, N)``, which
+    bounds every nonzero |g(n)|.
     """
     f = IntPoly(coeffs)
     g = primitive_part(f)
     cap = polynomial.value_bound(g, N)
     c, live = math.gcd(*coeffs), N - len(zeros)
+    ps, roots, progs = [], [], []
     for rs in modular.roots_mod_primes(g, block, seed):
-        data = local_data(g, rs, N, cap, zeros=zeros)
-        if c % rs.p == 0 and live > 0:
-            content = (live,) * _content_exp(f, rs.p)
-            data = dataclasses.replace(data, layer_counts=content + data.layer_counts)
-        yield data
+        e = _content_exp(f, rs.p) if c % rs.p == 0 and live > 0 else 0
+        if not (rs.roots or e):
+            continue
+        row = len(ps)
+        ps.append(rs.p)
+        roots.append(rs.roots)
+        progs += [(row, k, 0, 1) for k in range(1, e + 1)]
+        while rs.roots:
+            pk = rs.p**rs.k
+            if sum(count_progression(r, pk, N) for r in rs.roots) <= len(zeros):
+                break
+            m = min(pk, N + 1)
+            progs += [(row, e + rs.k, r if r <= N else 0, m) for r in rs.roots]
+            if pk * rs.p > cap:
+                break
+            rs = lift_roots(g, rs)
+    cols = np.array(progs, dtype=np.int64).reshape(-1, 4).T
+    return PrimeColumns(_int_column(ps), Csr.from_rows(roots), *cols)
 
 
-def _local_block(coeffs, block, N, zeros, seed):
-    """The PrimeLocalData of the primes of one block that divide Q(N)."""
-    return [d for d in _block_data(coeffs, block, N, zeros, seed) if d.layer_counts]
+def prime_data(f: IntPoly, p, N, zeros, seed):
+    """Exact PrimeLocalData of f at one prime p: Leg 1 on the block (p,)."""
+    cols = _prime_columns(f.coeffs, (p,), N, zeros, seed)
+    if not len(cols.p):
+        return PrimeLocalData(p=p, layer_counts=(), roots=())
+    layers, _ = cols.layers(N, len(zeros))
+    return PrimeLocalData(
+        p=p,
+        layer_counts=tuple(layers.row(0).tolist()),
+        roots=tuple(cols.roots.row(0).tolist()),
+    )
+
+
+def _leg1(coeffs, B, N, zeros, seed, workers):
+    """The PrimeColumns of each block of ``modular.BLOCK_SIZE`` primes
+    <= B, in order. With workers > 1 the blocks run in a process pool, at
+    most 2 * workers of them at once, so the primes are read as the
+    results are taken."""
+    stream = primes.iter_primes(B)
+    blocks = iter(lambda: tuple(itertools.islice(stream, modular.BLOCK_SIZE)), ())
+    run = functools.partial(_prime_columns, coeffs, N=N, zeros=zeros, seed=seed)
+    if workers == 1:
+        yield from map(run, blocks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = collections.deque()
+        for block in blocks:
+            pending.append(pool.submit(run, block))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def factor_cofactor(c, seed=0):
@@ -500,72 +626,99 @@ def _group_large(q, n, e):
 
 
 def build_ledger(f: IntPoly, N, seed=0, workers=1):
-    """The exact FactorLedger of Q(N), sieved up to B = D*N."""
+    """The exact FactorLedger of Q(N), sieved up to B = D*N: the pass of
+    ``iter_ledgers`` with the one checkpoint N."""
+    (ledger,) = iter_ledgers(f, [N], seed=seed, workers=workers)
+    return ledger
+
+
+def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
+    """Yield build_ledger(f, N) for each N of the strictly increasing
+    ``schedule``, from one pass sieved up to B = D*N for its largest N.
+
+    Leg 1 runs once. Legs 2 and 3 walk n upward in segments that end at
+    each checkpoint, where the ledger of that N is made and yielded before
+    any larger n is read. A rho timeout at n thus ends the pass after the
+    ledgers of every N < n.
+    """
+    schedule = list(schedule)
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    if not schedule:
+        return
+    N = schedule[-1]
     prof = polynomial.profile(f)
     B = prof.D * N
     g = primitive_part(f)
-    cap = polynomial.value_bound(g, N)
     zeros = prof.integer_roots_in_range(N)
+    cols = PrimeColumns.concat(_leg1(f.coeffs, B, N, zeros, seed, workers))
 
-    # Leg 1: the data of f at every prime <= B that divides Q(N), one
-    # block of primes per roots_mod_primes call.
-    stream = primes.iter_primes(B)
-    blocks = iter(lambda: tuple(itertools.islice(stream, modular.BLOCK_SIZE)), ())
-    leg1 = functools.partial(_local_block, f.coeffs, N=N, zeros=zeros, seed=seed)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(leg1, blocks))
-    else:
-        results = map(leg1, blocks)
-    data = {d.p: d for block in results for d in block}
-    small = FactorLedger.from_entries(f, N, data, 0, prof)
-    rows = len(small.p)
-
-    # Legs 2 and 3 on g, one segment of n at a time.
-    dtype = np.int64 if cap < _INT64_LIMIT else object
-    per_root = small.roots.lengths()
+    dtype = np.int64 if polynomial.value_bound(g, N) < _INT64_LIMIT else object
+    rows = len(cols.p)
+    per_root = cols.roots.lengths()
     prog = (
-        np.repeat(small.p, per_root),
-        small.roots.values,
+        np.repeat(cols.p, per_root),
+        cols.roots.values,
         np.repeat(np.arange(rows), per_root),
     )
     levels = [np.zeros(rows, dtype=np.int64)]
     no_hit = np.zeros(0, np.int64)
     large = [(np.zeros(0, dtype=dtype), no_hit, no_hit)]
     skipped = 0
-    for lo in range(1, N + 1, SEGMENT_SIZE):
-        values = _abs_values(g, lo, min(lo + SEGMENT_SIZE - 1, N), dtype)
-        skipped += int(np.count_nonzero(values == 0))
-        cofactors = _divide_segment(values, lo, prog, levels)
-        large.append(_large_hits(f, N, B, cofactors, lo, seed))
+    lo = 1
+    for n_max in schedule:
+        while lo <= n_max:
+            hi = min(lo + SEGMENT_SIZE - 1, n_max)
+            values = _abs_values(g, lo, hi, dtype)
+            skipped += int(np.count_nonzero(values == 0))
+            cofactors = _divide_segment(values, lo, prog, levels)
+            large.append(_large_hits(f, n_max, B, cofactors, lo, seed))
+            lo = hi + 1
+        yield _checkpoint(
+            f, n_max, prof, cols, Csr.from_levels(levels, rows), large, skipped
+        )
 
-    layers = small.without_content().layers
-    sieved = Csr.from_levels(levels, rows)
+
+def _checkpoint(f, N, prof, cols, sieved, large, skipped):
+    """The FactorLedger of Q(N) at a checkpoint of a pass, once every n <= N
+    is sieved. ``sieved`` holds the layers of g Leg 2 counted for each row
+    of the PrimeColumns ``cols``, and ``large`` Leg 3's (q, n, e) hits.
+
+    Leg 1's layers of g must equal ``sieved`` at every row. A row's prime
+    up to D*N keeps its level-1 roots; above D*N it has its hits, like a
+    prime that Leg 3 found.
+    """
+    zeros = prof.integer_roots_in_range(N)
+    layers, g_layers = cols.layers(N, len(zeros))
     if not (
-        np.array_equal(layers.offsets, sieved.offsets)
-        and np.array_equal(layers.values, sieved.values)
+        np.array_equal(g_layers.offsets, sieved.offsets)
+        and np.array_equal(g_layers.values, sieved.values)
     ):
         i = next(
-            i for i in range(rows)
-            if layers.row(i).tolist() != sieved.row(i).tolist()
+            i for i in range(len(cols.p))
+            if g_layers.row(i).tolist() != sieved.row(i).tolist()
         )
         raise LedgerMismatch(
-            f"{f} at N={N}: p={small.p[i]}: analytic layers "
-            f"{tuple(layers.row(i).tolist())} != sieved "
+            f"{f} at N={N}: p={cols.p[i]}: analytic layers "
+            f"{tuple(g_layers.row(i).tolist())} != sieved "
             f"{tuple(sieved.row(i).tolist())}"
         )
 
+    live = layers.lengths() > 0
+    small = live & (cols.p <= prof.D * N)
+    above = live & ~small
     big_p, big_layers, big_hits = _group_large(
         *(np.concatenate(col) for col in zip(*large))
     )
-    no_roots = Csr(np.zeros(len(big_p) + 1, dtype=np.int64), small.roots.values[:0])
+    roots = cols.roots.take(small)
+    hits = cols.hits(above, N, zeros)
     return FactorLedger(
         f=f,
         N=N,
         skipped_zero_count=skipped,
         profile=prof,
-        p=_int_column(np.concatenate((small.p, big_p))),
-        layers=small.layers.concat(big_layers),
-        roots=small.roots.concat(no_roots),
-        hits=small.hits.concat(big_hits),
+        p=_int_column(np.concatenate((cols.p[live], big_p))),
+        layers=layers.take(live).concat(big_layers),
+        roots=roots.concat(roots.empty_rows(np.count_nonzero(above) + len(big_p))),
+        hits=big_hits.empty_rows(np.count_nonzero(small)).concat(hits).concat(big_hits),
     )

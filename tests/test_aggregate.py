@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -79,24 +80,49 @@ class TestSweep:
         assert seen == [5, 10, 20]
 
     def test_factor_timeout_is_a_gap(self, monkeypatch):
-        build = sieve.build_ledger
+        # rho is called on the cofactor 1048561 of f(16) alone in the pass;
+        # a timeout there ends it after the records of N = 10 and 15
+        f = parse_poly("x^5-x+1")
+        factor = sieve.factor_cofactor
 
-        def timeout_at_10(f, N, **kwargs):
-            if N == 10:
+        def timeout_at_16(c, seed=0):
+            if f.eval(16) % c == 0:
                 raise FactorTimeout("rho gave up")
-            return build(f, N, **kwargs)
+            return factor(c, seed=seed)
 
-        monkeypatch.setattr(sieve, "build_ledger", timeout_at_10)
-        records, gaps = sweep(F, [5, 10, 20])
-        assert [r.N for r in records] == [5, 20]
-        assert gaps == [(10, "FactorTimeout: rho gave up")]
+        monkeypatch.setattr(sieve, "factor_cofactor", timeout_at_16)
+        seen = []
+        records, gaps = sweep(f, [10, 15, 16, 30], sink=lambda r: seen.append(r.N))
+        assert [r.N for r in records] == seen == [10, 15]
+        assert gaps == [(N, "FactorTimeout: rho gave up") for N in (16, 30)]
+        for rec in records:
+            assert rec == dataclasses.replace(
+                summarize(sieve.build_ledger(f, rec.N)), seconds=rec.seconds
+            )
 
     def test_ledger_mismatch_propagates(self, monkeypatch):
-        def mismatch(f, N, **kwargs):
+        def mismatch(*args):
             raise sieve.LedgerMismatch("p=5: analytic alpha 3 != sieved 2")
 
-        monkeypatch.setattr(sieve, "build_ledger", mismatch)
+        monkeypatch.setattr(sieve, "_checkpoint", mismatch)
         with pytest.raises(sieve.LedgerMismatch) as info:
             sweep(F, [5, 10])
         assert info.value.__notes__ == ["while sweeping x^2+1 at N=5"]
 
+    def test_mismatch_at_small_checkpoint(self, monkeypatch):
+        # one Leg 1 count is off at N = 10 only; the pass stops there
+        layers = sieve.PrimeColumns.layers
+
+        def off_at_10(cols, n_max, nzeros):
+            full, g = layers(cols, n_max, nzeros)
+            if n_max == 10:
+                g.values[0] += 1
+            return full, g
+
+        monkeypatch.setattr(sieve.PrimeColumns, "layers", off_at_10)
+        seen = []
+        message = r"x\^2\+1 at N=10: p=2: "
+        with pytest.raises(sieve.LedgerMismatch, match=message) as info:
+            sweep(F, [5, 10, 100], sink=lambda r: seen.append(r.N))
+        assert info.value.__notes__ == ["while sweeping x^2+1 at N=10"]
+        assert seen == [5]

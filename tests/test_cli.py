@@ -52,10 +52,10 @@ class TestSweep:
         assert ratios[0] < ratios[1] < ratios[2]
 
     def test_ledger_mismatch_exit_1(self, monkeypatch, capsys):
-        def mismatch(f, N, **kwargs):
+        def mismatch(*args):
             raise sieve.LedgerMismatch("p=5: analytic alpha 3 != sieved 2")
 
-        monkeypatch.setattr(sieve, "build_ledger", mismatch)
+        monkeypatch.setattr(sieve, "_checkpoint", mismatch)
         code, _, err = _run(capsys, "sweep", "--poly", "x^2+1", "--n", "10,20")
         assert code == 1
         assert "p=5: analytic alpha 3 != sieved 2" in err

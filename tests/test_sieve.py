@@ -13,7 +13,7 @@ from lcmlab.modular import roots_mod_p
 from lcmlab.oracle import log_big, naive_run
 from lcmlab.polynomial import IntPoly, discriminant, parse_poly, value_bound
 from lcmlab.primes import FactorTimeout, factorize, is_probable_prime
-from lcmlab.sieve import LedgerMismatch, build_ledger, factor_cofactor, local_data
+from lcmlab.sieve import LedgerMismatch, build_ledger, factor_cofactor, prime_data
 
 from conftest import TEST_POLYS
 
@@ -47,16 +47,16 @@ def oracle_cases(draw):
 
 class TestLocalData:
     def test_example_p5(self):
-        d = local_data(F, roots_mod_p(F, 5), 10, value_bound(F, 10))
+        d = prime_data(F, 5, 10, (), 0)
         assert (d.alpha, d.max_exp, d.hit_count) == (5, 2, 4)
         assert d.layer_counts == (4, 1)
 
     def test_example_rho_zero(self):
-        d = local_data(F, roots_mod_p(F, 3), 100, value_bound(F, 100))
+        d = prime_data(F, 3, 100, (), 0)
         assert (d.alpha, d.max_exp, d.hit_count) == (0, 0, 0)
 
     def test_example_single_large_hit(self):
-        d = local_data(F, roots_mod_p(F, 101), 10, value_bound(F, 10))
+        d = prime_data(F, 101, 10, (), 0)
         assert (d.alpha, d.max_exp, d.hit_count) == (1, 1, 1)
 
     def test_maximum_between_critical_points(self):
@@ -68,7 +68,7 @@ class TestLocalData:
         coeffs[0] -= q**5 + 1
         f = IntPoly(tuple(coeffs))
         assert f.eval(5001) == f.eval(4999) == -(q**5)
-        d = local_data(f, roots_mod_p(f, q), N, value_bound(f, N))
+        d = prime_data(f, q, N, (), 0)
         assert d.roots == (4999, 5001)
         assert d.layer_counts == (2, 2, 2, 2, 2)
 
@@ -198,6 +198,76 @@ class TestBuildLedger:
         assert abs(from_ledger - direct) <= 1e-9 * abs(direct)
 
 
+@st.composite
+def schedule_cases(draw):
+    """(f, schedule): f of degree 2 to 4 with content up to 3 and, in about
+    a third of the cases, an integer zero; the schedule is one point, or
+    increasing with, in about half of the cases, some adjacent N and N + 1."""
+    d = draw(st.integers(2, 4))
+    zero = draw(st.one_of(st.none(), st.none(), st.integers(1, 60)))
+    k = d if zero is None else d - 1
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k))
+    coeffs.append(draw(st.integers(-12, 12).filter(bool)))
+    if zero is not None:
+        coeffs = [a - zero * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    content = draw(st.sampled_from([1, 1, 2, 3]))
+    points = draw(st.lists(st.integers(1, 300), min_size=1, max_size=5, unique=True))
+    if draw(st.booleans()):
+        points += [n + 1 for n in points]
+    return IntPoly(tuple(content * c for c in coeffs)), sorted(set(points))
+
+
+class TestCheckpointPass:
+    """iter_ledgers makes every checkpoint's ledger in one pass."""
+
+    @given(schedule_cases())
+    @example((parse_poly("x^2+1"), [5]))
+    @example((parse_poly("x^2+1"), [1, 2, 5, 6]))  # 17 | f(4): above B at N = 5
+    @example((parse_poly("6*x^3-6*x"), [1, 2, 3, 4]))  # content 6, zero at 1
+    @example((parse_poly("x^2-1"), [1, 2, 20]))  # every value zero at N = 1
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_checkpoints_equal_builds(self, case):
+        f, schedule = case
+        assume(discriminant(f) != 0)
+        ledgers = list(sieve.iter_ledgers(f, schedule))
+        assert [led.N for led in ledgers] == schedule
+        for led in ledgers:
+            single = build_ledger(f, led.N)
+            assert dict(led.entries) == dict(single.entries), (f, led.N)
+            assert led.skipped_zero_count == single.skipped_zero_count
+            assert summarize(led) == summarize(single)
+
+    def test_oracle_at_every_checkpoint(self):
+        f = parse_poly("x^2+x+1")
+        schedule = [1, 2, 999, 1000, 2500, 10000]
+        for led in sieve.iter_ledgers(f, schedule):
+            ora = naive_run(f, led.N)
+            assert {p: _entry_tuple(d) for p, d in led.entries.items()} == {
+                p: _entry_tuple(d) for p, d in ora.ledger.entries.items()
+            }, led.N
+
+    def test_leg1_streams_primes(self, monkeypatch):
+        # with 2 workers at most 4 blocks are in flight, so the first
+        # block's result arrives after 4 of the 379 blocks were read
+        read = []
+        stream = primes.iter_primes
+
+        def counted(limit):
+            for p in stream(limit):
+                read.append(p)
+                yield p
+
+        monkeypatch.setattr(primes, "iter_primes", counted)
+        monkeypatch.setattr(modular, "BLOCK_SIZE", 16)
+        N = 20000
+        blocks = sieve._leg1(F.coeffs, 3 * N, N, (), 0, workers=2)
+        first = next(blocks)
+        assert len(read) == 4 * 16
+        cols = sieve.PrimeColumns.concat([first, *blocks])
+        assert len(read) == 6057  # the primes up to B = 60000
+        assert cols.p.tolist() == [p for p in read if p == 2 or p % 4 == 1]
+
+
 class TestColumnarLedger:
     def test_object_columns(self):
         # value_bound >= 2^63, so Legs 2 and 3 run in Python-int columns
@@ -268,18 +338,20 @@ class TestLegCrossCheck:
 
     @pytest.mark.parametrize("poly", ["x^2+1", "5x^2+5"])
     def test_layer_vector_checked(self, monkeypatch, poly):
-        # (4, 1) -> (5,) keeps alpha = 5 at p = 5 for x^2+1, N = 10. For
-        # 5x^2+5 the stored row at p = 5 is the content layer (10,)
-        # followed by the corrupted layers of x^2+1.
-        exact = sieve.local_data
+        # Leg 1's last layer at p = 5 is moved down one level: the
+        # progressions 7 mod 25 and 18 mod 25 of x^2+1 then count in b_1,
+        # and (4, 1) -> (5,) keeps alpha = 5 at N = 10. For 5x^2+5 the row
+        # at p = 5 starts with the content layer (10,), and its layers of
+        # x^2+1 become (5,) in the same way.
+        exact = sieve._prime_columns
 
         def wrong_layers(*args, **kwargs):
-            data = exact(*args, **kwargs)
-            if data.layer_counts == (4, 1):
-                return dataclasses.replace(data, layer_counts=(5,))
-            return data
+            cols = exact(*args, **kwargs)
+            at = cols.p[cols.row] == 5
+            last = at & (cols.level == cols.level[at].max(initial=0))
+            return dataclasses.replace(cols, level=cols.level - last)
 
-        monkeypatch.setattr(sieve, "local_data", wrong_layers)
+        monkeypatch.setattr(sieve, "_prime_columns", wrong_layers)
         with pytest.raises(LedgerMismatch, match="p=5: "):
             build_ledger(parse_poly(poly), 10)
 
