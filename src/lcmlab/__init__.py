@@ -19,7 +19,6 @@ from .analysis import (
     divided_difference_A,
     run_checks,
 )
-from .modular import RootSet, count_progression, lift_roots, roots_mod_p
 from .oracle import OracleResult, naive_run
 from .polynomial import (
     IntPoly,
@@ -35,7 +34,6 @@ from .sieve import (
     LedgerMismatch,
     PrimeLocalData,
     build_ledger,
-    factor_cofactor,
 )
 
 __version__ = "0.1.0"

@@ -113,7 +113,7 @@ def refined_multiplicity_threshold(ledger: FactorLedger):
     to that N are read off the ledger, so nothing is factored again.
     """
     d = ledger.f.degree
-    D = ledger.profile.D
+    D = ledger.f.profile.D
     worst = 0
     # a violation needs two hits, or one hit with v_p(f(n)) >= d
     maybe = (ledger.p > D) & ((ledger.hit_count >= 2) | (ledger.max_exp >= d))
@@ -140,7 +140,7 @@ def check_hensel_formula(ledger: FactorLedger) -> VerificationReport:
     )
     if N < 2:
         return _finish(report, applicable=False)
-    disc = ledger.profile.disc
+    disc = ledger.f.profile.disc
     devs = []
     ram_stats = {}
     upto = ledger.p <= N
@@ -253,13 +253,12 @@ def check_divided_difference(
             divided_difference_A(f, points)
         except NonIntegral as exc:
             report.violations.append((tuple(points), "non-integral", str(exc), 0))
-    irreducible = ledger.profile.irreducible_hint in ("proved", "assumed")
     harvested = harvest_divisibility_tuples(ledger, above="DN")
     for p, i, combo in harvested:
         A = divided_difference_A(f, list(combo))
         if A % p**i != 0:
             report.violations.append((combo, f"p^{i} | A", A, p**i))
-        if irreducible and A == 0:
+        if f.profile.irreducible and A == 0:
             report.violations.append((combo, "A != 0", 0, "nonzero"))
     report.empirical_constants["harvested_tuples"] = len(harvested)
     return _finish(report)

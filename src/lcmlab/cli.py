@@ -147,25 +147,19 @@ def _resolve_workers(args):
 
 
 def _load_poly(args):
-    """The parsed --poly and its profile; degree < 2 or a zero
-    discriminant is a ConfigError, and a reducible or uncertified f draws a
-    warning."""
+    """The parsed --poly, profiled; degree < 2 or a zero discriminant is a
+    ConfigError, and a reducible f draws a warning."""
     try:
         f = polynomial.parse_poly(args.poly)
-        prof = polynomial.profile(f)
+        irreducible = f.profile.irreducible
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if prof.rational_roots:
+    if not irreducible:
         print(
             "warning: reducible: conjecture ratios not meaningful",
             file=sys.stderr,
         )
-    elif prof.irreducible_hint == "assumed":
-        print(
-            "warning: irreducibility not certified; assuming it",
-            file=sys.stderr,
-        )
-    return f, prof
+    return f
 
 
 def _open_sink(path):
@@ -175,7 +169,7 @@ def _open_sink(path):
 
 
 def cmd_sweep(args):
-    f, _ = _load_poly(args)
+    f = _load_poly(args)
     schedule = _parse_schedule(args)
     workers = _resolve_workers(args)
     banner = (
@@ -205,7 +199,7 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    f, _ = _load_poly(args)
+    f = _load_poly(args)
     _check_n(args.n)
     workers = _resolve_workers(args)
     names = (
@@ -238,12 +232,12 @@ def cmd_verify(args):
 
 
 def cmd_local(args):
-    f, prof = _load_poly(args)
+    f = _load_poly(args)
     if not primes.is_probable_prime(args.p, seed=args.seed):
         raise ConfigError(f"--p {args.p} is not a prime")
     _check_n(args.n)
     data = sieve.prime_data(
-        f, args.p, args.n, prof.integer_roots_in_range(args.n), args.seed
+        f, args.p, args.n, f.profile.integer_roots_in_range(args.n), args.seed
     )
     doc = {
         "version": SCHEMA_VERSION,
@@ -262,7 +256,7 @@ def cmd_local(args):
 
 
 def cmd_oracle_check(args):
-    f, _ = _load_poly(args)
+    f = _load_poly(args)
     _check_n(args.n)
     try:
         ora = oracle.naive_run(f, args.n)

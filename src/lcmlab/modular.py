@@ -209,15 +209,3 @@ def lift_roots(f: IntPoly, prev: RootSet):
         simple_flags=tuple(flags[i] for i in order),
     )
 
-
-def count_progression(r, m, N):
-    """#{n in [1, N]: n = r mod m} for 0 <= r < m."""
-    if not 0 <= r < m:
-        raise ValueError("residue out of range")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if r == 0:
-        return N // m
-    if r > N:
-        return 0
-    return (N - r) // m + 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import polynomial
 from .polynomial import IntPoly
 from .sieve import FactorLedger, PrimeLocalData
 
@@ -71,7 +70,6 @@ def naive_run(f: IntPoly, N) -> OracleResult:
     """Exact lcm, radical, and naively built ledger for f over [1, N]."""
     if N > HARD_CAP:
         raise OracleCapped(f"oracle capped at N = {HARD_CAP}")
-    prof = polynomial.profile(f)
     stats = {}  # p -> list of per-n valuations
     lcm_value = 1
     skipped = 0
@@ -102,9 +100,7 @@ def naive_run(f: IntPoly, N) -> OracleResult:
         raise AssertionError(
             "ledger-reconstructed lcm disagrees with gcd-chain lcm"
         )
-    ledger = FactorLedger.from_entries(
-        f=f, N=N, entries=entries, skipped_zero_count=skipped, profile=prof
-    )
+    ledger = FactorLedger.from_entries(f, N, entries, skipped)
     return OracleResult(
         N=N, lcm_value=lcm_value, rad_value=rad_value, ledger=ledger
     )

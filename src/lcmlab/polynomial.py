@@ -1,12 +1,14 @@
 """Integer polynomials and their derived constants.
 
 Everything downstream (root lifting, the ledger, the verification checks) consumes
-an IntPoly together with its PolyProfile: discriminant, the linear-zone
-constant D = 1 + d*|f_d|, an irreducibility hint and the rational roots.
+an IntPoly and reads its PolyProfile off ``f.profile``, computed once per
+IntPoly: discriminant, the linear-zone constant D = 1 + d*|f_d|, whether f
+is irreducible over Q, and the rational roots.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -36,6 +38,11 @@ class IntPoly:
         # coeffs
         deriv = tuple(i * c for i, c in enumerate(coeffs) if i >= 1)
         object.__setattr__(self, "_deriv", deriv)
+
+    @functools.cached_property
+    def profile(self):
+        """The PolyProfile of f, computed on first read."""
+        return profile(self)
 
     @property
     def degree(self):
@@ -84,7 +91,7 @@ class PolyProfile:
 
     disc: int
     D: int
-    irreducible_hint: str  # "proved" | "assumed" | "unknown"
+    irreducible: bool  # over Q
     rational_roots: tuple  # Fractions; nonempty means f is reducible
 
     def integer_roots_in_range(self, N):
@@ -230,55 +237,44 @@ def rational_roots(f: IntPoly, disc):
     for r in rs.roots:
         y = lead * r % pk
         cand = Fraction(y - pk if 2 * y > pk else y, lead)
-        if _eval_fraction(f, cand) == 0:
+        if f.eval(cand) == 0:
             roots.add(cand)
     return tuple(sorted(roots))
-
-
-def _eval_fraction(f, x):
-    acc = Fraction(0)
-    for c in reversed(f.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 _CERTIFYING_PRIME_BOUND = 200
 
 
 def profile(f: IntPoly):
-    """Discriminant, D, rational roots and an irreducibility hint.
+    """Discriminant, D, rational roots and whether f is irreducible over Q.
 
-    Nothing is factored: a prime p ramifies exactly when p | disc, which
-    callers test directly, and the rational roots are lifted from the roots
-    of f mod one small prime.
+    Read it as ``f.profile``, which calls this once per IntPoly. A prime p
+    ramifies exactly when p | disc, which callers test directly, and the
+    rational roots are lifted from the roots of f mod one small prime.
 
-    hint = "proved" when f mod p is irreducible for some prime p < 200, or
-    when d <= 3 and f has no rational root. "assumed" for d >= 4 without a
-    certificate. "unknown" when a rational root exists (f is reducible).
+    f is reducible when it has a rational root, and otherwise irreducible
+    when d <= 3 or when f mod p is irreducible for some prime p < 200. Only
+    an f of degree >= 4 without such a certificate is factored, by sympy
+    over ZZ; f is squarefree, so it is irreducible iff one factor remains.
     """
     if f.degree < 2:
         raise ValueError(f"{f} has degree {f.degree}; profile needs degree >= 2")
     disc = discriminant(f)
     D = 1 + f.degree * abs(f.coeffs[-1])
     rr = rational_roots(f, disc)
-    hint = None
-    if not rr:
-        for p in primes.sieve_primes(_CERTIFYING_PRIME_BOUND):
-            if f.coeffs[-1] % p == 0:
-                continue
-            if gfpoly.is_irreducible(gfpoly.reduce_mod(f.coeffs, p), p):
-                hint = "proved"
-                break
-        if hint is None:
-            hint = "proved" if f.degree <= 3 else "assumed"
+    if rr:
+        irreducible = False
+    elif f.degree <= 3 or any(
+        f.coeffs[-1] % p and gfpoly.is_irreducible(gfpoly.reduce_mod(f.coeffs, p), p)
+        for p in primes.sieve_primes(_CERTIFYING_PRIME_BOUND)
+    ):
+        irreducible = True
     else:
-        hint = "unknown"
-    return PolyProfile(
-        disc=disc,
-        D=D,
-        irreducible_hint=hint,
-        rational_roots=rr,
-    )
+        import sympy  # slow to import; only uncertified f of degree >= 4
+
+        _, factors = sympy.Poly(f.coeffs[::-1], sympy.Symbol("x")).factor_list()
+        irreducible = len(factors) == 1
+    return PolyProfile(disc=disc, D=D, irreducible=irreducible, rational_roots=rr)
 
 
 def value_bound(f: IntPoly, N):

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modular, primes, polynomial
-from .modular import count_progression, lift_roots
-from .polynomial import IntPoly, PolyProfile
+from .modular import lift_roots
+from .polynomial import IntPoly
 
 
 class LedgerMismatch(RuntimeError):
@@ -165,7 +165,6 @@ class FactorLedger:
     f: IntPoly
     N: int
     skipped_zero_count: int
-    profile: PolyProfile
     p: np.ndarray  # int64, or object when a prime is >= 2^63
     layers: Csr  # layer_counts
     # level-1 roots; empty rows above B. A prime of the content c of f
@@ -174,14 +173,13 @@ class FactorLedger:
     hits: Csr  # (n, v_p(f(n))) pairs, an (h, 2) array; empty rows up to B
 
     @classmethod
-    def from_entries(cls, f, N, entries, skipped_zero_count, profile):
+    def from_entries(cls, f, N, entries, skipped_zero_count):
         """The ledger of a dict p -> PrimeLocalData."""
         data = [entries[p] for p in sorted(entries)]
         return cls(
             f=f,
             N=N,
             skipped_zero_count=skipped_zero_count,
-            profile=profile,
             p=_int_column([d.p for d in data]),
             layers=Csr.from_rows([d.layer_counts for d in data]),
             roots=Csr.from_rows([d.roots for d in data]),
@@ -194,7 +192,7 @@ class FactorLedger:
     @property
     def B(self):
         """The sieve bound D*N."""
-        return self.profile.D * self.N
+        return self.f.profile.D * self.N
 
     @property
     def entries(self):
@@ -316,6 +314,12 @@ def primitive_part(f: IntPoly):
     return f if c == 1 else IntPoly(tuple(x // c for x in f.coeffs))
 
 
+def _count_progression(r, m, n):
+    """#{1 <= x <= n : x = r mod m} for 0 <= r < m and n >= 0; r, m and n
+    may be int64 arrays."""
+    return (n - r) // m + (r > 0)
+
+
 @dataclass(frozen=True, eq=False)
 class PrimeColumns:
     """Leg 1's data of f up to some N at primes up to the sieve bound: row i
@@ -363,7 +367,7 @@ class PrimeColumns:
     def layers(self, n_max, nzeros):
         """The layer tables at n_max <= N, of f and of g, for ``nzeros``
         integer zeros of f in [1, n_max]."""
-        count = (n_max - self.r) // self.m + (self.r > 0)
+        count = _count_progression(self.r, self.m, n_max)
         new = np.ones(len(count), dtype=bool)
         new[1:] = (np.diff(self.row) != 0) | (np.diff(self.level) != 0)
         starts = np.flatnonzero(new)
@@ -425,7 +429,7 @@ def _prime_columns(coeffs, block, N, zeros, seed):
         progs += [(row, k, 0, 1) for k in range(1, e + 1)]
         while rs.roots:
             pk = rs.p**rs.k
-            if sum(count_progression(r, pk, N) for r in rs.roots) <= len(zeros):
+            if sum(_count_progression(r, pk, N) for r in rs.roots) <= len(zeros):
                 break
             m = min(pk, N + 1)
             progs += [(row, e + rs.k, r if r <= N else 0, m) for r in rs.roots]
@@ -608,10 +612,7 @@ def _large_hits(f, N, B, cofactors, lo, seed):
 def _group_large(q, n, e):
     """The p column, layer table and hit table of the primes above B from
     their (q, n, e) hit columns, sorted by (q, n)."""
-    if q.dtype == object:
-        order = sorted(range(len(q)), key=lambda j: (q[j], n[j]))
-    else:
-        order = np.lexsort((n, q))
+    order = np.lexsort((n, q))
     q, n, e = q[order], n[order], e[order]
     new = np.ones(len(q), dtype=bool)
     new[1:] = q[1:] != q[:-1]
@@ -647,10 +648,9 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
     if not schedule:
         return
     N = schedule[-1]
-    prof = polynomial.profile(f)
-    B = prof.D * N
+    B = f.profile.D * N
     g = primitive_part(f)
-    zeros = prof.integer_roots_in_range(N)
+    zeros = f.profile.integer_roots_in_range(N)
     cols = PrimeColumns.concat(_leg1(f.coeffs, B, N, zeros, seed, workers))
 
     dtype = np.int64 if polynomial.value_bound(g, N) < _INT64_LIMIT else object
@@ -674,12 +674,10 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
             cofactors = _divide_segment(values, lo, prog, levels)
             large.append(_large_hits(f, n_max, B, cofactors, lo, seed))
             lo = hi + 1
-        yield _checkpoint(
-            f, n_max, prof, cols, Csr.from_levels(levels, rows), large, skipped
-        )
+        yield _checkpoint(f, n_max, cols, Csr.from_levels(levels, rows), large, skipped)
 
 
-def _checkpoint(f, N, prof, cols, sieved, large, skipped):
+def _checkpoint(f, N, cols, sieved, large, skipped):
     """The FactorLedger of Q(N) at a checkpoint of a pass, once every n <= N
     is sieved. ``sieved`` holds the layers of g Leg 2 counted for each row
     of the PrimeColumns ``cols``, and ``large`` Leg 3's (q, n, e) hits.
@@ -688,7 +686,7 @@ def _checkpoint(f, N, prof, cols, sieved, large, skipped):
     up to D*N keeps its level-1 roots; above D*N it has its hits, like a
     prime that Leg 3 found.
     """
-    zeros = prof.integer_roots_in_range(N)
+    zeros = f.profile.integer_roots_in_range(N)
     layers, g_layers = cols.layers(N, len(zeros))
     if not (
         np.array_equal(g_layers.offsets, sieved.offsets)
@@ -705,7 +703,7 @@ def _checkpoint(f, N, prof, cols, sieved, large, skipped):
         )
 
     live = layers.lengths() > 0
-    small = live & (cols.p <= prof.D * N)
+    small = live & (cols.p <= f.profile.D * N)
     above = live & ~small
     big_p, big_layers, big_hits = _group_large(
         *(np.concatenate(col) for col in zip(*large))
@@ -716,7 +714,6 @@ def _checkpoint(f, N, prof, cols, sieved, large, skipped):
         f=f,
         N=N,
         skipped_zero_count=skipped,
-        profile=prof,
         p=_int_column(np.concatenate((cols.p[live], big_p))),
         layers=layers.take(live).concat(big_layers),
         roots=roots.concat(roots.empty_rows(np.count_nonzero(above) + len(big_p))),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lcmlab import analysis, parse_poly, primes, sieve
+from lcmlab import analysis, parse_poly, polynomial, primes, sieve
 from lcmlab.cli import CSV_COLUMNS, build_parser, main
 
 from conftest import TEST_POLYS
@@ -328,6 +328,62 @@ def test_readme_cli_examples_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n", "10,20,30"],
+        ["verify", "--n", "30"],
+        ["oracle-check", "--n", "30"],
+        ["local", "--p", "5", "--n", "30"],
+    ],
+)
+def test_profile_once_per_command(monkeypatch, capsys, argv):
+    calls = []
+    exact = polynomial.profile
+    monkeypatch.setattr(
+        polynomial, "profile", lambda f: calls.append(f) or exact(f)
+    )
+    code, _, _ = _run(capsys, *argv, "--poly", "x^2+x+1")
+    assert code == 0
+    assert calls == [parse_poly("x^2+x+1")]
+
+
+@pytest.mark.parametrize(
+    "poly, reducible",
+    [
+        ("x^4+1", False),
+        ("x^4-10x^2+1", False),
+        ("x^4+3x^2+2", True),
+        ("x^8+x^7+x^6+x^5+x^4+x^3+x^2+x+1", True),
+    ],
+)
+def test_irreducibility_warning(capsys, poly, reducible):
+    # no prime below 200 certifies these, and none has a rational root
+    code, _, err = _run(capsys, "local", "--poly", poly, "--p", "5", "--n", "10")
+    assert code == 0
+    expected = "warning: reducible: conjecture ratios not meaningful\n"
+    assert err == (expected if reducible else "")
+
+
+def test_verify_benchmark_polys_do_not_load_sympy():
+    # the polynomials perfbench runs are certified irreducible mod a small
+    # prime, so profiling them never factors over ZZ
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import contextlib, io, sys, lcmlab.cli\n"
+        "for poly in ('x^2+1', 'x^5-x+1', 'x^2+x+1', 'x^3+2'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert lcmlab.cli.main(['verify', '--poly', poly, '--n', '50']) == 0\n"
+        "print('sympy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "False" and result.stderr == ""
 
 
 def test_import_does_not_load_sympy():

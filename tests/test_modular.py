@@ -8,14 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcmlab import gfpoly
-from lcmlab.modular import (
-    count_progression,
-    lift_roots,
-    roots_mod_p,
-    roots_mod_primes,
-)
+from lcmlab.modular import lift_roots, roots_mod_p, roots_mod_primes
 from lcmlab.polynomial import IntPoly, discriminant, parse_poly
 from lcmlab.primes import sieve_primes
+from lcmlab.sieve import _count_progression
 
 from conftest import TEST_POLYS
 
@@ -169,10 +165,15 @@ class TestLiftRoots:
 
 
 class TestCountProgression:
+    """The closed form the ledger counts its progressions by, scalar and
+    vectorised."""
+
     def test_examples(self):
-        assert count_progression(2, 5, 12) == 3
-        assert count_progression(0, 5, 12) == 2
-        assert count_progression(7, 25, 5) == 0
+        assert _count_progression(2, 5, 12) == 3
+        assert _count_progression(0, 5, 12) == 2
+        assert _count_progression(7, 25, 5) == 0
+        r, m = np.array([2, 0, 7]), np.array([5, 5, 25])
+        assert _count_progression(r, m, 12).tolist() == [3, 2, 1]
 
     @given(
         st.integers(min_value=1, max_value=50),
@@ -180,10 +181,7 @@ class TestCountProgression:
     )
     @settings(max_examples=200)
     def test_matches_enumeration(self, m, N):
-        for r in range(m):
-            expected = sum(1 for n in range(1, N + 1) if n % m == r)
-            assert count_progression(r, m, N) == expected
-
-    def test_rejects_bad_residue(self):
-        with pytest.raises(ValueError):
-            count_progression(5, 5, 10)
+        expected = [sum(1 for n in range(1, N + 1) if n % m == r) for r in range(m)]
+        assert [_count_progression(r, m, N) for r in range(m)] == expected
+        r = np.arange(m)
+        assert _count_progression(r, np.full(m, m), N).tolist() == expected

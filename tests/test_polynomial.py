@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmlab import gfpoly
+from lcmlab import gfpoly, polynomial
 from lcmlab.polynomial import (
     IntPoly,
     ZeroDiscriminant,
@@ -17,6 +17,7 @@ from lcmlab.polynomial import (
     rational_roots,
     value_bound,
 )
+from lcmlab.primes import sieve_primes
 
 from conftest import TEST_POLYS
 
@@ -178,10 +179,57 @@ class TestProfile:
 
     def test_irreducibility_hints(self):
         for f in TEST_POLYS.values():
-            assert profile(f).irreducible_hint == "proved"
+            assert profile(f).irreducible
         red = profile(parse_poly("x^2-1"))
-        assert red.irreducible_hint == "unknown"
+        assert not red.irreducible
         assert len(red.rational_roots) == 2
+
+    @pytest.mark.parametrize(
+        "poly, irreducible",
+        [
+            ("x^4+1", True),
+            ("x^4-10x^2+1", True),
+            ("x^4+3x^2+2", False),  # (x^2 + 1)(x^2 + 2)
+            ("x^8+x^7+x^6+x^5+x^4+x^3+x^2+x+1", False),  # (x^9 - 1)/(x - 1)
+        ],
+    )
+    def test_irreducibility_without_certificate(self, poly, irreducible):
+        # no prime below 200 certifies f and f has no rational root, so
+        # the answer is sympy's factorization over ZZ
+        f = parse_poly(poly)
+        assert not any(
+            gfpoly.is_irreducible(gfpoly.reduce_mod(f.coeffs, p), p)
+            for p in sieve_primes(200)
+        )
+        assert profile(f).rational_roots == ()
+        assert profile(f).irreducible is irreducible
+
+    @given(polys, polys)
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    def test_irreducible_matches_sympy(self, a, b):
+        # f = a alone, and f = a * b, which is reducible
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for coeffs in (a, prod):
+            f = IntPoly(tuple(coeffs))
+            if f.degree < 2 or discriminant(f) == 0:
+                continue
+            expected = sympy.Poly(_sympy_poly(f), X).is_irreducible
+            assert profile(f).irreducible is expected, coeffs
+            assert coeffs is a or not expected
+
+    def test_profile_is_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            polynomial, "profile", lambda f: calls.append(f) or profile(f)
+        )
+        f = parse_poly("x^3+2")
+        first = f.profile
+        assert f.profile is first and first == profile(f)
+        assert calls == [f]
+        assert f == parse_poly("x^3+2") and hash(f) == hash(parse_poly("x^3+2"))
 
     def test_rational_roots(self):
         assert rational_roots(parse_poly("x^2+1"), -4) == ()
@@ -193,7 +241,7 @@ class TestProfile:
         # nothing is factored: 10^18 + 3 and a 41-digit semiprime are as
         # cheap as small constant terms
         f = parse_poly("x^2+1000000000000000003")
-        assert profile(f).irreducible_hint == "proved"
+        assert profile(f).irreducible
         g = parse_poly("2x^3-3x^2+2000000000000000006x-3000000000000000009")
         assert rational_roots(g, discriminant(g)) == (Fraction(3, 2),)  # (2x - 3)(x^2 + 10^18 + 3)
         p, q = 10**20 + 39, 10**20 + 129

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lcmlab import modular, primes, sieve
+from lcmlab import modular, polynomial, primes, sieve
 from lcmlab.aggregate import summarize
 from lcmlab.modular import roots_mod_p
 from lcmlab.oracle import log_big, naive_run
@@ -310,8 +310,7 @@ class TestColumnarLedger:
             for p, d in led.entries.items()
         }
         again = sieve.FactorLedger.from_entries(
-            f=F, N=N, entries=dict(led.entries.items()),
-            skipped_zero_count=0, profile=led.profile,
+            f=F, N=N, entries=dict(led.entries.items()), skipped_zero_count=0
         )
         assert again.entries == led.entries
         assert summarize(again) == summarize(led)
@@ -353,6 +352,20 @@ class TestLegCrossCheck:
 
         monkeypatch.setattr(sieve, "_prime_columns", wrong_layers)
         with pytest.raises(LedgerMismatch, match="p=5: "):
+            build_ledger(parse_poly(poly), 10)
+
+    @pytest.mark.parametrize("poly", ["x^2-1", "6x^3-6x"])
+    def test_dropped_zero_fails(self, monkeypatch, poly):
+        # with its first integer zero n = 1 dropped, Leg 1 counts f(1) = 0
+        # as a hit of every progression of the root 1, which Leg 2 never
+        # divides
+        exact = polynomial.PolyProfile.integer_roots_in_range
+        monkeypatch.setattr(
+            polynomial.PolyProfile,
+            "integer_roots_in_range",
+            lambda prof, N: exact(prof, N)[1:],
+        )
+        with pytest.raises(LedgerMismatch, match="analytic layers"):
             build_ledger(parse_poly(poly), 10)
 
     def test_fermat_kernel_matches_pow(self):
