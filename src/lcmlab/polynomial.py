@@ -265,8 +265,10 @@ def profile(f: IntPoly):
     if rr:
         irreducible = False
     elif f.degree <= 3 or any(
-        f.coeffs[-1] % p and gfpoly.is_irreducible(gfpoly.reduce_mod(f.coeffs, p), p)
-        for p in primes.sieve_primes(_CERTIFYING_PRIME_BOUND)
+        gfpoly.is_irreducible(
+            f.coeffs,
+            [p for p in primes.sieve_primes(_CERTIFYING_PRIME_BOUND) if f.coeffs[-1] % p],
+        )
     ):
         irreducible = True
     else:

@@ -1,6 +1,6 @@
 import pytest
 
-from lcmlab import build_ledger, parse_poly
+from lcmlab import build_ledger, gfpoly, parse_poly
 
 # The fixed polynomial set used throughout: two quadratics, two cubics,
 # all irreducible with distinct leading coefficients and discriminants.
@@ -30,3 +30,18 @@ def ledger_factory():
 @pytest.fixture(params=sorted(TEST_POLYS))
 def test_poly(request):
     return TEST_POLYS[request.param]
+
+
+@pytest.fixture
+def power_calls(monkeypatch):
+    """Each call of gfpoly's kernel grouping, as (degrees of the moduli,
+    largest exponent), recorded while the test runs."""
+    calls = []
+    powers = gfpoly._powers
+
+    def spy(a, e, gs, ps):
+        calls.append(({len(g) - 1 for g in gs}, max(e, default=0)))
+        return powers(a, e, gs, ps)
+
+    monkeypatch.setattr(gfpoly, "_powers", spy)
+    return calls

@@ -13,9 +13,11 @@ from lcmlab.polynomial import IntPoly, discriminant, parse_poly
 from lcmlab.primes import sieve_primes
 from lcmlab.sieve import _count_progression
 
+import gf_reference
 from conftest import TEST_POLYS
 
 F = parse_poly("x^2+1")
+X = sympy.Symbol("x")
 
 # Every prime up to 3000 (p = 2, 3, primes of the content and of the leading
 # coefficient among them), and a few beyond.
@@ -39,12 +41,12 @@ def scan_roots(f, p):
 
 
 def reference_roots(f, p):
-    """Roots of f mod p by gcd(x^p - x, f) and equal-degree splitting, for
-    p not dividing the content of f."""
-    g = gfpoly.frobenius_root_poly(gfpoly.reduce_mod(f.coeffs, p), p)
+    """Roots of f mod p by gcd(x^p - x, f) and equal-degree splitting, one
+    prime at a time in pure Python, for p not dividing the content of f."""
+    g = gf_reference.frobenius_root_poly(gfpoly.reduce_mod(f.coeffs, p), p)
     if gfpoly.deg(g) == 0:
         return ()
-    return tuple(gfpoly.roots_of_split(g, p, random.Random(p)))
+    return tuple(gf_reference.roots_of_split(g, p, random.Random(p)))
 
 
 @st.composite
@@ -111,6 +113,50 @@ class TestRootsModP:
         for f in TEST_POLYS.values():
             for p in sieve_primes(200):
                 assert len(roots_mod_p(f, p).roots) <= min(f.degree, p)
+
+
+class TestLockstepSplitting:
+    """The lockstep splitter against the per-prime reference, on blocks
+    whose roots take several rounds of splitting."""
+
+    SEEDS = (0, 1, 2**20)
+    CUBIC = parse_poly("x^3+2")
+    # splits into six linear factors at every prime, distinct above 7
+    SEXTIC_ROOTS = (1, -2, 3, -5, 7, -11)
+    SEXTIC = IntPoly(
+        tuple(int(c) for c in sympy.Poly(math.prod(X - r for r in SEXTIC_ROOTS), X).all_coeffs()[::-1])
+    )
+
+    def test_cubic_splits_over_rounds(self, power_calls):
+        # x^3 + 2 has 0 or 3 roots at p = 1 mod 3; the 3 are split apart
+        ps = [p for p in sieve_primes(20000) if p % 3 == 1]
+        expected = [reference_roots(self.CUBIC, p) for p in ps]
+        assert sum(len(r) == 3 for r in expected) > 300
+        for seed in self.SEEDS:
+            power_calls.clear()
+            found = roots_mod_primes(self.CUBIC, ps, seed=seed)
+            assert [rs.roots for rs in found] == expected, seed
+            # x^p, then at least two splitting rounds
+            assert len(power_calls) >= 3
+
+    def test_sextic_pieces_meet_in_a_round(self, power_calls):
+        ps = sieve_primes(3000)[1:]
+        for seed in self.SEEDS:
+            power_calls.clear()
+            found = roots_mod_primes(self.SEXTIC, ps, seed=seed)
+            for rs in found:
+                assert rs.roots == reference_roots(self.SEXTIC, rs.p), (seed, rs.p)
+                assert rs.roots == tuple(sorted({r % rs.p for r in self.SEXTIC_ROOTS}))
+            # some round splits factors of degree 3 and 4 in one call
+            assert any({3, 4} <= degrees for degrees, _ in power_calls[1:]), seed
+
+    @pytest.mark.parametrize("f", [CUBIC, SEXTIC], ids=["cubic", "sextic"])
+    def test_python_int_columns(self, f):
+        expected = [reference_roots(f, p) for p in REFERENCE_PRIMES]
+        assert any(len(r) >= 3 for r in expected)
+        for seed in self.SEEDS:
+            found = roots_mod_primes(f, REFERENCE_PRIMES, seed=seed)
+            assert [rs.roots for rs in found] == expected, seed
 
 
 class TestLiftRoots:

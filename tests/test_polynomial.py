@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from lcmlab.polynomial import (
 )
 from lcmlab.primes import sieve_primes
 
+import gf_reference
 from conftest import TEST_POLYS
 
 X = sympy.symbols("x")
@@ -198,11 +200,34 @@ class TestProfile:
         # the answer is sympy's factorization over ZZ
         f = parse_poly(poly)
         assert not any(
-            gfpoly.is_irreducible(gfpoly.reduce_mod(f.coeffs, p), p)
+            gf_reference.is_irreducible(gfpoly.reduce_mod(f.coeffs, p), p)
             for p in sieve_primes(200)
         )
         assert profile(f).rational_roots == ()
         assert profile(f).irreducible is irreducible
+
+    def test_batched_rabin_matches_reference(self, power_calls):
+        # degree 4 to 8, leading coefficients that vanish mod small primes,
+        # then degree 9, where p^9 > 2^63 for p > 128
+        rng = random.Random(5)
+        cases = [
+            [rng.randint(-50, 50) for _ in range(d)] + [rng.choice([1, -1, 2, 6, 30])]
+            for d in range(4, 9)
+            for _ in range(6)
+        ]
+        cases.append([3, 1] + [0] * 7 + [1])
+        ps = sieve_primes(200)  # p = 2 among them
+        answers = []
+        for coeffs in cases:
+            power_calls.clear()
+            found = gfpoly.is_irreducible(coeffs, ps)
+            assert found == [
+                gf_reference.is_irreducible(gfpoly.reduce_mod(coeffs, p), p) for p in ps
+            ], coeffs
+            assert len(power_calls) == 1  # every prime in one kernel grouping
+            answers += found
+        assert power_calls[0][1] >= 2**63
+        assert True in answers and False in answers
 
     @given(polys, polys)
     @settings(derandomize=True, max_examples=80, deadline=None)
