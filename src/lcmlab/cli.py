@@ -341,8 +341,7 @@ def main(argv=None):
         return 1
     except primes.FactorTimeout as exc:
         # exit 2 as for a sweep gap; sweep itself turns a timeout into one
-        f = polynomial.parse_poly(args.poly)
-        print(f"error: {f} at N={args.n}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -28,6 +28,12 @@ import numpy as np
 # residues stays below 2^62.
 _INT64_PRIME_LIMIT = 1 << 31
 
+# A product of k >= 3 distinct linear factors over GF(p) stays whole in a
+# splitting round with probability at most 0.31 (the worst case, p = 13;
+# about 1/4 for large p), so it survives this many rounds with probability
+# below 10^-32. A factor that does is not such a product.
+_SPLIT_ROUNDS = 64
+
 
 def trim(a):
     """a without its trailing zeros; a itself when it has none."""
@@ -164,29 +170,41 @@ def roots_of_split(hs, ps, seed):
     h_i with such a factor left draws one a from its own
     random.Random((seed << 20) ^ p_i), and each of those factors h is split
     by u = gcd((x + a)^((p-1)/2) - 1, h) into u and h/u when u is a proper
-    factor. The roots are sorted, so they do not depend on seed.
+    factor. The roots are sorted, so they do not depend on seed. A factor
+    left whole for _SPLIT_ROUNDS rounds in a row raises ValueError naming
+    it and p.
     """
     found = [_roots_low_degree(h, p) if len(h) <= 3 else () for h, p in zip(hs, ps)]
-    pending = [(i, h) for i, h in enumerate(hs) if len(h) > 3]
-    rngs = {i: random.Random((seed << 20) ^ ps[i]) for i, _ in pending}
+    # (i, factor, rounds it has gone unsplit)
+    pending = [(i, h, 0) for i, h in enumerate(hs) if len(h) > 3]
+    rngs = {i: random.Random((seed << 20) ^ ps[i]) for i, _, _ in pending}
     while pending:
-        a = {i: rngs[i].randrange(ps[i]) for i in dict.fromkeys(i for i, _ in pending)}
+        draws = dict.fromkeys(i for i, _, _ in pending)
+        a = {i: rngs[i].randrange(ps[i]) for i in draws}
         ws = _powers(
-            [a[i] for i, _ in pending],
-            [(ps[i] - 1) // 2 for i, _ in pending],
-            [h for _, h in pending],
-            [ps[i] for i, _ in pending],
+            [a[i] for i, _, _ in pending],
+            [(ps[i] - 1) // 2 for i, _, _ in pending],
+            [h for _, h, _ in pending],
+            [ps[i] for i, _, _ in pending],
         )
         split, pending = pending, []
-        for (i, h), w in zip(split, ws):
+        for (i, h, rounds), w in zip(split, ws):
             p = ps[i]
             u = gcd(_minus_x_to(w, 0, p), h, p)
-            pieces = (u, div_rem(h, u, p)[0]) if 0 < deg(u) < deg(h) else (h,)
-            for piece in pieces:
+            if not 0 < deg(u) < deg(h):
+                if rounds + 1 == _SPLIT_ROUNDS:
+                    raise ValueError(
+                        f"roots_of_split: {h} mod p={p} did not split in "
+                        f"{_SPLIT_ROUNDS} rounds, so it is not a product of "
+                        "distinct linear factors"
+                    )
+                pending.append((i, h, rounds + 1))
+                continue
+            for piece in (u, div_rem(h, u, p)[0]):
                 if len(piece) <= 3:
                     found[i] += _roots_low_degree(piece, p)
                 else:
-                    pending.append((i, piece))
+                    pending.append((i, piece, 0))
     for i in rngs:
         found[i] = tuple(sorted(found[i]))
     return found

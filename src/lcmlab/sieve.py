@@ -22,9 +22,15 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
   prime, or the pass raises LedgerMismatch naming that N.
 - Leg 3: what remains of each |g(n)| has only prime factors above B. A
   cofactor below B^2 is then prime; it must pass a base-2 Fermat test
-  first, so that a prime Leg 1 missed cannot pass for one. Larger
-  cofactors are split by rho. The hits of such primes up to a checkpoint
-  are those read so far.
+  first, so that a prime Leg 1 missed cannot pass for one. The larger
+  cofactors of a segment are factored in one batch. With at least
+  ``primes.LANES`` of them in int64, the odd ones are split in lockstep
+  lanes (``primes.factorize_lanes``): Miller-Rabin, then Brent's rho walk
+  of factor_cofactor's first attempt, on exact uint64 Montgomery
+  arithmetic. What the lanes leave, and each cofactor of a smaller or
+  object batch, goes to factor_cofactor, so a rho timeout keeps its
+  budget. The hits of such primes up to a checkpoint are those read so
+  far.
 
 The ledger at checkpoint N_i equals a pass to N_i alone: a Leg 1 prime in
 (D*N_i, B] holds its hits n <= N_i, read off the lifted roots, in place of
@@ -586,27 +592,60 @@ def _large_hits(f, N, B, cofactors, lo, seed):
             f"{f} at N={N}: the cofactor {c[i]} of f({n[i]}) is not a "
             "prime above B, so the sieve missed a prime <= B"
         )
-    rho = np.array(
-        [
-            (prime, nn, k)
-            for nn, cc in zip(n[~below].tolist(), c[~below].tolist())
-            for prime, k in factor_cofactor(cc, seed=seed)
-        ],
-        dtype=object,
-    ).reshape(-1, 3)
-    missed = rho[:, 0] <= B
+    q, hit, e = _factor_large(f, N, n[~below], c[~below], seed)
+    missed = q <= B
     if missed.any():
-        prime, nn, _ = rho[np.argmax(missed)]
+        i = int(np.argmax(missed))
         raise LedgerMismatch(
-            f"{f} at N={N}: prime {prime} <= B survived the sieve at n={nn}"
+            f"{f} at N={N}: prime {q[i]} <= B survived the sieve at n={hit[i]}"
         )
     return (
-        np.concatenate((c[below], rho[:, 0].astype(c.dtype))),
-        np.concatenate((n[below], rho[:, 1].astype(np.int64))),
-        np.concatenate(
-            (np.ones(len(n[below]), np.int64), rho[:, 2].astype(np.int64))
-        ),
+        np.concatenate((c[below], q)),
+        np.concatenate((n[below], hit)),
+        np.concatenate((np.ones(len(n[below]), np.int64), e)),
     )
+
+
+def _factor_large(f, N, n, c, seed):
+    """(q, n, e) columns of the primes q of the cofactors c of f(n), all
+    above B^2, one row per (q, n).
+
+    A batch of at least ``primes.LANES`` int64 cofactors splits its odd
+    ones in lanes (``primes.factorize_lanes``). What the lanes leave, and
+    each cofactor of a smaller batch, goes to factor_cofactor in n order.
+    A FactorTimeout names f, N, n and the cofactor.
+    """
+    if len(c) >= primes.LANES and c.dtype == np.int64:
+        odd = c % 2 == 1
+        lanes, even = np.flatnonzero(odd), np.flatnonzero(~odd)
+        (owner, q), (left, m) = primes.factorize_lanes(c[odd], seed, RHO_MAX_ITERS)
+        found = (q, n[lanes[owner]], np.ones_like(q))
+        todo = sorted(
+            [*zip(lanes[left].tolist(), m.tolist()), *zip(even.tolist(), c[even].tolist())]
+        )
+    else:
+        found = (c[:0], n[:0], n[:0])
+        todo = enumerate(c.tolist())
+    rows = []
+    for i, m in todo:
+        try:
+            factors = factor_cofactor(m, seed=seed)
+        except primes.FactorTimeout as exc:
+            raise primes.FactorTimeout(
+                f"{f} at N={N}: n={n[i]}, cofactor {c[i]}: {exc}"
+            ) from exc
+        rows += [(prime, n[i], e) for prime, e in factors]
+    rows = np.array(rows, dtype=object).reshape(-1, 3)
+    scalar = (rows[:, 0].astype(c.dtype), *rows[:, 1:].astype(np.int64).T)
+    q, n, e = (np.concatenate(col) for col in zip(found, scalar))
+    # a prime of a cofactor split between the lanes and factor_cofactor
+    # has a row from each: one row per (q, n) adds up their e
+    order = np.lexsort((q, n))
+    q, n, e = q[order], n[order], e[order]
+    new = np.ones(len(q), dtype=bool)
+    new[1:] = (q[1:] != q[:-1]) | (n[1:] != n[:-1])
+    starts = np.flatnonzero(new)
+    return q[starts], n[starts], np.add.reduceat(e, starts) if len(e) else e
 
 
 def _group_large(q, n, e):

@@ -81,7 +81,9 @@ class TestSweep:
 
     def test_factor_timeout_is_a_gap(self, monkeypatch):
         # rho is called on the cofactor 1048561 of f(16) alone in the pass;
-        # a timeout there ends it after the records of N = 10 and 15
+        # a timeout there ends it after the records of N = 10 and 15. The
+        # batch of at most 30 cofactors is below primes.LANES, so each goes
+        # to factor_cofactor.
         f = parse_poly("x^5-x+1")
         factor = sieve.factor_cofactor
 
@@ -94,7 +96,8 @@ class TestSweep:
         seen = []
         records, gaps = sweep(f, [10, 15, 16, 30], sink=lambda r: seen.append(r.N))
         assert [r.N for r in records] == seen == [10, 15]
-        assert gaps == [(N, "FactorTimeout: rho gave up") for N in (16, 30)]
+        error = "FactorTimeout: x^5-x+1 at N=16: n=16, cofactor 1048561: rho gave up"
+        assert gaps == [(N, error) for N in (16, 30)]
         for rec in records:
             assert rec == dataclasses.replace(
                 summarize(sieve.build_ledger(f, rec.N)), seconds=rec.seconds

@@ -267,13 +267,16 @@ class TestOtherCommands:
         def timeout(c, seed=0):
             raise primes.FactorTimeout(f"rho gave up on {c}")
 
-        # x^5-x+1 at N=30 leaves cofactors above B^2 = 180^2 for rho
+        # x^5-x+1 at N=30 leaves cofactors above B^2 = 180^2 for rho, fewer
+        # than primes.LANES, so each goes to factor_cofactor
         monkeypatch.setattr(sieve, "factor_cofactor", timeout)
         code, out, err = _run(capsys, command, "--poly", "x^5-x+1", "--n", "30")
         assert code == 2 and out == ""
         lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: x^5-x+1 at N=30: ")
-        assert "FactorTimeout: rho gave up on" in lines[0]
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: FactorTimeout: x^5-x+1 at N=30: n="
+        )
+        assert ": rho gave up on" in lines[0]
 
     @pytest.mark.parametrize("poly", [*TEST_POLYS, "2039x^2+2039", "24x^2+24x+48"])
     def test_local_matches_ledger(self, ledger_factory, capsys, poly):

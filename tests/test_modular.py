@@ -158,6 +158,14 @@ class TestLockstepSplitting:
             found = roots_mod_primes(f, REFERENCE_PRIMES, seed=seed)
             assert [rs.roots for rs in found] == expected, seed
 
+    def test_unsplittable_factor_raises(self, power_calls):
+        # x^3 - 2 is irreducible mod 7 (the cubes mod 7 are 0, 1 and 6); next
+        # to it x^3 - x = x(x - 1)(x + 1) splits as before
+        with pytest.raises(ValueError, match=r"\[5, 0, 0, 1\] mod p=7 did not split"):
+            gfpoly.roots_of_split([[5, 0, 0, 1], [0, 6, 0, 1]], [7, 7], 0)
+        assert len(power_calls) == gfpoly._SPLIT_ROUNDS
+        assert gfpoly.roots_of_split([[0, 6, 0, 1]], [7], 0) == [(0, 1, 6)]
+
 
 class TestLiftRoots:
     def test_example_mod_25(self):

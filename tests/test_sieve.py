@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +44,34 @@ def oracle_cases(draw):
         coeffs = [a - zero * b for a, b in zip([0] + coeffs, coeffs + [0])]
     content = draw(st.sampled_from([1, 1, 2, 3]))
     return IntPoly(tuple(content * c for c in coeffs)), N
+
+
+def oracle_test(test):
+    """``test(self, case)`` on 80 oracle_cases() and the examples below."""
+    for case in (
+        (parse_poly("x^2+x+2"), 120),  # 2 | f(n) for all n
+        (parse_poly("x^3-5*x^2+x-5"), 120),  # (x - 5)(x^2 + 1)
+        (parse_poly("-3*x^5+6*x-9"), 40),  # content 3
+        (parse_poly("x^3-x+1"), 60),  # f(56) = 419^2 with 419 > B
+        (parse_poly("4099*x^2+4099"), 30),  # content 4099 > 2048
+        (parse_poly("24*x^2+24*x+48"), 120),  # 24 = 2^3 * 3, 2 | f(n)/24
+    ):
+        test = example(case)(test)
+    return given(oracle_cases())(
+        settings(derandomize=True, max_examples=80, deadline=None)(test)
+    )
+
+
+def _assert_matches_oracle(f, N):
+    assume(discriminant(f) != 0)
+    led = build_ledger(f, N)
+    ora = naive_run(f, N)
+    assert {p: _entry_tuple(d) for p, d in led.entries.items()} == {
+        p: _entry_tuple(d) for p, d in ora.ledger.entries.items()
+    }
+    rec = summarize(led)
+    for got, exact in ((rec.log_L, ora.lcm_value), (rec.log_rad, ora.rad_value)):
+        assert abs(got - log_big(exact)) <= 1e-9 * max(got, 1.0)
 
 
 class TestLocalData:
@@ -112,25 +141,23 @@ class TestBuildLedger:
                     ora.ledger.entries[p]
                 ), (test_poly, N, p)
 
-    @given(oracle_cases())
-    @example((parse_poly("x^2+x+2"), 120))  # 2 | f(n) for all n
-    @example((parse_poly("x^3-5*x^2+x-5"), 120))  # (x - 5)(x^2 + 1)
-    @example((parse_poly("-3*x^5+6*x-9"), 40))  # content 3
-    @example((parse_poly("x^3-x+1"), 60))  # f(56) = 419^2 with 419 > B
-    @example((parse_poly("4099*x^2+4099"), 30))  # content 4099 > 2048
-    @example((parse_poly("24*x^2+24*x+48"), 120))  # 24 = 2^3 * 3, 2 | f(n)/24
-    @settings(derandomize=True, max_examples=80, deadline=None)
+    @oracle_test
     def test_random_oracle_equivalence(self, case):
-        f, N = case
-        assume(discriminant(f) != 0)
-        led = build_ledger(f, N)
-        ora = naive_run(f, N)
-        assert {p: _entry_tuple(d) for p, d in led.entries.items()} == {
-            p: _entry_tuple(d) for p, d in ora.ledger.entries.items()
-        }
-        rec = summarize(led)
-        for got, exact in ((rec.log_L, ora.lcm_value), (rec.log_rad, ora.rad_value)):
-            assert abs(got - log_big(exact)) <= 1e-9 * max(got, 1.0)
+        _assert_matches_oracle(*case)
+
+    @oracle_test
+    def test_random_oracle_equivalence_in_lanes(self, case):
+        # every batch of cofactors above B^2 goes to primes.factorize_lanes
+        with mock.patch.object(primes, "LANES", 1):
+            _assert_matches_oracle(*case)
+
+    def test_quintic_lanes_equal_scalar(self, monkeypatch):
+        # 1225 cofactors above B^2, 478 of them composite
+        f = parse_poly("x^5-x+1")
+        lanes = build_ledger(f, 1500)
+        monkeypatch.setattr(primes, "LANES", 10**9)
+        scalar = build_ledger(f, 1500)
+        assert dict(lanes.entries) == dict(scalar.entries)
 
     def test_partition_independence(self, test_poly, monkeypatch):
         N = 400
