@@ -1,24 +1,33 @@
-"""Roots of f modulo p and modulo prime powers.
+"""Roots of f modulo p and modulo prime powers, for a block of primes at
+once.
 
-Level-1 roots come from ``roots_mod_primes``, which works on a block of
-primes. It reduces f mod each prime once and makes the result monic. At
-p = 2 the residues 0 and 1 are tested; every odd prime of the block goes
-to one call of ``gfpoly.roots``, which runs gfpoly's lockstep powering
-kernel for the block: x^p mod (g, p) and gcd(x^p - x, g) for degree >= 3,
-equal-degree splitting of that gcd, and the closed form for degree <= 2.
+``roots_mod_primes`` reduces f mod each prime of a block as a coefficient
+matrix, one column per prime, and makes each column monic. A column's
+degree is that of f mod p, lower at a prime of the leading coefficient.
+At p = 2 the residues 0 and 1 are tested. The odd primes go to gfpoly by
+degree: ``gfpoly.low_degree_roots`` (the closed form, in lockstep) for
+degree <= 2, and one ``gfpoly.roots`` call (x^p mod (g, p),
+gcd(x^p - x, g), then equal-degree splitting, in lockstep) for degree
+>= 3. The roots come back as ``RootColumns``, one row per root.
 
 f must not vanish identically mod p: a prime of the content of f is
 refused, since every residue would be a root. The ledger strips the
 content first.
 
-Simple roots lift uniquely by a Newton step (Hensel); roots at ramified
-primes are lifted exhaustively over all p candidates per level.
+``lift_columns`` lifts the roots mod p^k of a block to p^(k+1). Simple
+roots lift uniquely by a Newton step (Hensel), all rows in lockstep;
+roots at ramified primes are lifted exhaustively over all p candidates
+per level. ``roots_mod_p`` and ``lift_roots`` are the same for one prime,
+as a ``RootSet``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from . import gfpoly
 
@@ -27,8 +36,10 @@ if TYPE_CHECKING:
 
 
 # Primes per call of roots_mod_primes in the ledger; bounds the lockstep
-# arrays and the RootSets held at once.
+# arrays and the root and progression columns of a block held at once.
 BLOCK_SIZE = 2048
+
+_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -45,68 +56,170 @@ class RootSet:
             raise ValueError("roots and simple_flags must align")
 
 
+@dataclass(frozen=True, eq=False)
+class RootColumns:
+    """The roots of f mod p^k at the primes of a block, one row per root,
+    sorted by (prime, root): root j is r[j] mod p[row[j]]^k."""
+
+    p: np.ndarray  # the primes, a ``gfpoly.modulus_column``
+    k: int
+    row: np.ndarray  # int64: the index of the root's prime in p
+    r: np.ndarray  # in ``_power_dtype(p, k)``
+    simple: np.ndarray  # bool: f'(r) invertible mod p
+
+    def take(self, rows):
+        """The roots the boolean mask ``rows`` selects."""
+        return dataclasses.replace(
+            self, row=self.row[rows], r=self.r[rows], simple=self.simple[rows]
+        )
+
+    def root_sets(self):
+        """The RootSet of each prime, in order."""
+        ends = np.searchsorted(self.row, np.arange(len(self.p) + 1)).tolist()
+        r, simple = self.r.tolist(), self.simple.tolist()
+        for i, p in enumerate(self.p.tolist()):
+            lo, hi = ends[i], ends[i + 1]
+            yield RootSet(p, self.k, tuple(r[lo:hi]), tuple(simple[lo:hi]))
+
+
+def _power_dtype(p, k):
+    """int64 when every p^k of the column of primes p is below 2^63, object
+    otherwise."""
+    return np.int64 if not len(p) or int(p.max()) ** k < _INT64_LIMIT else object
+
+
+def powers(p, k):
+    """p^k for the column of primes p, in ``_power_dtype(p, k)``."""
+    return p.astype(_power_dtype(p, k)) ** k
+
+
+def _reduce(c, m):
+    """The integer c mod each entry of the positive column m, in m's
+    dtype."""
+    if m.dtype == object or -_INT64_LIMIT < c < _INT64_LIMIT:
+        return c % m
+    return (c % m.astype(object)).astype(m.dtype)
+
+
+def _horner(coeffs, r, m):
+    """f(r) and f'(r) mod m for the columns r and m, the coefficients of f
+    in ascending order, each a number or a column."""
+    val = np.zeros_like(r)
+    der = np.zeros_like(r)
+    for c in reversed(coeffs):
+        der = (der * r + val) % m
+        val = (val * r + c) % m
+    return val, der
+
+
 def roots_mod_p(f: IntPoly, p, seed=0):
     """All residues r in [0, p-1] with p | f(r), as a level-1 RootSet."""
-    return roots_mod_primes(f, (p,), seed)[0]
+    return next(roots_mod_primes(f, (p,), seed).root_sets())
 
 
 def roots_mod_primes(f: IntPoly, primes, seed=0):
-    """The level-1 RootSet of f for each prime in ``primes``, in order.
+    """The level-1 RootColumns of f at the primes of ``primes``.
 
     Roots are sorted and do not depend on ``seed``, which only drives the
     random splitting of gcds of degree >= 3. A prime that divides every
     coefficient of f raises ValueError.
     """
-    primes = list(primes)
-    found = {}
-    odd = {}
-    for p in dict.fromkeys(primes):
-        g = gfpoly.monic(gfpoly.reduce_mod(f.coeffs, p), p)
-        if not g:
-            raise ValueError(f"f vanishes identically mod {p}")
-        if p == 2:
-            found[p] = tuple(r for r in (0, 1) if f.eval(r) % 2 == 0)
-        else:
-            odd[p] = g
-    found.update(zip(odd, gfpoly.roots(list(odd.values()), list(odd), seed)))
-    return [_root_set(f, p, found[p]) for p in primes]
+    P = gfpoly.modulus_column(list(primes))
+    C = np.stack([_reduce(c, P) for c in f.coeffs])
+    nonzero = C != 0
+    dead = ~nonzero.any(axis=0)
+    if dead.any():
+        raise ValueError(f"f vanishes identically mod {P[np.argmax(dead)]}")
+    degree = len(C) - 1 - np.argmax(nonzero[::-1], axis=0)
+    lead = C[degree, np.arange(len(P))]
+    scale = lead != 1
+    C[:, scale] = C[:, scale] * gfpoly.inverse(lead[scale], P[scale]) % P[scale]
+    # one (column, root) pair per root, from each degree case
+    found = []
+    odd = P != 2
+    low = np.flatnonzero(odd & (degree >= 1) & (degree <= 2))
+    if len(low):
+        roots, count = gfpoly.low_degree_roots(
+            C[0, low], C[1, low], degree[low] == 2, P[low]
+        )
+        for j in range(2):
+            has = count > j
+            found.append((low[has], roots[j, has]))
+    high = np.flatnonzero(odd & (degree >= 3))
+    if len(high):
+        gs = [gfpoly.trim(g) for g in C[:, high].T.tolist()]
+        hits = gfpoly.roots(gs, P[high].tolist(), seed)
+        found.append(
+            (
+                np.repeat(high, [len(r) for r in hits]),
+                np.array([x for r in hits for x in r], dtype=P.dtype),
+            )
+        )
+    for i in np.flatnonzero(~odd):
+        two = [r for r in (0, 1) if f.eval(r) % 2 == 0]
+        found.append((np.full(len(two), i), np.array(two, dtype=P.dtype)))
+    row = np.concatenate([np.zeros(0, np.int64)] + [i for i, _ in found])
+    r = np.concatenate([np.zeros(0, P.dtype)] + [x for _, x in found])
+    order = np.lexsort((r, row))
+    row, r = row[order], r[order]
+    _, der = _horner(C[:, row], r, P[row])
+    r = r.astype(_power_dtype(P, 1))
+    return RootColumns(p=P, k=1, row=row, r=r, simple=der != 0)
 
 
-def _root_set(f, p, roots):
-    flags = tuple(f.deriv_eval(r) % p != 0 for r in roots)
-    return RootSet(p=p, k=1, roots=roots, simple_flags=flags)
+def lift_columns(f: IntPoly, cols: RootColumns):
+    """The RootColumns of f mod p^(k+1) from those mod p^k.
+
+    A simple root r lifts to its one root r - p^k * t mod p^(k+1), with
+    t = (f(r)/p^k) * f'(r)^-1 mod p, in lockstep: f(r) mod p^(k+1) and
+    f'(r) mod p by Horner's rule, in int64 while every p^(k+1) < 2^31 and
+    in Python ints otherwise. Each non-simple root is tested against all p
+    candidates r + j * p^k; its lifts are non-simple too.
+    """
+    k = cols.k
+    s = np.flatnonzero(cols.simple)
+    row = cols.row[s]
+    p = cols.p[row]
+    m = gfpoly.modulus_column(powers(p, k + 1))
+    pk = powers(p, k).astype(m.dtype)
+    r = cols.r[s].astype(m.dtype)
+    val, _ = _horner([_reduce(c, m) for c in f.coeffs], r, m)
+    _, der = _horner([_reduce(c, p) for c in f.coeffs], (r % p).astype(p.dtype), p)
+    # f(r) mod p^(k+1) is p^k * (f(r)/p^k mod p)
+    t = (val // pk).astype(p.dtype) * gfpoly.inverse(der, p) % p
+    lifted = [(row, (r - pk * t) % m)]
+    rest = np.flatnonzero(~cols.simple)
+    for i in dict.fromkeys(cols.row[rest].tolist()):
+        prime = int(cols.p[i])
+        pk = prime**k
+        new = [
+            x + j * pk
+            for x in cols.r[rest][cols.row[rest] == i].tolist()
+            for j in range(prime)
+            if f.eval(x + j * pk) % (pk * prime) == 0
+        ]
+        lifted.append((np.full(len(new), i), np.array(new, dtype=object)))
+    dtype = _power_dtype(cols.p, k + 1)
+    row = np.concatenate([np.zeros(0, np.int64)] + [i for i, _ in lifted])
+    r = np.concatenate([x.astype(dtype) for _, x in lifted])
+    simple = np.repeat(
+        [True] + [False] * (len(lifted) - 1), [len(x) for _, x in lifted]
+    )
+    order = np.lexsort((r, row))
+    return RootColumns(
+        p=cols.p, k=k + 1, row=row[order], r=r[order], simple=simple[order]
+    )
 
 
 def lift_roots(f: IntPoly, prev: RootSet):
-    """Roots of f mod p^k from the roots mod p^(k-1).
-
-    Simple roots get their unique Newton lift; non-simple roots are tested
-    against all p candidates.
-    """
-    p = prev.p
-    k = prev.k + 1
-    pk = p**k
-    pk_prev = pk // p
-    roots = []
-    flags = []
-    for r, simple in zip(prev.roots, prev.simple_flags):
-        if simple:
-            fr = f.eval(r)
-            inv = pow(f.deriv_eval(r) % pk, -1, pk)
-            lifted = (r - fr * inv) % pk
-            roots.append(lifted)
-            flags.append(True)
-        else:
-            for t in range(p):
-                cand = r + t * pk_prev
-                if f.eval(cand) % pk == 0:
-                    roots.append(cand)
-                    flags.append(False)
-    order = sorted(range(len(roots)), key=roots.__getitem__)
-    return RootSet(
-        p=p,
-        k=k,
-        roots=tuple(roots[i] for i in order),
-        simple_flags=tuple(flags[i] for i in order),
+    """Roots of f mod p^(k+1) from the RootSet of the roots mod p^k:
+    ``lift_columns`` at the one prime p."""
+    P = gfpoly.modulus_column([prev.p])
+    cols = RootColumns(
+        p=P,
+        k=prev.k,
+        row=np.zeros(len(prev.roots), dtype=np.int64),
+        r=np.array(prev.roots, dtype=_power_dtype(P, prev.k)),
+        simple=np.array(prev.simple_flags, dtype=bool),
     )
-
+    return next(lift_columns(f, cols).root_sets())

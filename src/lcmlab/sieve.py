@@ -8,8 +8,11 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
 - Leg 1: every prime p <= B, in blocks of streamed primes
   (``_prime_columns``), as ``PrimeColumns``: the roots of g mod p and the
   progressions n = r mod p^k of the roots lifted while some n <= N is in
-  one. The layer counts b_k = #{n <= N_i : p^k | f(n) != 0} at any
-  checkpoint N_i are vectorised counts of these progressions. As
+  one. A block runs in numpy columns with no loop over its primes: the
+  roots of all its primes at once (``modular.roots_mod_primes``), then one
+  lift per level for all its roots (``modular.lift_columns``). The layer
+  counts b_k = #{n <= N_i : p^k | f(n) != 0} at any checkpoint N_i are
+  vectorised counts of these progressions. As
   v_p(c*g(n)) = v_p(c) + v_p(g(n)), a prime p of c puts v_p(c) leading
   layers that count every n with f(n) != 0 in front of them. Such a p is
   at most |f_d| < D, so it is a Leg 1 prime.
@@ -54,7 +57,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modular, primes, polynomial
-from .modular import lift_roots
 from .polynomial import IntPoly
 
 
@@ -416,34 +418,46 @@ def _prime_columns(coeffs, block, N, zeros, seed):
     integer roots of f in [1, N].
 
     A prime of c first gets e = v_p(c) content layers. The roots of g mod
-    p^k are lifted (Hensel) while some n <= N with g(n) != 0 lies in one of
-    their progressions and p^k is at most ``value_bound(g, N)``, which
-    bounds every nonzero |g(n)|.
+    p^k (``modular.roots_mod_primes``, then ``modular.lift_columns``) are
+    lifted level by level, all primes of the block at once: a prime's
+    roots go on while some n <= N with g(n) != 0 lies in one of their
+    progressions and p^(k+1) is at most ``value_bound(g, N)``, which bounds
+    every nonzero |g(n)|.
     """
     f = IntPoly(coeffs)
     g = primitive_part(f)
     cap = polynomial.value_bound(g, N)
-    c, live = math.gcd(*coeffs), N - len(zeros)
-    ps, roots, progs = [], [], []
-    for rs in modular.roots_mod_primes(g, block, seed):
-        e = _content_exp(f, rs.p) if c % rs.p == 0 and live > 0 else 0
-        if not (rs.roots or e):
-            continue
-        row = len(ps)
-        ps.append(rs.p)
-        roots.append(rs.roots)
-        progs += [(row, k, 0, 1) for k in range(1, e + 1)]
-        while rs.roots:
-            pk = rs.p**rs.k
-            if sum(_count_progression(r, pk, N) for r in rs.roots) <= len(zeros):
-                break
-            m = min(pk, N + 1)
-            progs += [(row, e + rs.k, r if r <= N else 0, m) for r in rs.roots]
-            if pk * rs.p > cap:
-                break
-            rs = lift_roots(g, rs)
-    cols = np.array(progs, dtype=np.int64).reshape(-1, 4).T
-    return PrimeColumns(_int_column(ps), Csr.from_rows(roots), *cols)
+    c = math.gcd(*coeffs)
+    rc = modular.roots_mod_primes(g, block, seed)
+    e = np.zeros(len(block), dtype=np.int64)
+    if c > 1 and N > len(zeros):
+        at = np.flatnonzero(c % np.array(block, dtype=object) == 0)
+        e[at] = [_content_exp(f, block[i]) for i in at]
+    per_prime = np.bincount(rc.row, minlength=len(block))
+    kept = (per_prime > 0) | (e > 0)
+    new_row = np.cumsum(kept) - 1
+    roots = Csr(np.concatenate(([0], np.cumsum(per_prime[kept]))), _int_column(rc.r))
+    # (row, level, r, m) columns, content layers first
+    progs = [(np.zeros(0, dtype=np.int64),) * 4]
+    for k in range(1, int(e.max(initial=0)) + 1):
+        at = new_row[e >= k]
+        progs.append((at, np.full_like(at, k), np.zeros_like(at), np.ones_like(at)))
+    while len(rc.row):
+        pk = modular.powers(rc.p[rc.row], rc.k)
+        count = np.zeros(len(block), dtype=np.int64)
+        np.add.at(count, rc.row, _count_progression(rc.r, pk, N).astype(np.int64))
+        go = count[rc.row] > len(zeros)
+        rc, pk = rc.take(go), pk[go]
+        r = np.where(rc.r <= N, rc.r, 0).astype(np.int64)
+        m = np.minimum(pk, N + 1).astype(np.int64)
+        progs.append((new_row[rc.row], e[rc.row] + rc.k, r, m))
+        rc = rc.take(modular.powers(rc.p[rc.row], rc.k + 1) <= cap)
+        if len(rc.row):
+            rc = modular.lift_columns(g, rc)
+    row, level, r, m = map(np.concatenate, zip(*progs))
+    order = np.lexsort((level, row))
+    progs = np.stack([col[order] for col in (row, level, r, m)])
+    return PrimeColumns(_int_column(rc.p[kept]), roots, *progs)
 
 
 def prime_data(f: IntPoly, p, N, zeros, seed):

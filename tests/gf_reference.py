@@ -1,7 +1,8 @@
 """Pure-Python polynomial arithmetic over GF(p), one prime at a time.
 
 The independent reference for ``lcmlab.gfpoly``'s lockstep kernel: the
-tests compare the root finder and the batched Rabin test against these.
+tests compare the root finder, the closed form for degree <= 2 and the
+batched Rabin test against these.
 Polynomials are lists of ints in ascending order, reduced mod p. Only the
 small helpers ``trim``, ``reduce_mod``, ``deg`` and ``monic`` come from the
 package; the division, gcd and powering here share no code with the kernel.
@@ -152,3 +153,44 @@ def is_irreducible(f, p):
     g = list(g) + [0] * max(0, 2 - len(g))
     g[1] = (g[1] - 1) % p
     return not trim(g)
+
+
+def roots_low_degree(g, p):
+    """Sorted roots in GF(p), p odd, of the monic g of degree <= 2: the
+    quadratic formula with Tonelli-Shanks."""
+    if len(g) == 1:
+        return ()
+    if len(g) == 2:
+        return ((-g[0]) % p,)
+    c0, c1, _ = g
+    disc = (c1 * c1 - 4 * c0) % p
+    if disc and pow(disc, (p - 1) // 2, p) != 1:
+        return ()
+    half = (p + 1) // 2
+    if disc == 0:
+        return ((-c1 * half) % p,)
+    s = sqrt_mod(disc, p)
+    return tuple(sorted(((s - c1) * half % p, (-s - c1) * half % p)))
+
+
+def sqrt_mod(a, p):
+    """A square root of the nonzero quadratic residue a mod the odd prime
+    p (Tonelli-Shanks)."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r

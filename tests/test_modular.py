@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcmlab import gfpoly
-from lcmlab.modular import lift_roots, roots_mod_p, roots_mod_primes
+from lcmlab.modular import lift_columns, lift_roots, roots_mod_p, roots_mod_primes
 from lcmlab.polynomial import IntPoly, discriminant, parse_poly
 from lcmlab.primes import sieve_primes
 from lcmlab.sieve import _count_progression
@@ -98,12 +98,12 @@ class TestRootsModP:
                 with pytest.raises(ValueError, match="vanishes identically"):
                     roots_mod_p(f, p)
         g = IntPoly(tuple(x // c for x in f.coeffs))
-        found = roots_mod_primes(g, SCAN_PRIMES, seed=seed)
+        found = list(roots_mod_primes(g, SCAN_PRIMES, seed=seed).root_sets())
         assert [rs.p for rs in found] == SCAN_PRIMES
         for rs in found:
             assert (rs.roots, rs.simple_flags) == scan_roots(g, rs.p), rs.p
         sampled = [int(sympy.nextprime(s)) for s in starts] + REFERENCE_PRIMES
-        for rs in roots_mod_primes(f, sampled, seed=seed):
+        for rs in roots_mod_primes(f, sampled, seed=seed).root_sets():
             assert rs.roots == reference_roots(f, rs.p), rs.p
             assert rs.simple_flags == tuple(
                 f.deriv_eval(r) % rs.p != 0 for r in rs.roots
@@ -134,7 +134,7 @@ class TestLockstepSplitting:
         assert sum(len(r) == 3 for r in expected) > 300
         for seed in self.SEEDS:
             power_calls.clear()
-            found = roots_mod_primes(self.CUBIC, ps, seed=seed)
+            found = roots_mod_primes(self.CUBIC, ps, seed=seed).root_sets()
             assert [rs.roots for rs in found] == expected, seed
             # x^p, then at least two splitting rounds
             assert len(power_calls) >= 3
@@ -143,7 +143,7 @@ class TestLockstepSplitting:
         ps = sieve_primes(3000)[1:]
         for seed in self.SEEDS:
             power_calls.clear()
-            found = roots_mod_primes(self.SEXTIC, ps, seed=seed)
+            found = roots_mod_primes(self.SEXTIC, ps, seed=seed).root_sets()
             for rs in found:
                 assert rs.roots == reference_roots(self.SEXTIC, rs.p), (seed, rs.p)
                 assert rs.roots == tuple(sorted({r % rs.p for r in self.SEXTIC_ROOTS}))
@@ -155,7 +155,7 @@ class TestLockstepSplitting:
         expected = [reference_roots(f, p) for p in REFERENCE_PRIMES]
         assert any(len(r) >= 3 for r in expected)
         for seed in self.SEEDS:
-            found = roots_mod_primes(f, REFERENCE_PRIMES, seed=seed)
+            found = roots_mod_primes(f, REFERENCE_PRIMES, seed=seed).root_sets()
             assert [rs.roots for rs in found] == expected, seed
 
     def test_unsplittable_factor_raises(self, power_calls):
@@ -239,3 +239,127 @@ class TestCountProgression:
         assert [_count_progression(r, m, N) for r in range(m)] == expected
         r = np.arange(m)
         assert _count_progression(r, np.full(m, m), N).tolist() == expected
+
+
+ODD_PRIMES = sieve_primes(3000)[1:]
+# 16 primes from 2^31 on: the closed form runs on Python-int columns
+WIDE_PRIMES = [int(sympy.nextprime(2**31))]
+while len(WIDE_PRIMES) < 16:
+    WIDE_PRIMES.append(int(sympy.nextprime(WIDE_PRIMES[-1])))
+
+
+def brute_lifts(f, p, k):
+    """{r < p^k : p^k | f(r)}, sorted."""
+    pk = p**k
+    return tuple(r for r in range(pk) if f.eval(r) % pk == 0)
+
+
+class TestClosedForm:
+    """gfpoly.low_degree_roots, the one root finder for degree <= 2, alone
+    and behind roots_mod_primes, against brute force and the per-prime
+    Tonelli-Shanks reference."""
+
+    @pytest.mark.parametrize("poly", ["x^2+1", "x^2+x+1", "x^2-2"])
+    def test_every_odd_prime_below_3000(self, poly):
+        f = parse_poly(poly)
+        P = gfpoly.modulus_column(ODD_PRIMES)
+        c0, c1, _ = (np.array([c % p for p in ODD_PRIMES]) for c in f.coeffs)
+        roots, count = gfpoly.low_degree_roots(c0, c1, np.ones(len(P), bool), P)
+        found = roots_mod_primes(f, ODD_PRIMES).root_sets()
+        for i, (p, rs) in enumerate(zip(ODD_PRIMES, found)):
+            expected = scan_roots(f, p)
+            assert tuple(roots[: count[i], i].tolist()) == expected[0], p
+            assert (rs.roots, rs.simple_flags) == expected, p
+
+    def test_degree_drops_at_a_prime_of_the_lead(self):
+        # 3x^2 + 5x + 7 is 2x + 1 mod 3, whose root is 1
+        f = parse_poly("3x^2+5x+7")
+        found = list(roots_mod_primes(f, ODD_PRIMES).root_sets())
+        assert found[0].p == 3 and found[0].roots == (1,)
+        for rs in found:
+            assert (rs.roots, rs.simple_flags) == scan_roots(f, rs.p), rs.p
+
+    @pytest.mark.parametrize("poly", ["x^2+4x+4", "x^2-45", "9x^2+6x+1"])
+    def test_double_roots_lift_exhaustively(self, poly):
+        # x^2 + 4x + 4 = (x + 2)^2 has the one double root -2 at every p;
+        # x^2 - 45 is ramified at 3 and 5 and simple elsewhere
+        f = parse_poly(poly)
+        cols = roots_mod_primes(f, ODD_PRIMES)
+        for rs in cols.root_sets():
+            assert (rs.roots, rs.simple_flags) == scan_roots(f, rs.p), rs.p
+        small = [p for p in ODD_PRIMES if p < 50]
+        cols = cols.take(cols.p[cols.row] < 50)
+        assert not cols.simple.all()
+        for k in (2, 3):
+            cols = lift_columns(f, cols)
+            for p, rs in zip(small, cols.root_sets()):
+                assert rs.roots == brute_lifts(f, p, k), (p, k)
+                simple = discriminant(f) % p != 0
+                assert rs.simple_flags == (simple,) * len(rs.roots), (p, k)
+
+    def test_every_square_mod_primes_1_mod_8(self):
+        # p = 1 mod 8 has no fixed small non-square, so Cipolla's search
+        # for a non-square t^2 - a takes the most rounds; every nonzero
+        # square a of each such p below 3000 is one column here
+        ps = [p for p in ODD_PRIMES if p % 8 == 1]
+        assert len(ps) > 100
+        col_p, col_a, col_root = [], [], []
+        for p in ps:
+            root = {}
+            for x in range(1, (p + 1) // 2):
+                root.setdefault(x * x % p, x)
+            for a, x in root.items():
+                col_p.append(p)
+                col_a.append(a)
+                col_root.append(min(x, p - x))
+        P = gfpoly.modulus_column(col_p)
+        a = np.array(col_a)
+        roots, count = gfpoly.low_degree_roots(-a % P, 0 * a, np.ones(len(P), bool), P)
+        assert (count == 2).all()
+        assert roots[0].tolist() == col_root
+        assert (roots[1] == P - roots[0]).all()
+        # some columns needed a second round of candidates
+        t = np.ones(len(P), dtype=np.int64)
+        for _ in range(gfpoly._CIPOLLA_TRIES):
+            bad = np.array([pow(int((x * x - y) % p), (p - 1) // 2, p) != p - 1
+                            for x, y, p in zip(t, col_a, col_p)])
+            t += bad
+        assert bad.any()
+
+    @pytest.mark.parametrize("poly", ["x^2+1", "x^2+x+1", "x^2-2", "3x^2+5x+7"])
+    def test_python_int_columns(self, poly):
+        f = parse_poly(poly)
+        disc = discriminant(f)
+        cols = roots_mod_primes(f, WIDE_PRIMES)
+        assert cols.p.dtype == object
+        for rs in cols.root_sets():
+            p = rs.p
+            assert all(f.eval(r) % p == 0 for r in rs.roots), p
+            residue = pow(disc, (p - 1) // 2, p)
+            assert len(rs.roots) == {1: 2, 0: 1, p - 1: 0}[residue], p
+            g = gfpoly.monic(gfpoly.reduce_mod(f.coeffs, p), p)
+            assert rs.roots == gf_reference.roots_low_degree(g, p), p
+
+    def test_split_pieces_batched_per_round(self, power_calls, monkeypatch):
+        # roots_of_split reads its pieces of degree <= 2 in one closed-form
+        # call for the input and one per splitting round
+        calls = []
+        closed = gfpoly.low_degree_roots
+
+        def spy(c0, c1, quad, P):
+            calls.append(len(P))
+            return closed(c0, c1, quad, P)
+
+        monkeypatch.setattr(gfpoly, "low_degree_roots", spy)
+        ps = [p for p in sieve_primes(2000) if p % 3 == 1]
+        hs = [[2, 0, 0, 1]] * len(ps) + [[6, 5, 1]]
+        found = gfpoly.roots_of_split(
+            [gf_reference.frobenius_root_poly(h, p) for h, p in zip(hs, ps + [7])],
+            ps + [7],
+            0,
+        )
+        assert found[-1] == (4, 5)
+        assert found[:-1] == [
+            reference_roots(parse_poly("x^3+2"), p) for p in ps
+        ]
+        assert 1 < len(calls) <= len(power_calls) + 1

@@ -1,6 +1,10 @@
 import dataclasses
+import itertools
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +21,7 @@ from lcmlab.primes import FactorTimeout, factorize, is_probable_prime
 from lcmlab.sieve import LedgerMismatch, build_ledger, factor_cofactor, prime_data
 
 from conftest import TEST_POLYS
+from test_modular import scan_roots
 
 F = parse_poly("x^2+1")
 
@@ -225,6 +230,24 @@ class TestBuildLedger:
         assert abs(from_ledger - direct) <= 1e-9 * abs(direct)
 
 
+def test_build_loads_no_lazy_numpy_module():
+    # numpy.random and numpy.ma load on first use, at a cost in peak RSS of
+    # a few MB (numpy.random) that the benchmark's bound would see
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from lcmlab import build_ledger, parse_poly\n"
+        "build_ledger(parse_poly('x^2+1'), 2000)\n"
+        "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "[]"
+
+
 @st.composite
 def schedule_cases(draw):
     """(f, schedule): f of degree 2 to 4 with content up to 3 and, in about
@@ -295,6 +318,89 @@ class TestCheckpointPass:
         assert cols.p.tolist() == [p for p in read if p == 2 or p % 4 == 1]
 
 
+def per_prime_columns(f, block, N, zeros):
+    """Leg 1 one prime at a time, as it ran before the block columns: the
+    roots of g = f/c mod p by a scan, every lift by a search over the p
+    candidates. The (p, roots, (row, level, r, m)) rows of the block."""
+    g = sieve.primitive_part(f)
+    cap = value_bound(g, N)
+    c = math.gcd(*f.coeffs)
+    ps, roots, progs = [], [], []
+    for p in block:
+        rs = scan_roots(g, p)[0]
+        e = sieve._content_exp(f, p) if c % p == 0 and N > len(zeros) else 0
+        if not (rs or e):
+            continue
+        row = len(ps)
+        ps.append(p)
+        roots.append(rs)
+        progs += [(row, k, 0, 1) for k in range(1, e + 1)]
+        k = 1
+        while rs:
+            pk = p**k
+            if sum(sieve._count_progression(r, pk, N) for r in rs) <= len(zeros):
+                break
+            progs += [(row, e + k, r if r <= N else 0, min(pk, N + 1)) for r in rs]
+            if pk * p > cap:
+                break
+            rs = tuple(
+                sorted(
+                    r + t * pk
+                    for r in rs
+                    for t in range(p)
+                    if g.eval(r + t * pk) % (pk * p) == 0
+                )
+            )
+            k += 1
+    return ps, roots, progs
+
+
+@st.composite
+def block_cases(draw):
+    """(f, N): a quadratic or cubic, nonmonic, with content up to 6 and, in
+    about a third of the cases, a rational root a/b."""
+    d = draw(st.integers(2, 3))
+    fraction = st.tuples(st.integers(-9, 9), st.integers(1, 3))
+    root = draw(st.one_of(st.none(), st.none(), fraction))
+    k = d if root is None else d - 1
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=k, max_size=k))
+    coeffs.append(draw(st.integers(-12, 12).filter(bool)))
+    if root is not None:  # times (b*x - a)
+        a, b = root
+        coeffs = [b * x - a * y for x, y in zip([0] + coeffs, coeffs + [0])]
+    content = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    N = draw(st.integers(1, 120 if d == 2 else 60))
+    return IntPoly(tuple(content * c for c in coeffs)), N
+
+
+class TestBlockColumns:
+    @given(block_cases())
+    @example((parse_poly("6x^2-6"), 100))
+    @example((parse_poly("x^2-1"), 100))
+    @example((parse_poly("3x^2+5x+7"), 100))  # degree 1 mod 3
+    @example((parse_poly("x^2-45"), 120))  # ramified at 3 and 5
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_blocks_match_per_prime(self, case):
+        # every block of 16 primes, as Leg 1 makes it in columns, equals
+        # the per-prime walk, column for column
+        f, N = case
+        assume(discriminant(f) != 0)
+        zeros = f.profile.integer_roots_in_range(N)
+        B = f.profile.D * N
+        with mock.patch.object(modular, "BLOCK_SIZE", 16):
+            blocks = list(sieve._leg1(f.coeffs, B, N, zeros, 0, workers=1))
+        stream = primes.iter_primes(B)
+        for cols in blocks:
+            block = list(itertools.islice(stream, 16))
+            ps, roots, progs = per_prime_columns(f, block, N, zeros)
+            assert cols.p.tolist() == ps
+            assert [tuple(cols.roots.row(i).tolist()) for i in range(len(ps))] == roots
+            got = np.stack((cols.row, cols.level, cols.r, cols.m), axis=1)
+            assert got.tolist() == [list(x) for x in progs]
+            dtypes = {a.dtype for a in (cols.p, cols.roots.values, got)}
+            assert dtypes == {np.dtype(np.int64)}
+
+
 class TestColumnarLedger:
     def test_object_columns(self):
         # value_bound >= 2^63, so Legs 2 and 3 run in Python-int columns
@@ -352,11 +458,8 @@ class TestLegCrossCheck:
         found = modular.roots_mod_primes
 
         def drop_root(g, block, seed=0):
-            out = found(g, block, seed)
-            return [
-                modular.RootSet(rs.p, 1, (), ()) if rs.p == 2069 else rs
-                for rs in out
-            ]
+            cols = found(g, block, seed)
+            return cols.take((cols.p[cols.row] != 2069) | (cols.r != 514))
 
         monkeypatch.setattr(modular, "roots_mod_primes", drop_root)
         with pytest.raises(LedgerMismatch, match="22632791"):
