@@ -332,7 +332,12 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (status 0) or its usage and error
+        # lines (status 2, which here means that rho gave up)
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ConfigError, sieve.LedgerMismatch) as exc:

@@ -19,7 +19,7 @@ on them:
 - ``is_irreducible``: Rabin's test (Rabin 1980) from x^(p^k) mod (g, p),
   for all its primes in one call.
 
-``roots`` chains the middle two for ``modular.roots_mod_primes``.
+``modular.roots_mod_primes`` chains the middle two for degree >= 3.
 """
 
 from __future__ import annotations
@@ -185,17 +185,6 @@ def _powers(a, e, gs, ps):
         for i, w in zip(idx, _pow_x_plus_a(*cols)):
             out[i] = w
     return out
-
-
-def roots(gs, ps, seed):
-    """The sorted roots over GF(p_i), p_i odd, of each monic g_i: those of
-    gcd(x^p - x, g) when g has degree >= 3, read off by roots_of_split."""
-    big = [i for i, g in enumerate(gs) if len(g) > 3]
-    hs = list(gs)
-    found = frobenius_root_poly([gs[i] for i in big], [ps[i] for i in big])
-    for i, h in zip(big, found):
-        hs[i] = h
-    return roots_of_split(hs, ps, seed)
 
 
 def frobenius_root_poly(gs, ps):

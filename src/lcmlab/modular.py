@@ -6,9 +6,10 @@ matrix, one column per prime, and makes each column monic. A column's
 degree is that of f mod p, lower at a prime of the leading coefficient.
 At p = 2 the residues 0 and 1 are tested. The odd primes go to gfpoly by
 degree: ``gfpoly.low_degree_roots`` (the closed form, in lockstep) for
-degree <= 2, and one ``gfpoly.roots`` call (x^p mod (g, p),
-gcd(x^p - x, g), then equal-degree splitting, in lockstep) for degree
->= 3. The roots come back as ``RootColumns``, one row per root.
+degree <= 2; for degree >= 3, one ``gfpoly.frobenius_root_poly`` call
+(x^p mod (g, p), then gcd(x^p - x, g)) and one ``gfpoly.roots_of_split``
+call (equal-degree splitting), each in lockstep. The roots come back as
+``RootColumns``, one row per root.
 
 f must not vanish identically mod p: a prime of the content of f is
 refused, since every residue would be a root. The ledger strips the
@@ -148,7 +149,8 @@ def roots_mod_primes(f: IntPoly, primes, seed=0):
     high = np.flatnonzero(odd & (degree >= 3))
     if len(high):
         gs = [gfpoly.trim(g) for g in C[:, high].T.tolist()]
-        hits = gfpoly.roots(gs, P[high].tolist(), seed)
+        ps = P[high].tolist()
+        hits = gfpoly.roots_of_split(gfpoly.frobenius_root_poly(gs, ps), ps, seed)
         found.append(
             (
                 np.repeat(high, [len(r) for r in hits]),

@@ -3,7 +3,7 @@
 All randomness is drawn from explicitly seeded ``random.Random`` instances so
 every run is reproducible.
 
-``factorize_lanes`` runs factorize's steps on a column of odd int64
+``factorize_lanes`` runs factorize's steps on a column of int64
 cofactors at once: Miller-Rabin and the first attempt of Brent's rho, each
 lane walking exactly as the scalar code does, on Montgomery products of
 32-bit limbs in uint64 arrays. The last walks, and whatever the lanes give
@@ -239,12 +239,13 @@ def factorize(n, seed=0, max_iters=1 << 20, attempts=8):
     return sorted(counts.items())
 
 
-# Fewer walks than this finish in scalar Python, and a smaller batch of
-# cofactors stays scalar. One lockstep step costs about 26 us (first half
-# of a round) or 48 us (second half) of numpy calls plus 0.05 us a lane,
-# one scalar step 0.32 or 0.69 us: the crossover is 70-80 walks. On the
-# 2,174 composites of x^5-x+1 at N = 6000 (2-vCPU VM), every cut-over
-# from 64 to 192 walks took 1.8-2.2 s, within the run-to-run spread.
+# Fewer walks than this finish in scalar Python, and a round of
+# factorize_lanes with fewer parts leaves them all to the scalar code. One
+# lockstep step costs about 26 us (first half of a round) or 48 us (second
+# half) of numpy calls plus 0.05 us a lane, one scalar step 0.32 or
+# 0.69 us: the crossover is 70-80 walks. On the 2,174 composites of
+# x^5-x+1 at N = 6000 (2-vCPU VM), every cut-over from 64 to 192 walks
+# took 1.8-2.2 s, within the run-to-run spread.
 LANES = 128
 
 # 0-d arrays, not numpy scalars: cheaper operands, and the wrapping stays
@@ -431,11 +432,12 @@ def _brent_lanes(n, seed, max_iters):
 
 
 def factorize_lanes(ms, seed, max_iters):
-    """Split each odd cofactor of the int64 column ms as factorize does, in
-    lanes: the odd primes of _TINY_PRIMES are divided out, then every part
-    goes through Miller-Rabin (_probable_primes) and each composite through
-    rho attempt 0 (_brent_lanes), and each factor found goes back through
-    both steps.
+    """Split each cofactor of the int64 column ms as factorize does, in
+    lanes: the primes of _TINY_PRIMES are divided out, 2 included, so the
+    Montgomery arithmetic sees odd moduli only. Then every part goes
+    through Miller-Rabin (_probable_primes) and each composite through rho
+    attempt 0 (_brent_lanes), and each factor found goes back through both
+    steps.
 
     Returns two pairs of int64 columns: (owner, prime), one row for each
     prime factor found with its multiplicity, and (owner, part), the parts
@@ -446,7 +448,7 @@ def factorize_lanes(ms, seed, max_iters):
     owner = np.arange(len(ms))
     part = ms.astype(np.uint64)
     found = [(owner[:0], part[:0])]
-    for p in _TINY_PRIMES[1:]:
+    for p in _TINY_PRIMES:
         while (hit := part % np.uint64(p) == 0).any():
             found.append((owner[hit], np.full(np.count_nonzero(hit), p, np.uint64)))
             part[hit] //= np.uint64(p)

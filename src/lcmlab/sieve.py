@@ -26,18 +26,19 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
 - Leg 3: what remains of each |g(n)| has only prime factors above B. A
   cofactor below B^2 is then prime; it must pass a base-2 Fermat test
   first, so that a prime Leg 1 missed cannot pass for one. The larger
-  cofactors of a segment are factored in one batch. With at least
-  ``primes.LANES`` of them in int64, the odd ones are split in lockstep
-  lanes (``primes.factorize_lanes``): Miller-Rabin, then Brent's rho walk
-  of factor_cofactor's first attempt, on exact uint64 Montgomery
-  arithmetic. What the lanes leave, and each cofactor of a smaller or
+  cofactors of a segment are factored in one batch. In int64 they are
+  split in lockstep lanes (``primes.factorize_lanes``): Miller-Rabin, then
+  Brent's rho walk of factor_cofactor's first attempt, on exact uint64
+  Montgomery arithmetic. What the lanes leave, and each cofactor of an
   object batch, goes to factor_cofactor, so a rho timeout keeps its
   budget. The hits of such primes up to a checkpoint are those read so
   far.
 
 The ledger at checkpoint N_i equals a pass to N_i alone: a Leg 1 prime in
 (D*N_i, B] holds its hits n <= N_i, read off the lifted roots, in place of
-its roots. A FactorLedger holds columns sorted by p;
+its roots. Its hit rows and Leg 3's go to one grouping (``_group_hits``),
+which adds up v_p(f(n)) per (p, n) and makes the rows of every prime above
+D*N_i. A FactorLedger holds columns sorted by p;
 ``FactorLedger.entries`` reads them as a mapping p -> PrimeLocalData, and
 ``FactorLedger.prime_hits`` reads the hits of one prime. No other module
 reads the layout.
@@ -393,23 +394,13 @@ class PrimeColumns:
         return Csr(offsets, b[keep])
 
     def hits(self, rows, n_max, zeros):
-        """The hit table of the rows the mask ``rows`` selects, whose primes
-        all exceed n_max: n <= n_max lies in a progression of layer k only
-        as its residue, so v_p(f(n)) is the number of layers with residue
-        n. ``zeros`` are the integer zeros of f, which are no hits."""
+        """(q, n, 1) hit columns of the rows the mask ``rows`` selects, whose
+        primes all exceed n_max: n <= n_max lies in a progression of layer k
+        only as its residue, so each progression with residue n adds 1 to
+        v_q(f(n)). ``zeros`` are the integer zeros of f, which are no hits."""
         at = rows[self.row] & (self.r > 0) & (self.r <= n_max)
         at &= ~np.isin(self.r, zeros)
-        row, n = self.row[at], self.r[at]
-        order = np.lexsort((n, row))
-        row, n = row[order], n[order]
-        new = np.ones(len(n), dtype=bool)
-        new[1:] = (row[1:] != row[:-1]) | (n[1:] != n[:-1])
-        starts = np.flatnonzero(new)
-        v = np.diff(np.append(starts, len(n)))
-        offsets = np.concatenate(
-            ([0], np.cumsum(np.bincount(row[starts], minlength=len(self.p))[rows]))
-        )
-        return Csr(offsets, np.stack((n[starts], v), axis=1))
+        return self.p[self.row[at]], self.r[at], np.ones(np.count_nonzero(at), np.int64)
 
 
 def _prime_columns(coeffs, block, N, zeros, seed):
@@ -588,7 +579,7 @@ def _fermat_base2(m):
 
 
 def _large_hits(f, N, B, cofactors, lo, seed):
-    """(q, n, e) columns of the primes q > B in ``cofactors`` (of
+    """(q, n, e) hit columns of the primes q > B in ``cofactors`` (of
     n = lo, lo + 1, ...), each prime to B divided out.
 
     A cofactor in (B, B^2) is prime unless a prime <= B was missed, and
@@ -621,22 +612,19 @@ def _large_hits(f, N, B, cofactors, lo, seed):
 
 
 def _factor_large(f, N, n, c, seed):
-    """(q, n, e) columns of the primes q of the cofactors c of f(n), all
-    above B^2, one row per (q, n).
+    """(q, n, e) hit columns of the primes q of the cofactors c of f(n),
+    all above B^2.
 
-    A batch of at least ``primes.LANES`` int64 cofactors splits its odd
-    ones in lanes (``primes.factorize_lanes``). What the lanes leave, and
-    each cofactor of a smaller batch, goes to factor_cofactor in n order.
-    A FactorTimeout names f, N, n and the cofactor.
+    An int64 batch is split in lanes (``primes.factorize_lanes``). What the
+    lanes leave, and each cofactor of an object batch, goes to
+    factor_cofactor in n order. A prime of a cofactor split between the
+    two has a row from each; _group_hits adds up their e. A FactorTimeout
+    names f, N, n and the cofactor.
     """
-    if len(c) >= primes.LANES and c.dtype == np.int64:
-        odd = c % 2 == 1
-        lanes, even = np.flatnonzero(odd), np.flatnonzero(~odd)
-        (owner, q), (left, m) = primes.factorize_lanes(c[odd], seed, RHO_MAX_ITERS)
-        found = (q, n[lanes[owner]], np.ones_like(q))
-        todo = sorted(
-            [*zip(lanes[left].tolist(), m.tolist()), *zip(even.tolist(), c[even].tolist())]
-        )
+    if c.dtype == np.int64:
+        (owner, q), (left, m) = primes.factorize_lanes(c, seed, RHO_MAX_ITERS)
+        found = (q, n[owner], np.ones_like(q))
+        todo = sorted(zip(left.tolist(), m.tolist()))
     else:
         found = (c[:0], n[:0], n[:0])
         todo = enumerate(c.tolist())
@@ -651,22 +639,21 @@ def _factor_large(f, N, n, c, seed):
         rows += [(prime, n[i], e) for prime, e in factors]
     rows = np.array(rows, dtype=object).reshape(-1, 3)
     scalar = (rows[:, 0].astype(c.dtype), *rows[:, 1:].astype(np.int64).T)
-    q, n, e = (np.concatenate(col) for col in zip(found, scalar))
-    # a prime of a cofactor split between the lanes and factor_cofactor
-    # has a row from each: one row per (q, n) adds up their e
-    order = np.lexsort((q, n))
-    q, n, e = q[order], n[order], e[order]
-    new = np.ones(len(q), dtype=bool)
-    new[1:] = (q[1:] != q[:-1]) | (n[1:] != n[:-1])
-    starts = np.flatnonzero(new)
-    return q[starts], n[starts], np.add.reduceat(e, starts) if len(e) else e
+    return tuple(np.concatenate(col) for col in zip(found, scalar))
 
 
-def _group_large(q, n, e):
-    """The p column, layer table and hit table of the primes above B from
-    their (q, n, e) hit columns, sorted by (q, n)."""
+def _group_hits(q, n, e):
+    """The p column, layer table and hit table of primes from their
+    (q, n, e) hit columns, in any order: v_q(f(n)) is the sum of e over the
+    rows of (q, n)."""
     order = np.lexsort((n, q))
     q, n, e = q[order], n[order], e[order]
+    del order  # as long as the columns: free it before the peak below
+    first = np.ones(len(q), dtype=bool)  # the first row of each (q, n)
+    first[1:] = (q[1:] != q[:-1]) | (n[1:] != n[:-1])
+    if not first.all():  # compacting copies every column
+        at = np.flatnonzero(first)
+        q, n, e = q[at], n[at], np.add.reduceat(e, at)
     new = np.ones(len(q), dtype=bool)
     new[1:] = q[1:] != q[:-1]
     starts = np.flatnonzero(new)
@@ -715,8 +702,7 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
         np.repeat(np.arange(rows), per_root),
     )
     levels = [np.zeros(rows, dtype=np.int64)]
-    no_hit = np.zeros(0, np.int64)
-    large = [(np.zeros(0, dtype=dtype), no_hit, no_hit)]
+    large = []
     skipped = 0
     lo = 1
     for n_max in schedule:
@@ -736,8 +722,9 @@ def _checkpoint(f, N, cols, sieved, large, skipped):
     of the PrimeColumns ``cols``, and ``large`` Leg 3's (q, n, e) hits.
 
     Leg 1's layers of g must equal ``sieved`` at every row. A row's prime
-    up to D*N keeps its level-1 roots; above D*N it has its hits, like a
-    prime that Leg 3 found.
+    up to D*N keeps its level-1 roots and Leg 1's layers. Above D*N its
+    hits join Leg 3's in one _group_hits call, which makes the layers and
+    hits of every prime above D*N.
     """
     zeros = f.profile.integer_roots_in_range(N)
     layers, g_layers = cols.layers(N, len(zeros))
@@ -755,20 +742,18 @@ def _checkpoint(f, N, cols, sieved, large, skipped):
             f"{tuple(sieved.row(i).tolist())}"
         )
 
-    live = layers.lengths() > 0
-    small = live & (cols.p <= f.profile.D * N)
-    above = live & ~small
-    big_p, big_layers, big_hits = _group_large(
-        *(np.concatenate(col) for col in zip(*large))
+    above = cols.p > f.profile.D * N
+    small = ~above & (layers.lengths() > 0)
+    p, hit_layers, hits = _group_hits(
+        *(np.concatenate(col) for col in zip(cols.hits(above, N, zeros), *large))
     )
     roots = cols.roots.take(small)
-    hits = cols.hits(above, N, zeros)
     return FactorLedger(
         f=f,
         N=N,
         skipped_zero_count=skipped,
-        p=_int_column(np.concatenate((cols.p[live], big_p))),
-        layers=layers.take(live).concat(big_layers),
-        roots=roots.concat(roots.empty_rows(np.count_nonzero(above) + len(big_p))),
-        hits=big_hits.empty_rows(np.count_nonzero(small)).concat(hits).concat(big_hits),
+        p=_int_column(np.concatenate((cols.p[small], p))),
+        layers=layers.take(small).concat(hit_layers),
+        roots=roots.concat(roots.empty_rows(len(p))),
+        hits=hits.empty_rows(np.count_nonzero(small)).concat(hits),
     )

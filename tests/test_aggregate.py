@@ -82,8 +82,8 @@ class TestSweep:
     def test_factor_timeout_is_a_gap(self, monkeypatch):
         # rho is called on the cofactor 1048561 of f(16) alone in the pass;
         # a timeout there ends it after the records of N = 10 and 15. The
-        # batch of at most 30 cofactors is below primes.LANES, so each goes
-        # to factor_cofactor.
+        # batch of at most 30 cofactors is below primes.LANES, so the lanes
+        # leave each of them to factor_cofactor.
         f = parse_poly("x^5-x+1")
         factor = sieve.factor_cofactor
 

@@ -268,7 +268,7 @@ class TestOtherCommands:
             raise primes.FactorTimeout(f"rho gave up on {c}")
 
         # x^5-x+1 at N=30 leaves cofactors above B^2 = 180^2 for rho, fewer
-        # than primes.LANES, so each goes to factor_cofactor
+        # than primes.LANES, so the lanes leave each to factor_cofactor
         monkeypatch.setattr(sieve, "factor_cofactor", timeout)
         code, out, err = _run(capsys, command, "--poly", "x^5-x+1", "--n", "30")
         assert code == 2 and out == ""
@@ -315,6 +315,34 @@ def test_n_below_1_exit_1(capsys, command, n):
     result = _run(capsys, command, "--poly", "x^2+1", f"--n={n}")
     _assert_config_error(*result)
     assert "--n must be >= 1" in result[2]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--poly", "x^2+1"], "the following arguments are required: --n"),
+        (
+            ["sweep", "--poly", "x^2+1", "--n", "10", "--format", "xml"],
+            "argument --format: invalid choice: 'xml'",
+        ),
+        (
+            ["verify", "--poly", "x^2+1", "--n", "ten"],
+            "argument --n: invalid int value: 'ten'",
+        ),
+    ],
+)
+def test_usage_error_exit_1(capsys, argv, message):
+    # exit 2 is kept for a rho timeout, so a usage error returns 1
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    usage, error = err.splitlines()[0], err.splitlines()[-1]
+    assert usage.startswith(f"usage: lcmlab {argv[0]} ")
+    assert error.startswith(f"lcmlab {argv[0]}: error: {message}")
+
+
+def test_help_exit_0(capsys):
+    code, out, _ = _run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: lcmlab ")
 
 
 def test_readme_cli_examples_parse():

@@ -182,8 +182,9 @@ class TestLaneBrent:
         rng = random.Random(4)
         ms = _composites(510, seed=5) + G_EQ_N
         ms += [sympy.nextprime(rng.randrange(2**40, 2**62)) for _ in range(100)]
-        # odd primes of primes._TINY_PRIMES
+        # primes of primes._TINY_PRIMES, 2 among them
         ms += [3 * 5 * 47 * 1_000_003, 3**4 * 7 * 11, 9, 37, 47, 3 * 2**61 + 1]
+        ms += [2 * 3 * 1_000_003, 2**40 * 5, 2 * (2**61 - 1)]
         (owner, q), (left, rest) = factorize_lanes(np.array(ms, np.int64), 0, MAX_ITERS)
         counts = collections.Counter(zip(owner.tolist(), q.tolist()))
         for i, m in zip(left.tolist(), rest.tolist()):
@@ -202,7 +203,24 @@ class TestLaneBrent:
         monkeypatch.setattr(primes, "LANES", 1)
         cs = [p * m for m in G_EQ_N for p, _ in factorize(m)]
         n = np.arange(1, len(cs) + 1)
-        q, hit, e = sieve._factor_large("f", len(cs), n, np.array(cs, np.int64), 0)
-        rows = list(zip(hit.tolist(), q.tolist(), e.tolist()))
+        hits = sieve._factor_large("f", len(cs), n, np.array(cs, np.int64), 0)
+        rows = _grouped_rows(hits)
         assert rows == [(i, p, k) for i, c in zip(n, cs) for p, k in factorize(c)]
 
+    def test_small_batch_with_even_cofactors(self):
+        # fewer than primes.LANES cofactors: the lanes divide out 2 and the
+        # other tiny primes, and leave every part to factor_cofactor
+        cs = [2**3 * 1_000_003 * 1_000_033, 2 * G_EQ_N[0], 1_000_003**2, *G_EQ_N]
+        n = np.arange(7, 7 + len(cs))
+        hits = sieve._factor_large("f", 99, n, np.array(cs, np.int64), 0)
+        rows = _grouped_rows(hits)
+        assert rows == [(i, p, k) for i, c in zip(n, cs) for p, k in factorize(c)]
+
+
+def _grouped_rows(hits):
+    """(n, q, e) rows, sorted, of the (q, n, e) hit columns ``hits`` as
+    sieve._group_hits groups them: one row per (q, n)."""
+    p, _, table = sieve._group_hits(*hits)
+    return sorted(
+        (n, q, e) for i, q in enumerate(p.tolist()) for n, e in table.row(i).tolist()
+    )

@@ -275,6 +275,10 @@ class TestCheckpointPass:
     @example((parse_poly("x^2+1"), [1, 2, 5, 6]))  # 17 | f(4): above B at N = 5
     @example((parse_poly("6*x^3-6*x"), [1, 2, 3, 4]))  # content 6, zero at 1
     @example((parse_poly("x^2-1"), [1, 2, 20]))  # every value zero at N = 1
+    # f(8) = 181^2 and 929^2 | f(60): a prime in (D*N_1, B] whose hit has
+    # exponent 2, from two layers' progressions
+    @example((parse_poly("x^5-x+1"), [10, 40]))
+    @example((parse_poly("x^5-x+1"), [60, 200]))
     @settings(derandomize=True, max_examples=60, deadline=None)
     def test_checkpoints_equal_builds(self, case):
         f, schedule = case
