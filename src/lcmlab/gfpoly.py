@@ -1,25 +1,28 @@
-"""Dense polynomial arithmetic over GF(p), and the one powering kernel.
+"""Polynomial arithmetic over GF(p) on columns, one prime per column.
 
-Polynomials are lists of ints in ascending order, reduced mod p. Every
-power mod (g, p) is taken by one kernel, ``_pow_columns``, which raises
-x + a_i to e_i mod (g_i, p_i) for a whole column of primes at once, by
-square-and-multiply in numpy; ``pow_mod`` is the same loop on columns of
-numbers, a_i^e_i mod p_i. ``_powers`` groups any list of powers of x + a
-by the degree of g and the dtype of the column. Four batch functions run
-on them:
+Polynomials are coefficient matrices of shape (degree + 1, n), ascending
+rows, column i reduced mod the prime P_i, with zeros above a column's own
+degree (``degrees``; -1 for zero). Residues are int64 when every p < 2^31
+and Python ints otherwise (``modulus_column``), by the same code.
 
-- ``low_degree_roots``: the roots of columns of monic polynomials of
-  degree <= 2 in closed form: Euler's criterion, then D^((p+1)/4) or
-  Cipolla's square root of the discriminant D;
+One kernel, ``_pow_columns``, raises x + a_i to e_i mod (g_i, p_i) for a
+column of primes at once, by square-and-multiply in numpy, and ``_powers``
+groups a matrix by degree for it; ``pow_mod`` is the same loop on numbers.
+``_gcd`` is Euclid's algorithm in lockstep: each step cancels one leading
+term of every column whose a has degree >= deg b by pseudo-division
+(Knuth, TAOCP vol. 2, 4.6.1), so one inverse at the end makes it monic;
+``_quotient`` divides exactly by monic columns with the same step. On
+these run:
+
+- ``low_degree_roots``: the roots of monic columns of degree <= 2 in
+  closed form: Euler's criterion, then D^((p+1)/4) or Cipolla's square
+  root of the discriminant D;
 - ``frobenius_root_poly``: gcd(x^p - x, g), from x^p mod (g, p);
-- ``roots_of_split``: the roots of a g that splits into distinct linear
-  factors, by equal-degree splitting (Cantor & Zassenhaus 1981) with
-  (x + a)^((p-1)/2) in lockstep rounds, and ``low_degree_roots`` once a
-  factor has degree <= 2;
+- ``roots_of_split``: the roots of columns of degree <= 2 or that split
+  into distinct linear factors, by equal-degree splitting (Cantor &
+  Zassenhaus 1981) in lockstep rounds, and ``low_degree_roots``;
 - ``is_irreducible``: Rabin's test (Rabin 1980) from x^(p^k) mod (g, p),
   for all its primes in one call.
-
-``modular.roots_mod_primes`` chains the middle two for degree >= 3.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 # Below this modulus, residues fit int64 columns: every product of two
 # residues stays below 2^62.
 _INT64_MODULUS_LIMIT = 1 << 31
+_INT64_LIMIT = 1 << 63
 
 # A product of k >= 3 distinct linear factors over GF(p) stays whole in a
 # splitting round with probability at most 0.31 (the worst case, p = 13;
@@ -43,64 +47,6 @@ _SPLIT_ROUNDS = 64
 _CIPOLLA_TRIES = 4
 
 
-def trim(a):
-    """a without its trailing zeros; a itself when it has none."""
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a if i == len(a) else a[:i]
-
-
-def reduce_mod(coeffs, p):
-    return trim([c % p for c in coeffs])
-
-
-def deg(a):
-    return len(a) - 1
-
-
-def div_rem(a, b, p):
-    """Quotient and remainder of a by the nonzero b over GF(p)."""
-    b = trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = trim([c % p for c in a])
-    inv_lead = pow(b[-1], -1, p)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db:
-        shift = len(a) - 1 - db
-        factor = a[-1] * inv_lead % p
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bc) % p
-        a = trim(a)
-    return trim(q), a
-
-
-def monic(a, p):
-    """a scaled to leading coefficient 1; a itself when it already is."""
-    a = trim(a)
-    if not a or a[-1] == 1:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def gcd(a, b, p):
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        a, b = b, div_rem(a, b, p)[1]
-    return monic(a, p)
-
-
-def _minus_x_to(w, k, p):
-    """w - x^k over GF(p), for k = 0 or 1."""
-    w = list(w) + [0] * (k + 1 - len(w))
-    w[k] = (w[k] - 1) % p
-    return trim(w)
-
-
 def modulus_column(ms):
     """The moduli ms as the column residues mod them are computed in: int64
     when every m < 2^31, so that no product of two residues reaches 2^62,
@@ -109,34 +55,120 @@ def modulus_column(ms):
     return np.array(ms, dtype=np.int64 if small else object)
 
 
+def residue(c, m):
+    """The integer c mod each entry of the positive column m, in m's
+    dtype."""
+    if m.dtype == object or -_INT64_LIMIT < c < _INT64_LIMIT:
+        return c % m
+    return (c % m.astype(object)).astype(m.dtype)
+
+
+def degrees(C):
+    """The degree of each column of the coefficient matrix C; -1 for a
+    zero column."""
+    return (np.arange(1, len(C) + 1)[:, None] * (C != 0)).max(axis=0) - 1
+
+
+def _lead(C, d):
+    """The coefficient of x^d_i in each column i of C: the leading one for
+    d = degrees(C), and 0 for a zero column."""
+    return C[d, np.arange(C.shape[1])]
+
+
+def monic_columns(coeffs, P):
+    """f mod each prime of the column P, made monic, as a (len(coeffs), n)
+    matrix, and its degree vector, which is -1 where f vanishes mod p;
+    coeffs are the integer coefficients of f in ascending order."""
+    C = np.stack([residue(c, P) for c in coeffs])
+    d = degrees(C)
+    lead = _lead(C, d)
+    scale = np.flatnonzero(lead > 1)
+    C[:, scale] = C[:, scale] * inverse(lead[scale], P[scale]) % P[scale]
+    return C, d
+
+
+def _cancel(A, da, B, db, P):
+    """lead(b) a - lead(a) x^(da - db) b mod p for each column pair (a, b)
+    of the equal-height matrices A and B: where da >= db >= 0, the term of
+    a of degree da cancels; the callers discard the other columns. Each
+    product is reduced before the difference."""
+    rows = np.arange(len(A))[:, None] - np.maximum(da - db, 0)
+    shifted = np.take_along_axis(B, np.maximum(rows, 0), axis=0)
+    shifted = np.where(rows >= 0, shifted, 0)
+    return (_lead(B, db) * A % P - _lead(A, da) * shifted % P) % P
+
+
+def _gcd(A, B, P):
+    """The monic gcd of each column pair of the equal-height matrices A
+    and B, and its degree (-1 where both are zero), as a matrix of the
+    same height.
+
+    Euclid's algorithm in lockstep: a and b swap where a has the lower
+    degree, then every column with b != 0 has one leading term of a
+    cancelled by ``_cancel``, until every b is zero. The scaling by
+    lead(b) changes no gcd, so one ``inverse`` at the end makes a monic.
+    """
+    da, db = degrees(A), degrees(B)
+    while True:
+        swap = da < db
+        A, B = np.where(swap, B, A), np.where(swap, A, B)
+        da, db = np.maximum(da, db), np.minimum(da, db)
+        live = db >= 0
+        if not live.any():
+            break
+        A = np.where(live, _cancel(A, da, B, db, P), A)
+        da = degrees(A)
+    return A * inverse(_lead(A, da), P) % P, da
+
+
+def _quotient(H, U, du, P):
+    """H / U for the monic columns U of degrees du, each dividing its
+    column of H exactly, by the step of ``_gcd``: with lead(u) = 1 the
+    step subtracts lead(h) x^(dh - du) u, a term of the quotient."""
+    Q = np.zeros_like(H)
+    dh = degrees(H)
+    while (live := dh >= du).any():
+        Q[(dh - du)[live], np.flatnonzero(live)] = _lead(H, dh)[live]
+        H = np.where(live, _cancel(H, dh, U, du, P), H)
+        dh = degrees(H)
+    return Q
+
+
 def _pow_columns(A, E, neg_low, P):
     """(x + A_i)^E_i mod (g_i, P_i) for each column i, as a (d, n) array
     of coefficients, for the monic g_i of degree d with
     x^d = sum_j neg_low[j, i] x^j mod (g_i, P_i).
 
     Square-and-multiply over the bits of E_i from the top, all columns in
-    lockstep. Each product of two residues is reduced mod p before it is
-    summed, and each sum before it is multiplied, so no int64 value reaches
-    2^63. A, neg_low and the result are residues in P's dtype
-    (``modulus_column``); E is int64 while every E_i < 2^63. The arithmetic
-    is the same either way.
+    lockstep. A, neg_low and the result are residues in P's dtype
+    (``modulus_column``); E is int64 while every E_i < 2^63, and Python
+    ints otherwise. A coefficient of a step is a sum of fewer than 2d + 1
+    products of two residues. When (2d + 1) p^2 < 2^63, or in Python
+    ints, the products are summed as they are and the sum is reduced;
+    otherwise each product is reduced mod p before it is summed, so no
+    int64 value reaches 2^63 either way.
     """
     d, n = neg_low.shape
     acc = np.zeros((d, n), dtype=P.dtype)
     acc[0] = 1
     if not n:
         return acc
+    eager = P.dtype != object and (2 * d + 1) * int(P.max()) ** 2 >= _INT64_LIMIT
+
+    def red(x):
+        return x % P if eager else x
+
     for bit in range(int(E.max()).bit_length() - 1, -1, -1):
-        # acc^2, each coefficient a sum of at most d reduced products
+        # acc^2
         sq = np.zeros((2 * d - 1, n), dtype=P.dtype)
         for i in range(d):
-            sq[i : i + d] += acc[i] * acc % P
+            sq[i : i + d] += red(acc[i] * acc)
         # x^k = x^(k-d) * x^d, folded back from the top
         for k in range(2 * d - 2, d - 1, -1):
-            sq[k - d : k] += sq[k] % P * neg_low % P
+            sq[k - d : k] += red(sq[k] % P * neg_low)
         acc = sq[:d] % P
         # acc * (x + a): shift up one place, fold x^d back in, add a * acc
-        times = A * acc % P + acc[d - 1] * neg_low % P
+        times = red(A * acc) + red(acc[d - 1] * neg_low)
         times[1:] += acc[:-1]
         acc = np.where((E >> bit) & 1 == 1, times % P, acc)
     return acc
@@ -157,107 +189,89 @@ def pow_mod(a, e, P):
 
 
 def inverse(a, P):
-    """a_i^-1 mod P_i for the nonzero residues a_i (Fermat)."""
+    """a_i^-1 mod P_i for the nonzero residues a_i (Fermat); 0 for a_i = 0."""
     return pow_mod(a, P - 2, P)
 
 
-def _pow_x_plus_a(a, e, gs, ps):
-    """(x + a_i)^e_i mod (g_i, p_i) as lists, every g_i monic of the same
-    degree d >= 1 over GF(p_i): ``_pow_columns`` on lists."""
-    d = len(gs[0]) - 1
-    P = modulus_column(ps)
-    A = np.array(a, dtype=P.dtype) % P
-    neg_low = (-np.array([g[:d] for g in gs], dtype=P.dtype).T) % P
-    E = np.array(e, dtype=np.int64 if max(e) < 1 << 63 else object)
-    acc = _pow_columns(A, E, neg_low, P)
-    return [trim(w) for w in acc.T.tolist()]
-
-
-def _powers(a, e, gs, ps):
-    """(x + a_i)^e_i mod (g_i, p_i) for each i, every g_i monic of degree
-    >= 1: one kernel call per group of equal degree and dtype."""
-    groups = {}
-    for i, (g, p) in enumerate(zip(gs, ps)):
-        groups.setdefault((len(g), p < _INT64_MODULUS_LIMIT), []).append(i)
-    out = [None] * len(gs)
-    for idx in groups.values():
-        cols = [[seq[i] for i in idx] for seq in (a, e, gs, ps)]
-        for i, w in zip(idx, _pow_x_plus_a(*cols)):
-            out[i] = w
+def _powers(A, E, G, P):
+    """(x + A_i)^E_i mod (G_i, P_i) for each column i of the matrix G of
+    monic polynomials of degree >= 1, as a matrix as high as G: one kernel
+    call per degree."""
+    dg = degrees(G)
+    out = np.zeros_like(G)
+    for d in sorted(set(dg.tolist())):
+        at = np.flatnonzero(dg == d)
+        p = P[at]
+        out[:d, at] = _pow_columns(A[at], E[at], -G[:d, at] % p, p)
     return out
 
 
-def frobenius_root_poly(gs, ps):
-    """gcd(x^p - x, g) over GF(p) for each monic g of degree >= 1 in gs
-    and p in ps: the product of (x - r) over the distinct roots r of g."""
-    xps = _powers([0] * len(gs), ps, gs, ps)
-    return [gcd(_minus_x_to(xp, 1, p), g, p) for g, p, xp in zip(gs, ps, xps)]
+def frobenius_root_poly(G, P):
+    """gcd(x^p - x, g) over GF(p) for each column g of the matrix G of
+    monic polynomials of degree >= 1 and p of P: the product of (x - r)
+    over the distinct roots r of g, as a matrix as high as G."""
+    W = _powers(np.zeros_like(P), P, G, P)
+    W[1] = (W[1] - 1) % P
+    return _gcd(W, G, P)[0]
 
 
-def roots_of_split(hs, ps, seed):
-    """The sorted roots, as a tuple, of each monic h over GF(p) for h in hs
-    and the odd prime p in ps. h has degree <= 2, or is a squarefree product
-    of linear factors (a divisor of x^p - x).
+def roots_of_split(H, P, seed):
+    """The roots of each monic column h of the matrix H over GF(p), for the
+    odd primes P, as (column, root) columns sorted by column and root. h
+    has degree <= 2, or is a squarefree product of linear factors (a
+    divisor of x^p - x).
 
     The factors of degree <= 2 are read off by ``low_degree_roots``, in
     one call for the input and one per round. The others are split in
-    lockstep rounds (Cantor & Zassenhaus 1981): each round, every h_i with
-    such a factor left draws one a from its own
-    random.Random((seed << 20) ^ p_i), and each of those factors h is split
+    lockstep rounds (Cantor & Zassenhaus 1981): each round, every column
+    with such a factor left draws one a from its own
+    random.Random((seed << 20) ^ p), and each of those factors h is split
     by u = gcd((x + a)^((p-1)/2) - 1, h) into u and h/u when u is a proper
     factor. The roots are sorted, so they do not depend on seed. A factor
     left whole for _SPLIT_ROUNDS rounds in a row raises ValueError naming
     it and p.
     """
-    found = [[] for _ in hs]
-    low = [(i, h) for i, h in enumerate(hs) if len(h) <= 3]
-    # (i, factor, rounds it has gone unsplit)
-    pending = [(i, h, 0) for i, h in enumerate(hs) if len(h) > 3]
-    rngs = {i: random.Random((seed << 20) ^ ps[i]) for i, _, _ in pending}
+    if len(H) < 3:
+        H = np.concatenate((H, np.zeros((3 - len(H), H.shape[1]), H.dtype)))
+    ps = P.tolist()
+    owner = np.arange(len(P))
+    rounds = np.zeros(len(P), dtype=np.int64)
+    high = np.flatnonzero(degrees(H) > 2).tolist()
+    rngs = {i: random.Random((seed << 20) ^ ps[i]) for i in high}
+    found = []
     while True:
-        _add_low_roots(found, low, ps)
-        if not pending:
+        d = degrees(H)
+        low = d <= 2
+        at = np.flatnonzero(low & (d >= 1))
+        roots, count = low_degree_roots(H[0, at], H[1, at], d[at] == 2, P[owner[at]])
+        roots = roots.T[np.arange(2) < count[:, None]]
+        found.append((np.repeat(owner[at], count), roots))
+        if low.all():
             break
-        draws = dict.fromkeys(i for i, _, _ in pending)
-        a = {i: rngs[i].randrange(ps[i]) for i in draws}
-        ws = _powers(
-            [a[i] for i, _, _ in pending],
-            [(ps[i] - 1) // 2 for i, _, _ in pending],
-            [h for _, h, _ in pending],
-            [ps[i] for i, _, _ in pending],
-        )
-        split, pending, low = pending, [], []
-        for (i, h, rounds), w in zip(split, ws):
-            p = ps[i]
-            u = gcd(_minus_x_to(w, 0, p), h, p)
-            if not 0 < deg(u) < deg(h):
-                if rounds + 1 == _SPLIT_ROUNDS:
-                    raise ValueError(
-                        f"roots_of_split: {h} mod p={p} did not split in "
-                        f"{_SPLIT_ROUNDS} rounds, so it is not a product of "
-                        "distinct linear factors"
-                    )
-                pending.append((i, h, rounds + 1))
-                continue
-            for piece in (u, div_rem(h, u, p)[0]):
-                if len(piece) <= 3:
-                    low.append((i, piece))
-                else:
-                    pending.append((i, piece, 0))
-    return [tuple(sorted(r)) for r in found]
-
-
-def _add_low_roots(found, pieces, ps):
-    """Add to found[i] the roots of each monic piece of degree <= 2 of
-    (i, piece) in ``pieces``, by one ``low_degree_roots`` call."""
-    pieces = [(i, [*h] + [0] * (3 - len(h))) for i, h in pieces if len(h) > 1]
-    if not pieces:
-        return
-    P = modulus_column([ps[i] for i, _ in pieces])
-    c0, c1, c2 = np.array([h for _, h in pieces], dtype=P.dtype).T
-    roots, count = low_degree_roots(c0, c1, c2 == 1, P)
-    for (i, _), rs, n in zip(pieces, roots.T.tolist(), count.tolist()):
-        found[i] += rs[:n]
+        d, owner, rounds = d[~low], owner[~low], rounds[~low]
+        H = H[: d.max() + 1, ~low]
+        a = {i: rngs[i].randrange(ps[i]) for i in dict.fromkeys(owner.tolist())}
+        p = P[owner]
+        A = np.array([a[i] for i in owner.tolist()], dtype=P.dtype)
+        W = _powers(A, (p - 1) // 2, H, p)
+        W[0] = (W[0] - 1) % p
+        U, du = _gcd(W, H, p)
+        split = (du > 0) & (du < d)
+        rounds = np.where(split, 0, rounds + 1)
+        if (stuck := rounds == _SPLIT_ROUNDS).any():
+            j = int(np.argmax(stuck))
+            raise ValueError(
+                f"roots_of_split: {H[: d[j] + 1, j].tolist()} mod "
+                f"p={ps[owner[j]]} did not split in {_SPLIT_ROUNDS} rounds, "
+                "so it is not a product of distinct linear factors"
+            )
+        Q = _quotient(H[:, split], U[:, split], du[split], p[split])
+        H = np.concatenate((H[:, ~split], U[:, split], Q), axis=1)
+        owner = np.concatenate((owner[~split], owner[split], owner[split]))
+        rounds = np.concatenate((rounds[~split], 0 * du[split], 0 * du[split]))
+    row, r = map(np.concatenate, zip(*found))
+    order = np.lexsort((r, row))
+    return row[order], r[order]
 
 
 def low_degree_roots(c0, c1, quad, P):
@@ -326,24 +340,23 @@ def is_irreducible(f, ps):
     q | n. The powers of all the primes are one call of ``_powers``. A
     g of degree 1 is irreducible, one of degree < 1 is not.
     """
-    gs = [monic(reduce_mod(f, p), p) for p in ps]
-    jobs = []  # (index into ps, k) for the power x^(p^k)
-    for i, g in enumerate(gs):
-        n = deg(g)
-        if n >= 2:
-            qs = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
-            jobs += [(i, n // q) for q in qs] + [(i, n)]
-    ws = _powers(
-        [0] * len(jobs),
-        [ps[i] ** k for i, k in jobs],
-        [gs[i] for i, _ in jobs],
-        [ps[i] for i, _ in jobs],
-    )
-    irreducible = [deg(g) >= 1 for g in gs]
-    for (i, k), w in zip(jobs, ws):
-        diff = _minus_x_to(w, 1, ps[i])
-        if k == deg(gs[i]):
-            irreducible[i] &= not diff
-        else:
-            irreducible[i] &= deg(gcd(diff, gs[i], ps[i])) == 0
-    return irreducible
+    P = modulus_column(ps)
+    G, n = monic_columns(f, P)
+    # (column, k) for each x^(p^k): k = n, and k = n/q for each prime q | n
+    jobs = [
+        (i, d // q)
+        for i, d in enumerate(n.tolist())
+        if d >= 2
+        for q in range(1, d + 1)
+        if d % q == 0 and all(q % r for r in range(2, q))
+    ]
+    col = np.array([i for i, _ in jobs], dtype=np.int64)
+    full = np.array([k for _, k in jobs], dtype=np.int64) == n[col]
+    G, p = G[:, col], P[col]
+    E = np.array([ps[i] ** k for i, k in jobs], dtype=object)
+    W = _powers(np.zeros_like(p), E, G, p)
+    W[1] = (W[1] - 1) % p
+    # x^(p^n) - x must vanish, and each gcd(x^(p^(n/q)) - x, g) be 1
+    ok = degrees(W) == -1
+    ok[~full] = _gcd(W[:, ~full], G[:, ~full], p[~full])[1] == 0
+    return ((n >= 1) & (np.bincount(col[~ok], minlength=len(P)) == 0)).tolist()

@@ -2,14 +2,14 @@
 once.
 
 ``roots_mod_primes`` reduces f mod each prime of a block as a coefficient
-matrix, one column per prime, and makes each column monic. A column's
-degree is that of f mod p, lower at a prime of the leading coefficient.
-At p = 2 the residues 0 and 1 are tested. The odd primes go to gfpoly by
-degree: ``gfpoly.low_degree_roots`` (the closed form, in lockstep) for
-degree <= 2; for degree >= 3, one ``gfpoly.frobenius_root_poly`` call
-(x^p mod (g, p), then gcd(x^p - x, g)) and one ``gfpoly.roots_of_split``
-call (equal-degree splitting), each in lockstep. The roots come back as
-``RootColumns``, one row per root.
+matrix, one column per prime, and makes each column monic
+(``gfpoly.monic_columns``). A column's degree is that of f mod p, lower
+at a prime of the leading coefficient. At p = 2 the residues 0 and 1 are
+tested. At the odd primes the columns of degree >= 3 are replaced by
+gcd(x^p - x, g) (one ``gfpoly.frobenius_root_poly`` call), and then one
+``gfpoly.roots_of_split`` call finds the roots of every column: in closed
+form at degree <= 2, by equal-degree splitting above, all in lockstep on
+the matrix. The roots come back as ``RootColumns``, one row per root.
 
 f must not vanish identically mod p: a prime of the content of f is
 refused, since every residue would be a root. The ledger strips the
@@ -94,14 +94,6 @@ def powers(p, k):
     return p.astype(_power_dtype(p, k)) ** k
 
 
-def _reduce(c, m):
-    """The integer c mod each entry of the positive column m, in m's
-    dtype."""
-    if m.dtype == object or -_INT64_LIMIT < c < _INT64_LIMIT:
-        return c % m
-    return (c % m.astype(object)).astype(m.dtype)
-
-
 def _horner(coeffs, r, m):
     """f(r) and f'(r) mod m for the columns r and m, the coefficients of f
     in ascending order, each a number or a column."""
@@ -125,43 +117,22 @@ def roots_mod_primes(f: IntPoly, primes, seed=0):
     random splitting of gcds of degree >= 3. A prime that divides every
     coefficient of f raises ValueError.
     """
-    P = gfpoly.modulus_column(list(primes))
-    C = np.stack([_reduce(c, P) for c in f.coeffs])
-    nonzero = C != 0
-    dead = ~nonzero.any(axis=0)
-    if dead.any():
-        raise ValueError(f"f vanishes identically mod {P[np.argmax(dead)]}")
-    degree = len(C) - 1 - np.argmax(nonzero[::-1], axis=0)
-    lead = C[degree, np.arange(len(P))]
-    scale = lead != 1
-    C[:, scale] = C[:, scale] * gfpoly.inverse(lead[scale], P[scale]) % P[scale]
-    # one (column, root) pair per root, from each degree case
-    found = []
-    odd = P != 2
-    low = np.flatnonzero(odd & (degree >= 1) & (degree <= 2))
-    if len(low):
-        roots, count = gfpoly.low_degree_roots(
-            C[0, low], C[1, low], degree[low] == 2, P[low]
-        )
-        for j in range(2):
-            has = count > j
-            found.append((low[has], roots[j, has]))
-    high = np.flatnonzero(odd & (degree >= 3))
+    P = gfpoly.modulus_column(primes)
+    C, degree = gfpoly.monic_columns(f.coeffs, P)
+    if (degree < 0).any():
+        raise ValueError(f"f vanishes identically mod {P[np.argmax(degree < 0)]}")
+    odd = np.flatnonzero(P != 2)
+    H = C[:, odd]
+    high = np.flatnonzero(degree[odd] >= 3)
     if len(high):
-        gs = [gfpoly.trim(g) for g in C[:, high].T.tolist()]
-        ps = P[high].tolist()
-        hits = gfpoly.roots_of_split(gfpoly.frobenius_root_poly(gs, ps), ps, seed)
-        found.append(
-            (
-                np.repeat(high, [len(r) for r in hits]),
-                np.array([x for r in hits for x in r], dtype=P.dtype),
-            )
-        )
-    for i in np.flatnonzero(~odd):
+        H[:, high] = gfpoly.frobenius_root_poly(H[:, high], P[odd[high]])
+    row, r = gfpoly.roots_of_split(H, P[odd], seed)
+    # one (column, root) pair per root
+    found = [(odd[row], r)]
+    for i in np.flatnonzero(P == 2):
         two = [r for r in (0, 1) if f.eval(r) % 2 == 0]
         found.append((np.full(len(two), i), np.array(two, dtype=P.dtype)))
-    row = np.concatenate([np.zeros(0, np.int64)] + [i for i, _ in found])
-    r = np.concatenate([np.zeros(0, P.dtype)] + [x for _, x in found])
+    row, r = map(np.concatenate, zip(*found))
     order = np.lexsort((r, row))
     row, r = row[order], r[order]
     _, der = _horner(C[:, row], r, P[row])
@@ -185,8 +156,10 @@ def lift_columns(f: IntPoly, cols: RootColumns):
     m = gfpoly.modulus_column(powers(p, k + 1))
     pk = powers(p, k).astype(m.dtype)
     r = cols.r[s].astype(m.dtype)
-    val, _ = _horner([_reduce(c, m) for c in f.coeffs], r, m)
-    _, der = _horner([_reduce(c, p) for c in f.coeffs], (r % p).astype(p.dtype), p)
+    val, _ = _horner([gfpoly.residue(c, m) for c in f.coeffs], r, m)
+    _, der = _horner(
+        [gfpoly.residue(c, p) for c in f.coeffs], (r % p).astype(p.dtype), p
+    )
     # f(r) mod p^(k+1) is p^k * (f(r)/p^k mod p)
     t = (val // pk).astype(p.dtype) * gfpoly.inverse(der, p) % p
     lifted = [(row, (r - pk * t) % m)]

@@ -12,7 +12,7 @@ up on, finish in the scalar code.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 import random
 from collections import Counter
@@ -29,41 +29,44 @@ _SEGMENT_SPAN = 1 << 22  # numbers per sieve segment
 
 # Deterministic Miller-Rabin witness set, valid for all n < 2^64.
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least odd composite that is a strong probable prime to the first k
+# witnesses, k = 1..12 (OEIS A014233; Jaeschke 1993): below entry k - 1
+# the first k witnesses decide. The last exceeds 2^64.
+_MR_EXACT_BELOW = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+)
 
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def sieve_primes(limit):
     """All primes <= limit as a list."""
-    return list(iter_primes(limit))
+    return [p for block in prime_blocks(limit, _SEGMENT_SPAN) for p in block.tolist()]
 
 
-def iter_primes(limit):
-    """Yield the primes <= limit in order: a segmented sieve of
-    Eratosthenes over [2, limit] with the base primes <= sqrt(limit)."""
-    base = _simple_sieve(math.isqrt(limit)) if limit >= 2 else []
-    lo = 2
-    while lo <= limit:
+def prime_blocks(limit, size):
+    """The primes <= limit in order, as int64 arrays of ``size`` primes,
+    the last one shorter: a segmented sieve of Eratosthenes over
+    [2, limit] with the base primes <= sqrt(limit), sieved the same way."""
+    base = sieve_primes(math.isqrt(limit)) if limit >= 4 else []
+    rest = np.zeros(0, np.int64)
+    for lo in range(2, limit + 1, _SEGMENT_SPAN):
         hi = min(lo + _SEGMENT_SPAN, limit + 1)
-        seg = bytearray([1]) * (hi - lo)
+        seg = np.ones(hi - lo, dtype=bool)
         for p in base:
             if p * p >= hi:
                 break
-            # the first multiple of p in the segment that is >= p^2; the
-            # count below is 0 when it lies past the segment
-            start = max(p * p, -(-lo // p) * p)
-            seg[start - lo :: p] = bytes((hi - 1 - start) // p + 1)
-        yield from itertools.compress(range(lo, hi), seg)
-        lo = hi
-
-
-def _simple_sieve(limit):
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes((limit - p * p) // p + 1)
-    return list(itertools.compress(range(limit + 1), sieve))
+            # the first multiple of p in the segment that is >= p^2
+            seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        rest = np.concatenate((rest, np.flatnonzero(seg) + lo))
+        full = len(rest) - len(rest) % size
+        for at in range(0, full, size):
+            yield rest[at : at + size]
+        rest = rest[full:]
+    if len(rest):
+        yield rest
 
 
 def _mr_composite(n, a, d, r):
@@ -135,8 +138,9 @@ def _strong_lucas(n):
 
 
 def is_probable_prime(n, seed=0):
-    """Primality test: deterministic MR below 2^64, BPSW plus seeded random
-    MR witnesses above."""
+    """Primality test: deterministic MR below 2^64, with the prefix of
+    _MR_WITNESSES_64 that _MR_EXACT_BELOW proves exact for n; BPSW plus
+    seeded random MR witnesses above."""
     if n < 2:
         return False
     for p in _TINY_PRIMES:
@@ -147,7 +151,8 @@ def is_probable_prime(n, seed=0):
         d //= 2
         r += 1
     if n < 1 << 64:
-        return not any(_mr_composite(n, a, d, r) for a in _MR_WITNESSES_64)
+        k = bisect.bisect_right(_MR_EXACT_BELOW, n) + 1
+        return not any(_mr_composite(n, a, d, r) for a in _MR_WITNESSES_64[:k])
     if _mr_composite(n, 2, d, r) or not _strong_lucas(n):
         return False
     rng = random.Random(seed ^ (n & 0xFFFFFFFF))
@@ -327,46 +332,53 @@ class _Montgomery:
 
 def _probable_primes(n):
     """Whether each n of a uint64 column is prime, by is_probable_prime's
-    Miller-Rabin with the 12 witnesses of _MR_WITNESSES_64 in lanes. Every
-    n is odd, below 2^63, and has no prime factor in _TINY_PRIMES.
+    Miller-Rabin in lanes. Every n is odd, below 2^63, and has no prime
+    factor in _TINY_PRIMES.
 
-    Base 2 runs on every n first; the other 11 bases run, one lane each,
-    only on the n that pass it."""
+    Base 2 runs on every n of a chunk first. The n that pass it need the
+    next k - 1 witnesses of the prefix _MR_EXACT_BELOW gives them; all
+    those (n, base) pairs are one lane call, and an n is prime when every
+    one of its pairs passes."""
     prime = np.zeros(len(n), dtype=bool)
+    bounds = np.array(_MR_EXACT_BELOW[:-1], dtype=np.uint64)
+    witnesses = np.array(_MR_WITNESSES_64, dtype=np.uint64)
     for lo in range(0, len(n), _MR_CHUNK):
         part = n[lo : lo + _MR_CHUNK]
-        passed = _strong_probable_primes(part, _MR_WITNESSES_64[:1])
+        passed = _strong_probable_primes(part, np.full_like(part, 2))
         rest = np.flatnonzero(passed)
-        if len(rest):
-            passed[rest] = _strong_probable_primes(part[rest], _MR_WITNESSES_64[1:])
+        more = np.searchsorted(bounds, part[rest], side="right")
+        # pair j of n = part[rest[i]] tests base witnesses[1 + j], j < more[i]
+        i = np.repeat(np.arange(len(rest)), more)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(more) - more, more)
+        ok = _strong_probable_primes(part[rest[i]], witnesses[1 + j])
+        passed[rest] = np.bincount(i, weights=ok, minlength=len(rest)) == more
         prime[lo : lo + _MR_CHUNK] = passed
     return prime
 
 
-def _strong_probable_primes(n, bases):
-    """Whether each n is a strong probable prime to every base of bases."""
-    lanes = np.tile(n, len(bases))
-    mont = _Montgomery.of(lanes)
-    d, s = lanes - 1, np.zeros(len(lanes), dtype=np.int64)
+def _strong_probable_primes(n, base):
+    """Whether each n is a strong probable prime to its base, for uint64
+    columns n and base of one length."""
+    mont = _Montgomery.of(n)
+    d, s = n - 1, np.zeros(len(n), dtype=np.int64)
     while (even := (d & _1) == 0).any():
         d[even] >>= _1
         s += even
     # base^d by square-and-multiply from the low bit: [acc, base] times
     # [base, base] is one product on two rows of lanes
-    base = np.repeat(np.array(bases, dtype=np.uint64), len(n))
-    acc = mont.to_form(np.stack((np.ones_like(lanes), base)))
+    acc = mont.to_form(np.stack((np.ones_like(n), base)))
     one = acc[0].copy()
-    minus_one = lanes - one
-    for bit in range(int(d.max()).bit_length()):
+    minus_one = n - one
+    for bit in range(int(d.max(initial=0)).bit_length()):
         prod = mont.mul(acc, acc[1])
         np.copyto(acc[0], prod[0], where=(d >> np.array(bit, np.uint64)) & _1 == 1)
         acc[1] = prod[1]
     x = acc[0]
     passed = (x == one) | (x == minus_one)
-    for i in range(1, int(s.max())):
+    for i in range(1, int(s.max(initial=0))):
         x = mont.square(x)
         passed |= (x == minus_one) & (i < s)
-    return passed.reshape(len(bases), len(n)).all(axis=0)
+    return passed
 
 
 def _brent_lanes(n, seed, max_iters):

@@ -49,7 +49,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
-import itertools
 import math
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
@@ -422,8 +421,9 @@ def _prime_columns(coeffs, block, N, zeros, seed):
     rc = modular.roots_mod_primes(g, block, seed)
     e = np.zeros(len(block), dtype=np.int64)
     if c > 1 and N > len(zeros):
-        at = np.flatnonzero(c % np.array(block, dtype=object) == 0)
-        e[at] = [_content_exp(f, block[i]) for i in at]
+        ps = np.array(block, dtype=object)
+        at = np.flatnonzero(c % ps == 0)
+        e[at] = [_content_exp(f, ps[i]) for i in at]
     per_prime = np.bincount(rc.row, minlength=len(block))
     kept = (per_prime > 0) | (e > 0)
     new_row = np.cumsum(kept) - 1
@@ -465,12 +465,11 @@ def prime_data(f: IntPoly, p, N, zeros, seed):
 
 
 def _leg1(coeffs, B, N, zeros, seed, workers):
-    """The PrimeColumns of each block of ``modular.BLOCK_SIZE`` primes
-    <= B, in order. With workers > 1 the blocks run in a process pool, at
-    most 2 * workers of them at once, so the primes are read as the
-    results are taken."""
-    stream = primes.iter_primes(B)
-    blocks = iter(lambda: tuple(itertools.islice(stream, modular.BLOCK_SIZE)), ())
+    """The PrimeColumns of each int64 block of ``modular.BLOCK_SIZE``
+    primes <= B, in order. With workers > 1 the blocks run in a process
+    pool, at most 2 * workers of them at once, so the primes are read as
+    the results are taken."""
+    blocks = primes.prime_blocks(B, modular.BLOCK_SIZE)
     run = functools.partial(_prime_columns, coeffs, N=N, zeros=zeros, seed=seed)
     if workers == 1:
         yield from map(run, blocks)

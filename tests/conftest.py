@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from lcmlab import build_ledger, gfpoly, parse_poly
+
+import gf_reference
 
 # The fixed polynomial set used throughout: two quadratics, two cubics,
 # all irreducible with distinct leading coefficients and discriminants.
@@ -39,9 +42,25 @@ def power_calls(monkeypatch):
     calls = []
     powers = gfpoly._powers
 
-    def spy(a, e, gs, ps):
-        calls.append(({len(g) - 1 for g in gs}, max(e, default=0)))
-        return powers(a, e, gs, ps)
+    def spy(A, E, G, P):
+        calls.append((set(gfpoly.degrees(G).tolist()), max(E.tolist(), default=0)))
+        return powers(A, E, G, P)
 
     monkeypatch.setattr(gfpoly, "_powers", spy)
     return calls
+
+
+def poly_matrix(hs, ps):
+    """The list polynomials hs over GF(p) for p in ps as gfpoly's
+    coefficient matrix, one column each, and the modulus column."""
+    P = gfpoly.modulus_column(ps)
+    height = max(1, *map(len, hs))
+    C = np.zeros((height, len(hs)), dtype=P.dtype)
+    for i, h in enumerate(hs):
+        C[: len(h), i] = h
+    return C % P, P
+
+
+def matrix_polys(C):
+    """The columns of a coefficient matrix as trimmed lists."""
+    return [gf_reference.trim(c) for c in C.T.tolist()]

@@ -1,14 +1,36 @@
 """Pure-Python polynomial arithmetic over GF(p), one prime at a time.
 
-The independent reference for ``lcmlab.gfpoly``'s lockstep kernel: the
-tests compare the root finder, the closed form for degree <= 2 and the
-batched Rabin test against these.
-Polynomials are lists of ints in ascending order, reduced mod p. Only the
-small helpers ``trim``, ``reduce_mod``, ``deg`` and ``monic`` come from the
-package; the division, gcd and powering here share no code with the kernel.
+The independent reference for ``lcmlab.gfpoly``'s lockstep columns: the
+tests compare the root finder, the lockstep gcd and exact division, the
+closed form for degree <= 2 and the batched Rabin test against these.
+Polynomials are lists of ints in ascending order, reduced mod p. Nothing
+here shares code with the package.
 """
 
-from lcmlab.gfpoly import deg, monic, reduce_mod, trim
+
+def trim(a):
+    """a without its trailing zeros."""
+    i = len(a)
+    while i > 0 and a[i - 1] == 0:
+        i -= 1
+    return a[:i]
+
+
+def reduce_mod(coeffs, p):
+    return trim([c % p for c in coeffs])
+
+
+def deg(a):
+    return len(a) - 1
+
+
+def monic(a, p):
+    """a scaled to leading coefficient 1."""
+    a = trim(a)
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 def mul(a, b, p):

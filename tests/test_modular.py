@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -8,13 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcmlab import gfpoly
-from lcmlab.modular import lift_columns, lift_roots, roots_mod_p, roots_mod_primes
+from lcmlab.modular import (
+    BLOCK_SIZE,
+    lift_columns,
+    lift_roots,
+    roots_mod_p,
+    roots_mod_primes,
+)
 from lcmlab.polynomial import IntPoly, discriminant, parse_poly
 from lcmlab.primes import sieve_primes
 from lcmlab.sieve import _count_progression
 
 import gf_reference
-from conftest import TEST_POLYS
+from conftest import TEST_POLYS, matrix_polys, poly_matrix
 
 F = parse_poly("x^2+1")
 X = sympy.Symbol("x")
@@ -43,8 +50,8 @@ def scan_roots(f, p):
 def reference_roots(f, p):
     """Roots of f mod p by gcd(x^p - x, f) and equal-degree splitting, one
     prime at a time in pure Python, for p not dividing the content of f."""
-    g = gf_reference.frobenius_root_poly(gfpoly.reduce_mod(f.coeffs, p), p)
-    if gfpoly.deg(g) == 0:
+    g = gf_reference.frobenius_root_poly(gf_reference.reduce_mod(f.coeffs, p), p)
+    if gf_reference.deg(g) == 0:
         return ()
     return tuple(gf_reference.roots_of_split(g, p, random.Random(p)))
 
@@ -162,9 +169,172 @@ class TestLockstepSplitting:
         # x^3 - 2 is irreducible mod 7 (the cubes mod 7 are 0, 1 and 6); next
         # to it x^3 - x = x(x - 1)(x + 1) splits as before
         with pytest.raises(ValueError, match=r"\[5, 0, 0, 1\] mod p=7 did not split"):
-            gfpoly.roots_of_split([[5, 0, 0, 1], [0, 6, 0, 1]], [7, 7], 0)
+            gfpoly.roots_of_split(*poly_matrix([[5, 0, 0, 1], [0, 6, 0, 1]], [7, 7]), 0)
         assert len(power_calls) == gfpoly._SPLIT_ROUNDS
-        assert gfpoly.roots_of_split([[0, 6, 0, 1]], [7], 0) == [(0, 1, 6)]
+        row, r = gfpoly.roots_of_split(*poly_matrix([[0, 6, 0, 1]], [7]), 0)
+        assert (row.tolist(), r.tolist()) == ([0, 0, 0], [0, 1, 6])
+
+
+# Primes of each column dtype: int64 below 2^31, Python ints above
+COLUMN_PRIMES = (
+    [3, 5, 7, 13, 101, 65537, 2**31 - 1],
+    [2**31 + 11, 2**32 + 15, 10**12 + 39, 2**61 - 1],
+)
+
+
+@st.composite
+def column_polys(draw, count, max_degree=6):
+    """``count`` lists of coefficients of degree -1 (zero) to max_degree,
+    unreduced: a top coefficient that vanishes mod p lowers the degree."""
+    return [
+        draw(st.lists(st.integers(0, 2**62), max_size=max_degree + 1))
+        for _ in range(count)
+    ]
+
+
+@st.composite
+def column_cases(draw, max_degree=6):
+    """(ps, as, bs): up to 12 columns of one dtype, each a prime and two
+    polynomials reduced mod it."""
+    primes = st.sampled_from(COLUMN_PRIMES[draw(st.booleans())])
+    ps = draw(st.lists(primes, min_size=1, max_size=12))
+    a, b = (draw(column_polys(len(ps), max_degree)) for _ in range(2))
+    reduce = gf_reference.reduce_mod
+    return (
+        ps,
+        [reduce(x, p) for x, p in zip(a, ps)],
+        [reduce(x, p) for x, p in zip(b, ps)],
+    )
+
+
+class TestLockstepEuclid:
+    """gfpoly's lockstep gcd and exact division on coefficient matrices,
+    against the per-prime list routines of gf_reference."""
+
+    @given(column_cases())
+    # zero a or b, both zero, constants, and equal degrees, in one call
+    @example(
+        (
+            [7, 7, 7, 7, 7],
+            [[], [3, 1], [], [5], [1, 2, 3]],
+            [[2, 1], [], [], [0, 4], [4, 5, 6]],
+        )
+    )
+    @example(([2**61 - 1] * 3, [[], [1], [6, 0, 1]], [[5], [], [2**60, 1, 1]]))
+    # a common factor of degree 2 at mixed degrees
+    @example(
+        (
+            [13, 13, 101],
+            [[1, 0, 1], [2, 3, 3, 1], [7, 1]],
+            [[1, 0, 1], [2, 0, 1, 0, 1], [7, 1]],
+        )
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_gcd_matches_reference(self, case):
+        ps, a, b = case
+        C, P = poly_matrix(a + b, ps + ps)
+        n = len(ps)
+        G, degree = gfpoly._gcd(C[:, :n], C[:, n:], P[:n])
+        expected = [gf_reference.gcd(x, y, p) for x, y, p in zip(a, b, ps)]
+        assert matrix_polys(G) == expected
+        assert degree.tolist() == [len(g) - 1 for g in expected]
+        assert G.dtype == P.dtype
+
+    @given(column_cases(max_degree=4))
+    @example(([5, 5, 5], [[], [1], [2, 3]], [[1], [4], [1]]))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_exact_quotient_matches_reference(self, case):
+        # h = u * q for a monic u of degree >= 0 and any q, zero included
+        ps, us, qs = case
+        us = [gf_reference.monic(u, p) or [1] for u, p in zip(us, ps)]
+        hs = [gf_reference.mul(u, q, p) for u, q, p in zip(us, qs, ps)]
+        C, P = poly_matrix(hs + us, ps + ps)
+        n = len(ps)
+        U = C[:, n:]
+        Q = gfpoly._quotient(C[:, :n], U, gfpoly.degrees(U), P[:n])
+        expected = [gf_reference.quo(h, u, p) for h, u, p in zip(hs, us, ps)]
+        assert matrix_polys(Q) == expected == qs
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 8])
+    def test_kernel_at_the_reduction_cut(self, d):
+        # below (2d + 1) p^2 < 2^63 the kernel sums products before it
+        # reduces them; the primes on either side of that cut and the
+        # largest int64 prime must agree with the list powering
+        cut = math.isqrt((2**63 - 1) // (2 * d + 1))
+        ps = [int(sympy.prevprime(cut)), int(sympy.nextprime(cut)), 2**31 - 1] * 4
+        rng = random.Random(d)
+        gs = [[rng.randrange(p) for _ in range(d)] + [1] for p in ps]
+        a = [rng.randrange(p) for p in ps]
+        e = [p - 1 - rng.randrange(2) for p in ps]
+        G, P = poly_matrix(gs, ps)
+        got = gfpoly._pow_columns(np.array(a), np.array(e), -G[:d] % P, P)
+        assert matrix_polys(got) == [
+            gf_reference.powmod([x, 1], k, g, p) for x, k, g, p in zip(a, e, gs, ps)
+        ]
+
+
+RANDOM_QUARTIC = IntPoly((-41, 17, 0, -23, 6))
+RANDOM_SEXTIC = IntPoly((29, -8, 15, 0, -31, 4, 3))
+# SHA-256 of the rows repr((p, roots, simple_flags)) of roots_mod_primes
+# with seed 3, in order: at every prime up to 2*10^5 in blocks of
+# BLOCK_SIZE, and at the 24 primes after 2^31, 2^40 and 2^61 (8 each), in
+# one call on Python-int columns. Recorded from the per-prime list gcd
+# that the lockstep Euclid replaced, whose roots and flags were checked
+# against the scan and the reference above.
+RECORDED_ROOTS = {
+    "x^2+1": (
+        "5488c8ad0680534e22ae752e1fdef1576efe477734f06f1f838b00a1a0f2c175",
+        "535ab90495aed1bc87d23be33edf1fdd3589149146d5ab4d6e2b090751cce4a6",
+    ),
+    "x^2+x+1": (
+        "528e94f60a0a6fe38207a8645b861ae8463deb81849f84b58ab390c7708002b2",
+        "eacc45184130ddaef6b5b66b2be77aec9a6718245345f8583d889018961dffb6",
+    ),
+    "x^3+2": (
+        "d3ee4ccb44f3f1d255f1c21221f772cc8de3cd09d01013e4caa0aff4178797e6",
+        "4e2958710ef48445822f8195115d3be42032bf790ae6f1c9b33801be412cd128",
+    ),
+    "2x^3-x+7": (
+        "d6f39dfbe735d148e2c27354baf7504e66acb137558c01b2fdb21745775ea79a",
+        "e5d0b9033da5c51feec1c1d4495186d83631270b38ce73e4027cc06992548650",
+    ),
+    "x^5-x+1": (
+        "ae1b106b0f824838ebf6d37db561d2b4767f7b8f1ecb47bde00c553d55fd10ed",
+        "c79e436d907fbf77919be08d940c2eca1ab1590ce791a9799cd9fea81d96c7e1",
+    ),
+    "quartic": (
+        "c6be3f2c15a8a5d03210eb07977fd51fbcbbf9072fe66665cd8052ac0db650b2",
+        "47e65d000ff6e186414dafa119348a8c04c9636c5ec93e7cc118b74603b66f30",
+    ),
+    "sextic": (
+        "5c33013dd7f2dbac2a18db467bd9ef77f7131515f7c84783ecbef602bf81441b",
+        "07d4526bf41365f2113754186e7b666415a201f6aa350360672d186f01fcd14a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_ROOTS))
+def test_roots_match_recorded(name):
+    others = {
+        "x^5-x+1": parse_poly("x^5-x+1"),
+        "quartic": RANDOM_QUARTIC,
+        "sextic": RANDOM_SEXTIC,
+    }
+    f = {**TEST_POLYS, **others}[name]
+    small = sieve_primes(200_000)
+    wide = []
+    for start in (2**31, 2**40, 2**61):
+        for _ in range(8):
+            start = int(sympy.nextprime(start))
+            wide.append(start)
+    blocks = [small[lo : lo + BLOCK_SIZE] for lo in range(0, len(small), BLOCK_SIZE)]
+    calls = (blocks, [wide])
+    for recorded, blocks in zip(RECORDED_ROOTS[name], calls):
+        digest = hashlib.sha256()
+        for block in blocks:
+            for rs in roots_mod_primes(f, block, seed=3).root_sets():
+                digest.update(repr((rs.p, rs.roots, rs.simple_flags)).encode())
+        assert digest.hexdigest() == recorded
 
 
 class TestLiftRoots:
@@ -337,7 +507,7 @@ class TestClosedForm:
             assert all(f.eval(r) % p == 0 for r in rs.roots), p
             residue = pow(disc, (p - 1) // 2, p)
             assert len(rs.roots) == {1: 2, 0: 1, p - 1: 0}[residue], p
-            g = gfpoly.monic(gfpoly.reduce_mod(f.coeffs, p), p)
+            g = gf_reference.monic(gf_reference.reduce_mod(f.coeffs, p), p)
             assert rs.roots == gf_reference.roots_low_degree(g, p), p
 
     def test_split_pieces_batched_per_round(self, power_calls, monkeypatch):
@@ -353,11 +523,14 @@ class TestClosedForm:
         monkeypatch.setattr(gfpoly, "low_degree_roots", spy)
         ps = [p for p in sieve_primes(2000) if p % 3 == 1]
         hs = [[2, 0, 0, 1]] * len(ps) + [[6, 5, 1]]
-        found = gfpoly.roots_of_split(
-            [gf_reference.frobenius_root_poly(h, p) for h, p in zip(hs, ps + [7])],
-            ps + [7],
+        row, r = gfpoly.roots_of_split(
+            *poly_matrix(
+                [gf_reference.frobenius_root_poly(h, p) for h, p in zip(hs, ps + [7])],
+                ps + [7],
+            ),
             0,
         )
+        found = [tuple(r[row == i].tolist()) for i in range(len(hs))]
         assert found[-1] == (4, 5)
         assert found[:-1] == [
             reference_roots(parse_poly("x^3+2"), p) for p in ps

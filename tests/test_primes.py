@@ -140,6 +140,47 @@ class TestLaneMillerRabin:
         assert not any(got[:8]) and all(got[8:11])
 
 
+class TestGradedWitnesses:
+    """Miller-Rabin runs the prefix of _MR_WITNESSES_64 that
+    _MR_EXACT_BELOW proves exact for n, in the scalar test and in lanes."""
+
+    # A014233: each is a strong pseudoprime to every witness of the prefix
+    # below it, so a table that gave it one witness too few would call it
+    # prime
+    TERMS = sorted(set(primes._MR_EXACT_BELOW[:-1]))
+
+    def test_terms_are_strong_pseudoprimes_to_the_shorter_prefix(self):
+        for k, n in enumerate(primes._MR_EXACT_BELOW[:-1], 1):
+            d, r = n - 1, 0
+            while d % 2 == 0:
+                d //= 2
+                r += 1
+            bases = primes._MR_WITNESSES_64[:k]
+            assert not any(primes._mr_composite(n, a, d, r) for a in bases), n
+            assert not sympy.isprime(n)
+
+    def test_terms_are_composite(self):
+        assert not any(is_probable_prime(n) for n in self.TERMS)
+        assert not _probable_primes(_u64(self.TERMS)).any()
+
+    def test_agrees_with_sympy(self):
+        below = [int(sympy.prevprime(n)) for n in self.TERMS]
+        rng = random.Random(7)
+        odd = [rng.randrange(2**40, 2**64) | 1 for _ in range(3000)]
+        odd += [rng.randrange(2**11, 2**32) | 1 for _ in range(1000)]
+        for n in below + odd:
+            assert is_probable_prime(n) == sympy.isprime(n), n
+        lanes = [
+            n
+            for n in below + odd
+            if n < 2**63 and all(n % p for p in primes._TINY_PRIMES)
+        ]
+        assert len(lanes) > 500
+        got = _probable_primes(_u64(lanes)).tolist()
+        assert got == [sympy.isprime(n) for n in lanes]
+        assert True in got and False in got
+
+
 class TestLaneBrent:
     @pytest.mark.parametrize("max_iters", [MAX_ITERS, 64])
     @pytest.mark.parametrize("lanes", [1, primes.LANES, 10**9])

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import random
 import subprocess
@@ -304,14 +303,15 @@ class TestCheckpointPass:
         # with 2 workers at most 4 blocks are in flight, so the first
         # block's result arrives after 4 of the 379 blocks were read
         read = []
-        stream = primes.iter_primes
+        stream = primes.prime_blocks
 
-        def counted(limit):
-            for p in stream(limit):
-                read.append(p)
-                yield p
+        def counted(limit, size):
+            for block in stream(limit, size):
+                if size == 16:  # Leg 1's stream, not the base primes' sieve
+                    read.extend(block.tolist())
+                yield block
 
-        monkeypatch.setattr(primes, "iter_primes", counted)
+        monkeypatch.setattr(primes, "prime_blocks", counted)
         monkeypatch.setattr(modular, "BLOCK_SIZE", 16)
         N = 20000
         blocks = sieve._leg1(F.coeffs, 3 * N, N, (), 0, workers=2)
@@ -393,9 +393,9 @@ class TestBlockColumns:
         B = f.profile.D * N
         with mock.patch.object(modular, "BLOCK_SIZE", 16):
             blocks = list(sieve._leg1(f.coeffs, B, N, zeros, 0, workers=1))
-        stream = primes.iter_primes(B)
-        for cols in blocks:
-            block = list(itertools.islice(stream, 16))
+        stream = primes.sieve_primes(B)
+        for i, cols in enumerate(blocks):
+            block = stream[16 * i : 16 * (i + 1)]
             ps, roots, progs = per_prime_columns(f, block, N, zeros)
             assert cols.p.tolist() == ps
             assert [tuple(cols.roots.row(i).tolist()) for i in range(len(ps))] == roots
@@ -522,17 +522,22 @@ class TestLegCrossCheck:
 
 
 @pytest.mark.parametrize("span", [64, 1000])
-def test_iter_primes_segments(span, monkeypatch):
+def test_prime_blocks_segments(span, monkeypatch):
     import sympy
 
     monkeypatch.setattr(primes, "_SEGMENT_SPAN", span)
     # segments are [2 + i*span, 2 + (i+1)*span); base primes up to 346
-    # exceed the smaller span, so some have no multiple in a segment
+    # exceed the smaller span, so some have no multiple in a segment.
+    # Blocks of 7 and 50 primes straddle segment ends.
     edges = [1 + i * span + j for i in (1, 2, 3) for j in (-1, 0, 1)]
     for limit in [0, 1, 2, 3, *edges, 120_011]:
-        assert list(primes.iter_primes(limit)) == list(
-            sympy.primerange(limit + 1)
-        ), limit
+        expected = list(sympy.primerange(limit + 1))
+        assert primes.sieve_primes(limit) == expected, limit
+        for size in (7, 50):
+            blocks = list(primes.prime_blocks(limit, size))
+            assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+            assert all(b.dtype == np.int64 and len(b) for b in blocks)
+            assert [p for b in blocks for p in b.tolist()] == expected, limit
 
 
 class TestFactorCofactor:
