@@ -6,13 +6,16 @@ every run is reproducible.
 ``factorize_lanes`` runs factorize's steps on a column of int64
 cofactors at once: Miller-Rabin and the first attempt of Brent's rho, each
 lane walking exactly as the scalar code does, on Montgomery products of
-32-bit limbs in uint64 arrays. The last walks, and whatever the lanes give
-up on, finish in the scalar code.
+32-bit limbs written into preallocated uint64 rows. The last walks finish
+in the scalar walk, in packs whose walks step together as one walk modulo
+the product of their moduli (Chinese remainder theorem); whatever the
+lanes give up on goes to factorize.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from collections import Counter
@@ -168,43 +171,78 @@ def _pollard_brent(n, rng, max_iters):
         return 2
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
-    return _brent_walk(n, c, y, (y * y + c) % n, 1, 1, 0, 0, max_iters)
+    return _brent_walks([(n, c, y, (y * y + c) % n, 1)], 1, 0, 0, max_iters)[0]
 
 
-def _brent_walk(n, c, x, y, q, r, k, iters, max_iters):
-    """Brent's rho on y -> y^2 + c mod n from the state after k steps of
-    the second half of round r: x is the round's fixed point, y the walk,
-    q the product of x - y over the steps so far, and the rounds before r
-    took ``iters`` steps. The first half of a round moves y r steps; the
-    second half moves it r more, multiplying q by x - y at each, and takes
-    gcd(q, n) every 128 steps. The lanes hand their walks over here."""
-    m = 128
-    g = 1
+def _brent_walks(walks, r, k, iters, max_iters):
+    """Brent's rho on y -> y^2 + c mod n for each walk (n, c, x, y, q), all
+    from the state after k steps of the second half of round r: x is the
+    round's fixed point, y the walk, q the product of x - y over the steps
+    so far, and the rounds before r took ``iters`` steps. The first half of
+    a round moves y r steps; the second half moves it r more, multiplying q
+    by x - y at each, and takes gcd(q, n) every 128 steps.
+
+    The walks step in packs (_merge), a pack as one walk Y -> Y^2 + C mod
+    M, M the product of its moduli, whose Q mod n is each walk's q. After
+    a chunk, a walk whose gcd is not 1 leaves its pack, and one that ends
+    at g == n backtracks alone. Returns the factor of each walk, or None
+    where it runs out of budget or its backtrack ends at n.
+    """
+    found = [None] * len(walks)
+    packs = _merge([[i], *walk] for i, walk in enumerate(walks))
     while True:
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * (x - y) % n
-            g = math.gcd(q, n)
-            k += m
+        while k < r and packs:
+            for pack in packs:
+                lanes, M, C, X, Y, Q = pack
+                YS = Y
+                for _ in range(min(128, r - k)):
+                    Y = (Y * Y + C) % M
+                    Q = Q * (X - Y) % M
+                pack[4:] = Y, Q
+                for i in [i for i in lanes if math.gcd(Q, walks[i][0]) != 1]:
+                    n, c = walks[i][:2]
+                    if (g := math.gcd(Q, n)) == n:  # again from the chunk's start
+                        g, ys = 1, YS % n
+                        while g == 1:
+                            ys = (ys * ys + c) % n
+                            g = math.gcd(X - ys, n)
+                    if g != n and iters + r <= max_iters:
+                        found[i] = g
+                    lanes.remove(i)
+                    M //= n
+                    pack[1:] = M, *(v % M for v in pack[2:])
+            k += 128
+            packs = _merge(pack for pack in packs if pack[0])
+        if not packs:
+            return found
         iters += r
         r *= 2
         if iters > max_iters:
-            return None
-        if g != 1:
-            break
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
+            return found
+        for pack in packs:
+            _, M, C, _, Y, _ = pack
+            pack[3] = Y
+            for _ in range(r):
+                Y = (Y * Y + C) % M
+            pack[4] = Y
         k = 0
-    if g == n:
-        while True:
-            ys = (ys * ys + c) % n
-            g = math.gcd(x - ys, n)
-            if g > 1:
+
+
+def _merge(packs):
+    """First-fit packs of at most PACK walks with pairwise coprime moduli,
+    from packs [walk indices, M, C, X, Y, Q] in order, a walk being a pack
+    of one: two packs join by the Chinese remainder theorem."""
+    merged = []
+    for b in packs:
+        for a in merged:
+            if len(a[0]) + len(b[0]) <= PACK and math.gcd(a[1], b[1]) == 1:
+                u = pow(a[1], -1, b[1])
+                a[2:] = (x + a[1] * ((y - x) * u % b[1]) for x, y in zip(a[2:], b[2:]))
+                a[:2] = a[0] + b[0], a[1] * b[1]
                 break
-    return g if g != n else None
+        else:
+            merged.append(b)
+    return merged
 
 
 def _rho_rng(m, seed, attempt):
@@ -244,87 +282,111 @@ def factorize(n, seed=0, max_iters=1 << 20, attempts=8):
     return sorted(counts.items())
 
 
-# Fewer walks than this finish in scalar Python, and a round of
-# factorize_lanes with fewer parts leaves them all to the scalar code. One
-# lockstep step costs about 26 us (first half of a round) or 48 us (second
-# half) of numpy calls plus 0.05 us a lane, one scalar step 0.32 or
-# 0.69 us: the crossover is 70-80 walks. On the 2,174 composites of
-# x^5-x+1 at N = 6000 (2-vCPU VM), every cut-over from 64 to 192 walks
-# took 1.8-2.2 s, within the run-to-run spread.
+# Fewer walks than this finish in packs of the scalar walk, and a round
+# of factorize_lanes with fewer parts leaves them all to the scalar code.
+# At 128 lanes a lockstep step costs 27-34 us (14-17 us in the first half
+# of a round), a pack's 0.19-0.22 us a walk (0.08-0.09): the crossover is
+# 140-190 walks. The cofactors of x^5-x+1 at N = 6000 and x^3+2 at
+# N = 5000 took 1.40 s at 128, 1.49-1.52 s at 96, 192 and 256 (best of 5).
 LANES = 128
+# Walks per pack: the same cofactors took 1.82, 1.53, 1.47, 1.45, 1.46 and
+# 1.59 s with 1, 2, 3, 4, 6 and 8 (bigint division grows quadratically).
+PACK = 4
 
 # 0-d arrays, not numpy scalars: cheaper operands, and the wrapping stays
 # on arrays
 _LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
 _32 = np.array(32, dtype=np.uint64)
 _1 = np.array(1, dtype=np.uint64)
-# Values per Miller-Rabin call. On the 5,185 cofactors of x^5-x+1 at
-# N = 6000, 256 held 0.6 MB at its peak and ran fastest; 128, 512 and 1024
-# ran 5-60% slower, and 1024 held 2.2 MB.
-_MR_CHUNK = 256
-
-
-def _limbs(a):
-    return a & _LOW32, a >> _32
-
-
-def _mulhi(a, b):
-    """The high 64 bits of a * b for uint64 arrays, b given as _limbs(b).
-    The middle sum is at most (2^32 - 1)^2 + 2 (2^32 - 1) < 2^64."""
-    (a0, a1), (b0, b1) = _limbs(a), b
-    lo, mid1, mid2 = a0 * b0, a0 * b1, a1 * b0
-    mid = mid2 + (mid1 & _LOW32) + (lo >> _32)
-    return a1 * b1 + (mid1 >> _32) + (mid >> _32)
-
-
-def _sqhi(a):
-    """The high 64 bits of a * a for a uint64 array below 2^63: with
-    a1 < 2^31, 2 a0 a1 + (a0^2 >> 32) < 2^64."""
-    a0, a1 = _limbs(a)
-    mid = ((a0 * a1) << _1) + ((a0 * a0) >> _32)
-    return a1 * a1 + (mid >> _32)
+# Values per Miller-Rabin call. The 11,395 parts of the same batches took
+# 0.31, 0.19, 0.15, 0.12 and 0.15 s with 128, 256, 512, 1024 and 2048
+# (best of 5); 1024 adds nothing to the build's traced peak, 2048 0.7 MB.
+_MR_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
 class _Montgomery:
     """Montgomery arithmetic (Montgomery 1985) with R = 2^64 modulo a uint64
     column n of odd moduli below 2^63, one lane each. Products of uint64
-    arrays wrap mod 2^64, which is exact, and no float is used."""
+    arrays wrap mod 2^64, which is exact, and no float is used.
+
+    mul takes operands below n, one row of lanes (a 1-d array) or two
+    (2-d), and writes the product through ``out`` (a new array if None),
+    which may be an operand; every step in between writes into scratch
+    rows kept with the lanes."""
 
     n: np.ndarray
     n_limbs: tuple
     inv: np.ndarray  # n^-1 mod 2^64
+    r2: np.ndarray  # R^2 mod n
 
     @classmethod
     def of(cls, n):
         inv = n.copy()  # n * n = 1 mod 8; each Newton step doubles the bits
         for _ in range(5):
             inv *= 2 - n * inv
-        return cls(n, _limbs(n), inv)
+        r2 = np.full_like(n, 0xFFFFFFFFFFFFFFFF) % n + 1
+        for _ in range(64):  # R mod n doubled 64 times
+            r2 += r2
+            r2 = np.minimum(r2, r2 - n)
+        return cls(n, (n & _LOW32, n >> _32), inv, r2)
 
-    def _redc(self, hi, lo):
+    def take(self, i):
+        """The arithmetic of the lanes i, an index, mask or slice."""
+        n0, n1 = self.n_limbs
+        return _Montgomery(self.n[i], (n0[i], n1[i]), self.inv[i], self.r2[i])
+
+    @functools.cached_property
+    def _scratch(self):
+        """Five scratch arrays for operands of one row (ndim 1) or two."""
+        rows = np.empty((5, 2, len(self.n)), dtype=np.uint64)
+        return {1: tuple(rows[:, 0]), 2: tuple(rows)}
+
+    def _redc(self, hi, lo, out, s0, s1, s2):
         """(hi * R + lo) / R mod n for hi * R + lo < n * R. With
         m = lo / n mod R, m * n has the low word lo, so the high words
-        differ by the result, in (-n, n)."""
-        t = hi - _mulhi(lo * self.inv, self.n_limbs)
-        return np.minimum(t, t + self.n)
+        differ by the result, in (-n, n). lo and s0-s2 are scratch."""
+        n0, n1 = self.n_limbs
+        m = np.multiply(lo, self.inv, out=lo)
+        m0 = np.bitwise_and(m, _LOW32, out=s0)
+        m1 = np.right_shift(m, _32, out=s1)
+        # the high word of m * n; the middle sum is at most
+        # (2^32 - 1)^2 + 2 (2^32 - 1) < 2^64
+        low = np.multiply(m0, n0, out=s2)
+        low >>= _32
+        mid = np.multiply(m1, n0, out=lo)
+        mid += low
+        cross = np.multiply(m0, n1, out=s0)
+        mid += np.bitwise_and(cross, _LOW32, out=s2)
+        mid >>= _32
+        cross >>= _32
+        top = np.multiply(m1, n1, out=s1)
+        top += cross
+        top += mid
+        np.subtract(hi, top, out=out)
+        return np.minimum(out, np.add(out, self.n, out=s0), out=out)
 
-    def mul(self, a, b):
-        """a * b / R mod n for a * b < n * R; a and b may hold rows of
-        lanes."""
-        return self._redc(_mulhi(a, _limbs(b)), a * b)
-
-    def square(self, a):
-        """a * a / R mod n for a < n."""
-        return self._redc(_sqhi(a), a * a)
+    def mul(self, a, b, out=None):
+        """a * b / R mod n; b may broadcast against a."""
+        out = np.empty_like(a) if out is None else out
+        a0, a1, b0, b1, hi = self._scratch[a.ndim]
+        np.bitwise_and(a, _LOW32, out=a0)
+        np.right_shift(a, _32, out=a1)
+        np.bitwise_and(b, _LOW32, out=b0)
+        np.right_shift(b, _32, out=b1)
+        # the high word of a * b: with a1, b1 < 2^31 the middle sum is at
+        # most (2^32 - 1) + 2 (2^32 - 1)(2^31 - 1) < 2^64
+        np.multiply(a0, b0, out=hi)
+        hi >>= _32
+        hi += np.multiply(a0, b1, out=a0)
+        hi += np.multiply(a1, b0, out=b0)
+        hi >>= _32
+        hi += np.multiply(a1, b1, out=a1)
+        return self._redc(hi, np.multiply(a, b, out=b0), out, a0, a1, b1)
 
     def to_form(self, a):
         """a * R mod n for each lane."""
-        r = np.full_like(self.n, 0xFFFFFFFFFFFFFFFF) % self.n + 1
-        for _ in range(64):  # R mod n doubled 64 times: R^2 mod n
-            r += r
-            r = np.minimum(r, r - self.n)
-        return self.mul(a, r)
+        return self.mul(a, self.r2)
 
     def from_form(self, a):
         return self.mul(a, np.ones_like(a))
@@ -343,40 +405,43 @@ def _probable_primes(n):
     bounds = np.array(_MR_EXACT_BELOW[:-1], dtype=np.uint64)
     witnesses = np.array(_MR_WITNESSES_64, dtype=np.uint64)
     for lo in range(0, len(n), _MR_CHUNK):
-        part = n[lo : lo + _MR_CHUNK]
-        passed = _strong_probable_primes(part, np.full_like(part, 2))
+        mont = _Montgomery.of(n[lo : lo + _MR_CHUNK])
+        passed = _strong_probable_primes(mont, np.full_like(mont.n, 2))
         rest = np.flatnonzero(passed)
-        more = np.searchsorted(bounds, part[rest], side="right")
-        # pair j of n = part[rest[i]] tests base witnesses[1 + j], j < more[i]
+        more = np.searchsorted(bounds, mont.n[rest], side="right")
+        # pair j of n = mont.n[rest[i]] tests base witnesses[1 + j], j < more[i]
         i = np.repeat(np.arange(len(rest)), more)
         j = np.arange(len(i)) - np.repeat(np.cumsum(more) - more, more)
-        ok = _strong_probable_primes(part[rest[i]], witnesses[1 + j])
+        ok = _strong_probable_primes(mont.take(rest[i]), witnesses[1 + j])
         passed[rest] = np.bincount(i, weights=ok, minlength=len(rest)) == more
         prime[lo : lo + _MR_CHUNK] = passed
     return prime
 
 
-def _strong_probable_primes(n, base):
-    """Whether each n is a strong probable prime to its base, for uint64
-    columns n and base of one length."""
-    mont = _Montgomery.of(n)
+def _strong_probable_primes(mont, base):
+    """Whether each n of the lanes of ``mont`` is a strong probable prime
+    to its base, for a uint64 column base of their length."""
+    n = mont.n
     d, s = n - 1, np.zeros(len(n), dtype=np.int64)
     while (even := (d & _1) == 0).any():
         d[even] >>= _1
         s += even
     # base^d by square-and-multiply from the low bit: [acc, base] times
-    # [base, base] is one product on two rows of lanes
+    # base is one product on two rows of lanes, and acc keeps its old
+    # value where the low bit of d, shifted once a step, is 0
     acc = mont.to_form(np.stack((np.ones_like(n), base)))
     one = acc[0].copy()
     minus_one = n - one
-    for bit in range(int(d.max(initial=0)).bit_length()):
-        prod = mont.mul(acc, acc[1])
-        np.copyto(acc[0], prod[0], where=(d >> np.array(bit, np.uint64)) & _1 == 1)
-        acc[1] = prod[1]
+    prod = np.empty_like(acc)
+    for _ in range(int(d.max(initial=0)).bit_length()):
+        mont.mul(acc, acc[1], out=prod)
+        np.copyto(prod[0], acc[0], where=d & _1 == 0)
+        d >>= _1
+        acc, prod = prod, acc
     x = acc[0]
     passed = (x == one) | (x == minus_one)
     for i in range(1, int(s.max(initial=0))):
-        x = mont.square(x)
+        mont.mul(x, x, out=x)
         passed |= (x == minus_one) & (i < s)
     return passed
 
@@ -384,12 +449,12 @@ def _strong_probable_primes(n, base):
 def _brent_lanes(n, seed, max_iters):
     """factorize's rho attempt 0 on each n of a uint64 column of odd
     composites below 2^63: the same y0 and c from _rho_rng and the same
-    walk, rounds and gcds as _brent_walk, in lockstep lanes.
+    walk, rounds and gcds as _brent_walks, in lockstep lanes.
 
     Returns the factor of each n, or 0 where attempt 0 gives up, or where
     a lane ends at g == n, which needs the scalar backtrack. A lane stops
     at the gcd that finds its factor, and once fewer than LANES lanes go
-    on, each hands its state to _brent_walk, which finishes the same walk.
+    on, their states go to _brent_walks, which finishes the same walks.
     """
     factor = np.zeros_like(n)
     draws = []
@@ -398,18 +463,28 @@ def _brent_lanes(n, seed, max_iters):
         draws.append((rng.randrange(1, m), rng.randrange(1, m)))
     live = np.arange(len(n))
     mont = _Montgomery.of(n)
-    x, c = mont.to_form(np.array(draws, dtype=np.uint64).reshape(-1, 2).T)
+    # the lanes' rows, compacted together: d = x - y mod n, the walk y, q,
+    # the round's fixed point x, c and scratch
+    w = np.ones((6, len(n)), dtype=np.uint64)
+    w[3:5] = mont.to_form(np.array(draws, dtype=np.uint64).reshape(-1, 2).T)
+    d, y, q, x, c, t = w
 
-    def step(y):
-        y = mont.square(y) + c
-        return np.minimum(y, y - mont.n)
+    def step(a, b):  # a * b into a, then y + c mod n
+        mont.mul(a, b, out=a)
+        np.add(y, c, out=y)
+        np.minimum(y, np.subtract(y, mont.n, out=t), out=y)
+
+    def diff():
+        np.subtract(x, y, out=d)
+        np.minimum(d, np.add(d, mont.n, out=t), out=d)
 
     # q stays out of Montgomery form: its product with x - y in form is
     # q * (x - y) mod n. A step of the second half is one product on two
     # rows of lanes, [y, q] times [y, x - y], which squares y and
     # multiplies q by x - y for the same y, so each chunk starts with one
     # more step of y and ends with one more factor of q.
-    y, q = step(x), np.ones_like(x)
+    np.copyto(y, x)
+    step(y, y)
     r, k, iters = 1, 0, 0
     while len(live) >= LANES:
         if k >= r:
@@ -417,16 +492,17 @@ def _brent_lanes(n, seed, max_iters):
             r *= 2
             if iters > max_iters:
                 return factor
-            x = y
+            np.copyto(x, y)
             for _ in range(r):
-                y = step(y)
+                step(y, y)
             k = 0
-        y = step(y)
+        step(y, y)
+        yq, yd = w[1:3], w[1::-1]
         for _ in range(min(128, r - k) - 1):
-            y, q = mont.mul(np.stack((y, q)), np.stack((y, x + (mont.n - y))))
-            y += c
-            y = np.minimum(y, y - mont.n)
-        q = mont.mul(q, x + (mont.n - y))
+            diff()
+            step(yq, yd)
+        diff()
+        mont.mul(q, d, out=q)
         k += 128
         g = np.gcd(q, mont.n)
         done = g != 1
@@ -435,11 +511,11 @@ def _brent_lanes(n, seed, max_iters):
                 g[g == mont.n] = 0
                 factor[live[done]] = g[done]
             keep = ~done
-            live, mont = live[keep], _Montgomery.of(mont.n[keep])
-            x, y, q, c = x[keep], y[keep], q[keep], c[keep]
+            live, mont, w = live[keep], mont.take(keep), w[:, keep]
+            d, y, q, x, c, t = w
     state = (mont.n, mont.from_form(c), mont.from_form(x), mont.from_form(y), q)
-    for i, *walk in zip(live.tolist(), *(a.tolist() for a in state)):
-        factor[i] = _brent_walk(*walk, r, k, iters, max_iters) or 0
+    walks = list(zip(*(a.tolist() for a in state)))
+    factor[live] = [g or 0 for g in _brent_walks(walks, r, k, iters, max_iters)]
     return factor
 
 

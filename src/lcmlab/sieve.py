@@ -29,9 +29,10 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
   cofactors of a segment are factored in one batch. In int64 they are
   split in lockstep lanes (``primes.factorize_lanes``): Miller-Rabin, then
   Brent's rho walk of factor_cofactor's first attempt, on exact uint64
-  Montgomery arithmetic. What the lanes leave, and each cofactor of an
-  object batch, goes to factor_cofactor, so a rho timeout keeps its
-  budget. The hits of such primes up to a checkpoint are those read so
+  Montgomery arithmetic; the last walks finish in packs, each a single
+  walk modulo the product of its moduli. What the lanes leave, and each
+  cofactor of an object batch, goes to factor_cofactor, so a rho timeout
+  keeps its budget. The hits of such primes up to a checkpoint are those read so
   far.
 
 The ledger at checkpoint N_i equals a pass to N_i alone: a Leg 1 prime in

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lcmlab import build_ledger, gfpoly, parse_poly
 
 import gf_reference
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, and
+# no deadline per example, a timing assertion that a loaded runner can
+# fail. Local runs keep the default profile.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 # The fixed polynomial set used throughout: two quadratics, two cubics,
 # all irreducible with distinct leading coefficients and discriminants.

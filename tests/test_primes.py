@@ -7,12 +7,15 @@ import random
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lcmlab import primes, sieve
 from lcmlab.primes import (
     _brent_lanes,
+    _brent_walks,
+    _merge,
     _Montgomery,
-    _pollard_brent,
     _probable_primes,
     factorize,
     factorize_lanes,
@@ -30,8 +33,35 @@ def _u64(values):
 
 
 def _attempt0(n, seed, max_iters):
+    """The factor that rho attempt 0 finds in n, or 0: Brent's walk
+    (Brent 1980) one step at a time, on the y0 and c of factorize's rng."""
     rng = random.Random((seed << 8) ^ (n & 0xFFFFFFFFFFFF))
-    return _pollard_brent(n, rng, max_iters) or 0
+    y = rng.randrange(1, n)
+    c = rng.randrange(1, n)
+    x, y, q, r, iters, g = y, (y * y + c) % n, 1, 1, 0, 1
+    while g == 1:
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            k += 128
+        iters += r
+        r *= 2
+        if iters > max_iters:
+            return 0
+        if g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+    if g == n:  # backtrack from the chunk's first y
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(x - ys, n)
+    return g if g != n else 0
 
 
 def _composites(count, seed):
@@ -59,7 +89,7 @@ def _composites(count, seed):
 
 def _scalar_state(n, seed, r_at, k_at):
     """(c, x, y, q, iters) of rho attempt 0 on n after k_at steps of the
-    second half of round r_at, stepped as _brent_walk steps."""
+    second half of round r_at, stepped as _attempt0 steps."""
     rng = random.Random((seed << 8) ^ (n & 0xFFFFFFFFFFFF))
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
@@ -101,11 +131,67 @@ class TestMontgomery:
             inv = [pow(R, -1, m) for m in ms]
             got = mont.mul(_u64(a), _u64(b)).tolist()
             assert got == [x * y * i % m for x, y, i, m in zip(a, b, inv, ms)]
-            got = mont.square(_u64(a)).tolist()
+            got = mont.mul(_u64(a), _u64(a)).tolist()
             assert got == [x * x * i % m for x, i, m in zip(a, inv, ms)]
             form = mont.to_form(_u64(a))
             assert form.tolist() == [x * R % m for x, m in zip(a, ms)]
             assert mont.from_form(form).tolist() == a
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_buffered_products_match_ints(self, rows):
+        # one row of lanes is a 1-d array, two rows a 2-d one
+        rng = random.Random(5)
+        ms = self.MODULI
+        mont = _Montgomery.of(_u64(ms))
+        inv = [pow(R, -1, m) for m in ms]
+        a = [[m - 1 for m in ms], [rng.randrange(m) for m in ms]][2 - rows :]
+        b = [[rng.randrange(m) for m in ms], [m - 1 for m in ms]][2 - rows :]
+        mul = [[x * y * i % m for x, y, i, m in zip(*ab, inv, ms)] for ab in zip(a, b)]
+        square = [[x * x * i % m for x, i, m in zip(u, inv, ms)] for u in a]
+
+        def lanes(values):
+            return _u64(values if rows == 2 else values[0])
+
+        def rows_of(array):
+            return array.reshape(rows, -1).tolist()
+
+        out = lanes(b) * 0
+        assert mont.mul(lanes(a), lanes(b), out=out) is out
+        assert rows_of(out) == mul
+        assert rows_of(mont.mul(lanes(a), lanes(a), out=out)) == square
+        # the output may be either operand
+        for alias in (0, 1):
+            operands = [lanes(a), lanes(b)]
+            mont.mul(*operands, out=operands[alias])
+            assert rows_of(operands[alias]) == mul
+        u = lanes(a)
+        assert mont.mul(u, u, out=u) is u and rows_of(u) == square
+        # one row of a two-row array, in place
+        u = _u64([b[0], a[-1]])
+        mont.mul(u[1], _u64(b[-1]), out=u[1])
+        assert u.tolist() == [b[0], mul[-1]]
+
+    def test_row_products_through_views(self):
+        # _brent_lanes: [y, q] times [y, d] from the rows [d, y, q], and the
+        # Miller-Rabin ladder: [acc, base] times base, into the same rows
+        rng = random.Random(6)
+        ms = self.MODULI
+        mont = _Montgomery.of(_u64(ms))
+        inv = [pow(R, -1, m) for m in ms]
+        d, y, q = ([rng.randrange(m) for m in ms] for _ in range(3))
+        w = _u64([d, y, q])
+        mont.mul(w[1:], w[1::-1], out=w[1:])
+        assert w.tolist() == [
+            d,
+            [u * u * i % m for u, i, m in zip(y, inv, ms)],
+            [v * e * i % m for v, e, i, m in zip(q, d, inv, ms)],
+        ]
+        w = _u64([q, y])
+        mont.mul(w, w[1], out=w)
+        assert w.tolist() == [
+            [v * u * i % m for v, u, i, m in zip(q, y, inv, ms)],
+            [u * u * i % m for u, i, m in zip(y, inv, ms)],
+        ]
 
 
 class TestLaneMillerRabin:
@@ -186,7 +272,7 @@ class TestLaneBrent:
     @pytest.mark.parametrize("lanes", [1, primes.LANES, 10**9])
     def test_same_factor_as_attempt0(self, monkeypatch, lanes, max_iters):
         # lanes = 1: every walk runs in lanes to its end; primes.LANES: the
-        # last walks finish in _brent_walk; 10^9: every walk does
+        # last walks finish in _brent_walks; 10^9: every walk does
         monkeypatch.setattr(primes, "LANES", lanes)
         ns = _composites(510, seed=3) + G_EQ_N
         got = _brent_lanes(_u64(ns), 0, max_iters).tolist()
@@ -202,19 +288,20 @@ class TestLaneBrent:
             assert 0 < want.count(0) < len(ns)
 
     def test_handoff_state_is_the_scalar_walks(self, monkeypatch):
-        handed = []
-        walk = primes._brent_walk
+        calls = []
+        walk = primes._brent_walks
 
-        def spy(*state):
-            handed.append(state)
-            return walk(*state)
+        def spy(walks, r, k, iters, max_iters):
+            calls.append((walks, r, k, iters))
+            return walk(walks, r, k, iters, max_iters)
 
-        monkeypatch.setattr(primes, "_brent_walk", spy)
+        monkeypatch.setattr(primes, "_brent_walks", spy)
         ns = _composites(510, seed=3)
         _brent_lanes(_u64(ns), 0, MAX_ITERS)
-        assert 0 < len(handed) < primes.LANES
-        assert any(k % 128 == 0 < k < r for *_, r, k, _, _ in handed)
-        for n, c, x, y, q, r, k, iters, _ in handed:
+        assert len(calls) == 1
+        (walks, r, k, iters), = calls
+        assert 0 < len(walks) < primes.LANES and k % 128 == 0 < k < r
+        for n, c, x, y, q in walks:
             assert (c, x, y, q, iters) == _scalar_state(n, 0, r, k)
 
     @pytest.mark.parametrize("lanes", [1, primes.LANES])
@@ -256,6 +343,109 @@ class TestLaneBrent:
         hits = sieve._factor_large("f", 99, n, np.array(cs, np.int64), 0)
         rows = _grouped_rows(hits)
         assert rows == [(i, p, k) for i, c in zip(n, cs) for p, k in factorize(c)]
+
+
+# rho attempt 0 with seed 0 also ends at g == n on these, in the rounds
+# that end at 63 and 127 steps, and stepping on from the chunk's end
+# instead of its start would find the other prime
+G_EQ_N_AT_END = [30606391, 17135077]
+# odd composites with every prime factor above 47, the g == n ones among them
+POOL = _composites(24, seed=6) + G_EQ_N + G_EQ_N_AT_END
+
+
+def _start(n):
+    """The walk (n, c, x, y, q) of rho attempt 0 on n, before its rounds."""
+    c, x, y, q, _ = _scalar_state(n, 0, 1, 0)
+    return n, c, x, y, q
+
+
+def _values(i, n):
+    """The c, x, y and q of walk i on n in the pack tests."""
+    return [(i + j) % n for j in range(1, 5)]
+
+
+def _packed(ns):
+    """_merge's packs of the walks on ns, each walk a pack of one."""
+    return _merge([[i], n, *_values(i, n)] for i, n in enumerate(ns))
+
+
+def _check_packs(packs, ns, walks=None):
+    """Every walk (all of ns by default) is in one pack of at most PACK,
+    whose moduli are pairwise coprime and whose values reduce to the
+    walk's."""
+    walks = range(len(ns)) if walks is None else walks
+    assert sorted(i for lanes, *_ in packs for i in lanes) == list(walks)
+    for lanes, M, *values in packs:
+        assert 0 < len(lanes) <= primes.PACK
+        assert M == math.prod(ns[i] for i in lanes) == math.lcm(*(ns[i] for i in lanes))
+        for i in lanes:
+            assert [v % ns[i] for v in values] == _values(i, ns[i])
+
+
+class TestPackWalk:
+    @given(
+        st.lists(st.sampled_from(POOL), min_size=1, max_size=primes.PACK),
+        st.sampled_from([MAX_ITERS, 2047, 64]),
+    )
+    @example(G_EQ_N + G_EQ_N_AT_END, MAX_ITERS)
+    @example(POOL[: primes.PACK], 64)
+    @example([G_EQ_N[0]] * 3 + POOL[:2], MAX_ITERS)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_each_walk_is_attempt0(self, ns, max_iters):
+        got = _brent_walks([_start(n) for n in ns], 1, 0, 0, max_iters)
+        want = [_attempt0(n, 0, max_iters) for n in ns]
+        assert [g or 0 for g in got] == want
+        # one walk alone is factorize's rho
+        for n, w in zip(ns, want):
+            rng = primes._rho_rng(n, 0, 0)
+            assert (primes._pollard_brent(n, rng, max_iters) or 0) == w
+
+    def test_backtrack_and_budget(self):
+        # the g == n walks backtrack alone; a walk whose round ends at
+        # exactly max_iters steps keeps its factor
+        ns = POOL[:4] + G_EQ_N + G_EQ_N_AT_END
+        sizes = [len(lanes) for lanes, *_ in _packed(ns)]
+        assert max(sizes) == primes.PACK and len(sizes) > 1
+        want = {}
+        for max_iters in (MAX_ITERS, 127, 63):
+            want[max_iters] = [_attempt0(n, 0, max_iters) for n in ns]
+            got = _brent_walks([_start(n) for n in ns], 1, 0, 0, max_iters)
+            assert [g or 0 for g in got] == want[max_iters]
+        assert 0 not in want[MAX_ITERS]
+        assert want[127][-2:] == want[MAX_ITERS][-2:] and want[63][-2:] == [7559, 0]
+
+    def test_moduli_sharing_a_prime_never_share_a_pack(self):
+        p, q, r = 1_000_003, 1_000_033, 1_000_037
+        ns = [p * q, *POOL[:3], p * q, p * r, *G_EQ_N, q * r, p * q, p * p, p * q * r]
+        packs = _packed(ns)
+        _check_packs(packs, ns)
+        # the six moduli divisible by p, three of them equal: one pack each
+        with_p = [j for j, (lanes, *_) in enumerate(packs) for i in lanes if ns[i] % p == 0]
+        assert len(with_p) == len(set(with_p)) == 6
+        got = _brent_walks([_start(n) for n in ns], 1, 0, 0, MAX_ITERS)
+        assert [g or 0 for g in got] == [_attempt0(n, 0, MAX_ITERS) for n in ns]
+
+    @given(st.lists(st.integers(2, 3000), max_size=40))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_merge_is_first_fit(self, ns):
+        packs = _packed(ns)
+        _check_packs(packs, ns)
+        for j, (lanes, *_) in enumerate(packs):
+            # no earlier pack had room for its first walk
+            for before, *_ in packs[:j]:
+                head = [i for i in before if i < lanes[0]]
+                assert len(head) == primes.PACK or any(
+                    math.gcd(ns[i], ns[lanes[0]]) > 1 for i in head
+                )
+        # the packs that walks 0, 3, 6, ... leave merge again
+        left = []
+        for lanes, M, *values in packs:
+            if stay := [i for i in lanes if i % 3]:
+                M = math.prod(ns[i] for i in stay)
+                left.append([stay, M, *(v % M for v in values)])
+        merged = _merge(left)
+        assert len(merged) <= len(left)
+        _check_packs(merged, ns, [i for i in range(len(ns)) if i % 3])
 
 
 def _grouped_rows(hits):
