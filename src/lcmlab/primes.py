@@ -3,13 +3,13 @@
 All randomness is drawn from explicitly seeded ``random.Random`` instances so
 every run is reproducible.
 
-``factorize_lanes`` runs factorize's steps on a column of int64
-cofactors at once: Miller-Rabin and the first attempt of Brent's rho, each
-lane walking exactly as the scalar code does, on Montgomery products of
-32-bit limbs written into preallocated uint64 rows. The last walks finish
-in the scalar walk, in packs whose walks step together as one walk modulo
-the product of their moduli (Chinese remainder theorem); whatever the
-lanes give up on goes to factorize.
+``factorize_lanes`` is the one factorizer: it splits a column of cofactors
+in rounds, each on every part left. Miller-Rabin and Brent's rho run in
+lanes on the parts below 2^63, on Montgomery products of 32-bit limbs
+written into preallocated uint64 rows; the last walks, and the walks on
+larger parts, finish in the scalar walk, in packs whose walks step
+together as one walk modulo the product of their moduli (Chinese
+remainder theorem). ``factorize`` is its call on one value.
 """
 
 from __future__ import annotations
@@ -25,10 +25,16 @@ import numpy as np
 
 
 class FactorTimeout(RuntimeError):
-    """Pollard rho exhausted its iteration budget without finding a factor."""
+    """Pollard rho exhausted its budget on a part of the cofactor with
+    index ``owner`` in the batch, without finding a factor."""
+
+    def __init__(self, message, owner=0):
+        super().__init__(message)
+        self.owner = owner
 
 
 _SEGMENT_SPAN = 1 << 22  # numbers per sieve segment
+_INT64_LIMIT = 1 << 63  # parts below this run in lanes
 
 # Deterministic Miller-Rabin witness set, valid for all n < 2^64.
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -164,16 +170,6 @@ def is_probable_prime(n, seed=0):
     )
 
 
-def _pollard_brent(n, rng, max_iters):
-    """Brent-variant rho. Returns a nontrivial factor of composite n, or
-    None if the iteration budget runs out."""
-    if n % 2 == 0:
-        return 2
-    y = rng.randrange(1, n)
-    c = rng.randrange(1, n)
-    return _brent_walks([(n, c, y, (y * y + c) % n, 1)], 1, 0, 0, max_iters)[0]
-
-
 def _brent_walks(walks, r, k, iters, max_iters):
     """Brent's rho on y -> y^2 + c mod n for each walk (n, c, x, y, q), all
     from the state after k steps of the second half of round r: x is the
@@ -185,8 +181,8 @@ def _brent_walks(walks, r, k, iters, max_iters):
     The walks step in packs (_merge), a pack as one walk Y -> Y^2 + C mod
     M, M the product of its moduli, whose Q mod n is each walk's q. After
     a chunk, a walk whose gcd is not 1 leaves its pack, and one that ends
-    at g == n backtracks alone. Returns the factor of each walk, or None
-    where it runs out of budget or its backtrack ends at n.
+    at g == n backtracks alone (_backtrack). Returns the factor of each
+    walk, or None where it runs out of budget or its backtrack ends at n.
     """
     found = [None] * len(walks)
     packs = _merge([[i], *walk] for i, walk in enumerate(walks))
@@ -201,11 +197,8 @@ def _brent_walks(walks, r, k, iters, max_iters):
                 pack[4:] = Y, Q
                 for i in [i for i in lanes if math.gcd(Q, walks[i][0]) != 1]:
                     n, c = walks[i][:2]
-                    if (g := math.gcd(Q, n)) == n:  # again from the chunk's start
-                        g, ys = 1, YS % n
-                        while g == 1:
-                            ys = (ys * ys + c) % n
-                            g = math.gcd(X - ys, n)
+                    if (g := math.gcd(Q, n)) == n:
+                        g = _backtrack(n, c, X % n, YS % n)
                     if g != n and iters + r <= max_iters:
                         found[i] = g
                     lanes.remove(i)
@@ -226,6 +219,17 @@ def _brent_walks(walks, r, k, iters, max_iters):
                 Y = (Y * Y + C) % M
             pack[4] = Y
         k = 0
+
+
+def _backtrack(n, c, x, y):
+    """gcd(x - y, n) after the first step y -> y^2 + c mod n from y at
+    which it is not 1: a walk whose chunk from y ended at gcd(q, n) == n,
+    walked again one step at a time. The result may be n."""
+    g = 1
+    while g == 1:
+        y = (y * y + c) % n
+        g = math.gcd(x - y, n)
+    return g
 
 
 def _merge(packs):
@@ -250,40 +254,21 @@ def _rho_rng(m, seed, attempt):
     return random.Random((seed << 8) ^ (m & 0xFFFFFFFFFFFF) ^ attempt)
 
 
-def factorize(n, seed=0, max_iters=1 << 20, attempts=8):
-    """Full factorization of n > 1 as a sorted list of (prime, exponent).
+def factorize(n, seed=0):
+    """Full factorization of n > 1 as a sorted list of (prime, exponent):
+    factorize_lanes on the one value n.
 
-    Raises FactorTimeout if rho fails ``attempts`` times on some cofactor.
+    Raises FactorTimeout if rho gives up on some part of n.
     """
     if n <= 1:
         raise ValueError("factorize needs n > 1")
-    counts = Counter()
-    for p in _TINY_PRIMES:
-        while n % p == 0:
-            counts[p] += 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m, seed=seed):
-            counts[m] += 1
-            continue
-        d = None
-        for attempt in range(attempts):
-            d = _pollard_brent(m, _rho_rng(m, seed, attempt), max_iters)
-            if d is not None:
-                break
-        if d is None:
-            raise FactorTimeout(f"rho gave up on {m}")
-        stack.append(d)
-        stack.append(m // d)
-    return sorted(counts.items())
+    _, q = factorize_lanes(np.array([n], dtype=object), seed)
+    return sorted(Counter(q.tolist()).items())
 
 
 # Fewer walks than this finish in packs of the scalar walk, and a round
-# of factorize_lanes with fewer parts leaves them all to the scalar code.
+# of factorize_lanes with fewer parts below 2^63 tests them for primality
+# one at a time (is_probable_prime).
 # At 128 lanes a lockstep step costs 27-34 us (14-17 us in the first half
 # of a round), a pack's 0.19-0.22 us a walk (0.08-0.09): the crossover is
 # 140-190 walks. The cofactors of x^5-x+1 at N = 6000 and x^3+2 at
@@ -292,6 +277,10 @@ LANES = 128
 # Walks per pack: the same cofactors took 1.82, 1.53, 1.47, 1.45, 1.46 and
 # 1.59 s with 1, 2, 3, 4, 6 and 8 (bigint division grows quadratically).
 PACK = 4
+# Rho's budget: steps per attempt, and attempts, each from new draws of
+# _rho_rng, before factorize_lanes gives up on a part
+RHO_MAX_ITERS = 1 << 20
+RHO_ATTEMPTS = 8
 
 # 0-d arrays, not numpy scalars: cheaper operands, and the wrapping stays
 # on arrays
@@ -446,28 +435,25 @@ def _strong_probable_primes(mont, base):
     return passed
 
 
-def _brent_lanes(n, seed, max_iters):
-    """factorize's rho attempt 0 on each n of a uint64 column of odd
-    composites below 2^63: the same y0 and c from _rho_rng and the same
+def _brent_lanes(n, draws, max_iters):
+    """Brent's rho on each n of a uint64 column of odd composites below
+    2^63, from its y0 and c in the two uint64 rows ``draws``: the same
     walk, rounds and gcds as _brent_walks, in lockstep lanes.
 
-    Returns the factor of each n, or 0 where attempt 0 gives up, or where
-    a lane ends at g == n, which needs the scalar backtrack. A lane stops
-    at the gcd that finds its factor, and once fewer than LANES lanes go
-    on, their states go to _brent_walks, which finishes the same walks.
+    Returns the factor of each n, or 0 where its walk gives up. A lane
+    stops at the gcd that finds its factor; one that ends at g == n
+    backtracks from its chunk's first y (_backtrack). Once fewer than
+    LANES lanes go on, their states go to _brent_walks, which finishes the
+    same walks.
     """
     factor = np.zeros_like(n)
-    draws = []
-    for m in n.tolist():
-        rng = _rho_rng(m, seed, 0)
-        draws.append((rng.randrange(1, m), rng.randrange(1, m)))
     live = np.arange(len(n))
     mont = _Montgomery.of(n)
     # the lanes' rows, compacted together: d = x - y mod n, the walk y, q,
-    # the round's fixed point x, c and scratch
-    w = np.ones((6, len(n)), dtype=np.uint64)
-    w[3:5] = mont.to_form(np.array(draws, dtype=np.uint64).reshape(-1, 2).T)
-    d, y, q, x, c, t = w
+    # the round's fixed point x, c, scratch and the chunk's first y
+    w = np.ones((7, len(n)), dtype=np.uint64)
+    w[3:5] = mont.to_form(draws)
+    d, y, q, x, c, t, ys = w
 
     def step(a, b):  # a * b into a, then y + c mod n
         mont.mul(a, b, out=a)
@@ -496,6 +482,7 @@ def _brent_lanes(n, seed, max_iters):
             for _ in range(r):
                 step(y, y)
             k = 0
+        np.copyto(ys, y)
         step(y, y)
         yq, yd = w[1:3], w[1::-1]
         for _ in range(min(128, r - k) - 1):
@@ -508,51 +495,87 @@ def _brent_lanes(n, seed, max_iters):
         done = g != 1
         if done.any():
             if iters + r <= max_iters:
+                back = np.flatnonzero(g == mont.n)
+                if len(back):
+                    sub = mont.take(back)
+                    rows = (sub.from_form(v[back]).tolist() for v in (c, x, ys))
+                    g[back] = list(map(_backtrack, sub.n.tolist(), *rows))
                 g[g == mont.n] = 0
                 factor[live[done]] = g[done]
             keep = ~done
             live, mont, w = live[keep], mont.take(keep), w[:, keep]
-            d, y, q, x, c, t = w
+            d, y, q, x, c, t, ys = w
     state = (mont.n, mont.from_form(c), mont.from_form(x), mont.from_form(y), q)
     walks = list(zip(*(a.tolist() for a in state)))
     factor[live] = [g or 0 for g in _brent_walks(walks, r, k, iters, max_iters)]
     return factor
 
 
-def factorize_lanes(ms, seed, max_iters):
-    """Split each cofactor of the int64 column ms as factorize does, in
-    lanes: the primes of _TINY_PRIMES are divided out, 2 included, so the
-    Montgomery arithmetic sees odd moduli only. Then every part goes
-    through Miller-Rabin (_probable_primes) and each composite through rho
-    attempt 0 (_brent_lanes), and each factor found goes back through both
-    steps.
+def factorize_lanes(ms, seed):
+    """(owner, prime) columns with one row for each prime factor, with its
+    multiplicity, of each cofactor of the int64 or object column ms > 1:
+    owner indexes ms, and prime has the dtype of ms.
 
-    Returns two pairs of int64 columns: (owner, prime), one row for each
-    prime factor found with its multiplicity, and (owner, part), the parts
-    left to the scalar factorizer; owner indexes ms. A part is left when
-    its attempt 0 gives up, and every part of a round with fewer than
-    LANES of them is left.
+    The primes of _TINY_PRIMES are divided out first, 2 included, so the
+    Montgomery arithmetic sees odd moduli only. Then each round takes
+    every part left. Miller-Rabin runs in lanes (_probable_primes) on the
+    parts below 2^63 when there are at least LANES of them, and part by
+    part (is_probable_prime) otherwise. Rho attempt a on a composite m
+    draws y0 and c from _rho_rng(m, seed, a) and walks in lanes
+    (_brent_lanes) below 2^63, in packs of the scalar walk (_brent_walks)
+    above. A factor d of m puts d and m / d in the next round at attempt
+    0; an attempt that gives up puts m there at attempt a + 1.
+
+    Rho's budget is RHO_MAX_ITERS steps an attempt, and RHO_ATTEMPTS
+    attempts a part, read at the call. When every part is split or given
+    up on, FactorTimeout names the least owner of a part given up on.
     """
     owner = np.arange(len(ms))
-    part = ms.astype(np.uint64)
+    part = ms.astype(np.uint64 if ms.dtype == np.int64 else object)
     found = [(owner[:0], part[:0])]
     for p in _TINY_PRIMES:
-        while (hit := part % np.uint64(p) == 0).any():
-            found.append((owner[hit], np.full(np.count_nonzero(hit), p, np.uint64)))
-            part[hit] //= np.uint64(p)
+        while (hit := part % p == 0).any():
+            found.append((owner[hit], np.full(np.count_nonzero(hit), p, part.dtype)))
+            part[hit] //= p
     owner, part = owner[part > 1], part[part > 1]
-    rest = []
-    while len(part) >= LANES:
-        prime = _probable_primes(part)
+    attempt = np.zeros(len(part), dtype=np.int64)
+    gave_up = []
+    while len(part):
+        lanes = part < _INT64_LIMIT
+        lanes &= np.count_nonzero(lanes) >= LANES
+        prime = np.zeros(len(part), dtype=bool)
+        prime[lanes] = _probable_primes(part[lanes].astype(np.uint64))
+        prime[~lanes] = [is_probable_prime(m, seed) for m in part[~lanes].tolist()]
         found.append((owner[prime], part[prime]))
-        owner, part = owner[~prime], part[~prime]
-        d = _brent_lanes(part, seed, max_iters)
+        owner, part, attempt = owner[~prime], part[~prime], attempt[~prime]
+        draws = []
+        for m, a in zip(part.tolist(), attempt.tolist()):
+            rng = _rho_rng(m, seed, a)
+            draws.append((rng.randrange(1, m), rng.randrange(1, m)))
+        draws = np.array(draws, dtype=part.dtype).reshape(-1, 2).T
+        lanes = part < _INT64_LIMIT
+        d = np.zeros_like(part)
+        d[lanes] = _brent_lanes(
+            part[lanes].astype(np.uint64),
+            draws[:, lanes].astype(np.uint64),
+            RHO_MAX_ITERS,
+        )
+        walks = [
+            (m, c, y, (y * y + c) % m, 1)
+            for m, y, c in zip(part[~lanes].tolist(), *draws[:, ~lanes].tolist())
+        ]
+        d[~lanes] = [g or 0 for g in _brent_walks(walks, 1, 0, 0, RHO_MAX_ITERS)]
         split = d > 0
-        rest.append((owner[~split], part[~split]))
-        owner = np.tile(owner[split], 2)
-        part = np.concatenate((d[split], part[split] // d[split]))
-    rest.append((owner, part))
-    return tuple(
-        (np.concatenate(owners), np.concatenate(parts).astype(np.int64))
-        for owners, parts in (zip(*found), zip(*rest))
-    )
+        attempt[~split] += 1
+        out = attempt == RHO_ATTEMPTS
+        gave_up += zip(owner[out].tolist(), part[out].tolist())
+        again = ~split & ~out
+        owner = np.concatenate((owner[split], owner[split], owner[again]))
+        part = np.concatenate((d[split], part[split] // d[split], part[again]))
+        zeros = np.zeros(2 * np.count_nonzero(split), np.int64)
+        attempt = np.concatenate((zeros, attempt[again]))
+    if gave_up:
+        i, m = min(gave_up)
+        raise FactorTimeout(f"rho gave up on {m}", i)
+    owner, prime = (np.concatenate(col) for col in zip(*found))
+    return owner, prime.astype(ms.dtype)

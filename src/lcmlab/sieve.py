@@ -26,14 +26,13 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
 - Leg 3: what remains of each |g(n)| has only prime factors above B. A
   cofactor below B^2 is then prime; it must pass a base-2 Fermat test
   first, so that a prime Leg 1 missed cannot pass for one. The larger
-  cofactors of a segment are factored in one batch. In int64 they are
-  split in lockstep lanes (``primes.factorize_lanes``): Miller-Rabin, then
-  Brent's rho walk of factor_cofactor's first attempt, on exact uint64
-  Montgomery arithmetic; the last walks finish in packs, each a single
-  walk modulo the product of its moduli. What the lanes leave, and each
-  cofactor of an object batch, goes to factor_cofactor, so a rho timeout
-  keeps its budget. The hits of such primes up to a checkpoint are those read so
-  far.
+  cofactors of a segment, int64 or Python ints, are factored in one call
+  of ``primes.factorize_lanes``: Miller-Rabin and Brent's rho in rounds
+  over every part left, in lockstep lanes of exact uint64 Montgomery
+  arithmetic below 2^63, and in packs of the scalar walk, each a single
+  walk modulo the product of its moduli, for the last walks and the
+  larger parts. The hits of such primes up to a checkpoint are those
+  read so far.
 
 The ledger at checkpoint N_i equals a pass to N_i alone: a Leg 1 prime in
 (D*N_i, B] holds its hits n <= N_i, read off the lifted roots, in place of
@@ -66,8 +65,6 @@ class LedgerMismatch(RuntimeError):
 
 
 SEGMENT_SIZE = 1 << 16  # values of f held at once by Leg 2
-RHO_MAX_ITERS = 1 << 20
-RHO_ATTEMPTS = 8
 
 _INT64_LIMIT = 1 << 63  # integer columns below this are int64
 _MULMOD_INT64_LIMIT = 1 << 50  # the float-quotient mulmod is exact below
@@ -487,12 +484,9 @@ def _leg1(coeffs, B, N, zeros, seed, workers):
 
 def factor_cofactor(c, seed=0):
     """Factor a residual cofactor (all prime factors exceed the sieve
-    bound) into a sorted list of (prime, exponent)."""
-    if c <= 1:
-        raise ValueError("cofactor must exceed 1")
-    return primes.factorize(
-        c, seed=seed, max_iters=RHO_MAX_ITERS, attempts=RHO_ATTEMPTS
-    )
+    bound) into a sorted list of (prime, exponent). The pass factors its
+    cofactors in batches (_factor_large) instead."""
+    return primes.factorize(c, seed=seed)
 
 
 def _abs_values(f: IntPoly, lo, hi, dtype):
@@ -613,33 +607,18 @@ def _large_hits(f, N, B, cofactors, lo, seed):
 
 def _factor_large(f, N, n, c, seed):
     """(q, n, e) hit columns of the primes q of the cofactors c of f(n),
-    all above B^2.
-
-    An int64 batch is split in lanes (``primes.factorize_lanes``). What the
-    lanes leave, and each cofactor of an object batch, goes to
-    factor_cofactor in n order. A prime of a cofactor split between the
-    two has a row from each; _group_hits adds up their e. A FactorTimeout
-    names f, N, n and the cofactor.
+    all above B^2: one row for each prime factor with its multiplicity,
+    each with e = 1, from primes.factorize_lanes, which takes an int64 or
+    an object batch. A FactorTimeout names f, N, n and the cofactor.
     """
-    if c.dtype == np.int64:
-        (owner, q), (left, m) = primes.factorize_lanes(c, seed, RHO_MAX_ITERS)
-        found = (q, n[owner], np.ones_like(q))
-        todo = sorted(zip(left.tolist(), m.tolist()))
-    else:
-        found = (c[:0], n[:0], n[:0])
-        todo = enumerate(c.tolist())
-    rows = []
-    for i, m in todo:
-        try:
-            factors = factor_cofactor(m, seed=seed)
-        except primes.FactorTimeout as exc:
-            raise primes.FactorTimeout(
-                f"{f} at N={N}: n={n[i]}, cofactor {c[i]}: {exc}"
-            ) from exc
-        rows += [(prime, n[i], e) for prime, e in factors]
-    rows = np.array(rows, dtype=object).reshape(-1, 3)
-    scalar = (rows[:, 0].astype(c.dtype), *rows[:, 1:].astype(np.int64).T)
-    return tuple(np.concatenate(col) for col in zip(found, scalar))
+    try:
+        owner, q = primes.factorize_lanes(c, seed)
+    except primes.FactorTimeout as exc:
+        i = exc.owner
+        raise primes.FactorTimeout(
+            f"{f} at N={N}: n={n[i]}, cofactor {c[i]}: {exc}", i
+        ) from exc
+    return q, n[owner], np.ones(len(q), np.int64)
 
 
 def _group_hits(q, n, e):

@@ -3,10 +3,9 @@ import math
 
 import pytest
 
-from lcmlab import sieve
+from lcmlab import primes, sieve
 from lcmlab.aggregate import summarize, sweep
 from lcmlab.polynomial import parse_poly
-from lcmlab.primes import FactorTimeout
 
 F = parse_poly("x^2+1")
 
@@ -80,24 +79,20 @@ class TestSweep:
         assert seen == [5, 10, 20]
 
     def test_factor_timeout_is_a_gap(self, monkeypatch):
-        # rho is called on the cofactor 1048561 of f(16) alone in the pass;
-        # a timeout there ends it after the records of N = 10 and 15. The
-        # batch of at most 30 cofactors is below primes.LANES, so the lanes
-        # leave each of them to factor_cofactor.
+        # with no rho steps, rho gives up on the first composite cofactor
+        # above B^2 = 200^2, 1048561 = f(16); the pass ends there after the
+        # records of N = 10 and 15
         f = parse_poly("x^5-x+1")
-        factor = sieve.factor_cofactor
-
-        def timeout_at_16(c, seed=0):
-            if f.eval(16) % c == 0:
-                raise FactorTimeout("rho gave up")
-            return factor(c, seed=seed)
-
-        monkeypatch.setattr(sieve, "factor_cofactor", timeout_at_16)
         seen = []
-        records, gaps = sweep(f, [10, 15, 16, 30], sink=lambda r: seen.append(r.N))
+        with monkeypatch.context() as patch:
+            patch.setattr(primes, "RHO_MAX_ITERS", 0)
+            records, gaps = sweep(f, [10, 15, 16, 40], sink=lambda r: seen.append(r.N))
         assert [r.N for r in records] == seen == [10, 15]
-        error = "FactorTimeout: x^5-x+1 at N=16: n=16, cofactor 1048561: rho gave up"
-        assert gaps == [(N, error) for N in (16, 30)]
+        error = (
+            "FactorTimeout: x^5-x+1 at N=16: n=16, cofactor 1048561: "
+            "rho gave up on 1048561"
+        )
+        assert gaps == [(N, error) for N in (16, 40)]
         for rec in records:
             assert rec == dataclasses.replace(
                 summarize(sieve.build_ledger(f, rec.N)), seconds=rec.seconds

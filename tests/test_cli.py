@@ -264,19 +264,15 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("command", ["verify", "oracle-check"])
     def test_rho_timeout_exit_2(self, monkeypatch, capsys, command):
-        def timeout(c, seed=0):
-            raise primes.FactorTimeout(f"rho gave up on {c}")
-
-        # x^5-x+1 at N=30 leaves cofactors above B^2 = 180^2 for rho, fewer
-        # than primes.LANES, so the lanes leave each to factor_cofactor
-        monkeypatch.setattr(sieve, "factor_cofactor", timeout)
+        # x^5-x+1 at N=30 leaves f(8) = 181^2 above B^2 = 150^2 for rho,
+        # which gives up on it with no steps
+        monkeypatch.setattr(primes, "RHO_MAX_ITERS", 0)
         code, out, err = _run(capsys, command, "--poly", "x^5-x+1", "--n", "30")
         assert code == 2 and out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(
-            "error: FactorTimeout: x^5-x+1 at N=30: n="
-        )
-        assert ": rho gave up on" in lines[0]
+        assert err.splitlines() == [
+            "error: FactorTimeout: x^5-x+1 at N=30: n=8, cofactor 32761: "
+            "rho gave up on 32761"
+        ]
 
     @pytest.mark.parametrize("poly", [*TEST_POLYS, "2039x^2+2039", "24x^2+24x+48"])
     def test_local_matches_ledger(self, ledger_factory, capsys, poly):

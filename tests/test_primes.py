@@ -19,11 +19,12 @@ from lcmlab.primes import (
     _probable_primes,
     factorize,
     factorize_lanes,
+    FactorTimeout,
     is_probable_prime,
 )
 
 R = 1 << 64
-MAX_ITERS = sieve.RHO_MAX_ITERS
+MAX_ITERS = primes.RHO_MAX_ITERS
 # rho attempt 0 with seed 0 ends at g == n on these semiprimes
 G_EQ_N = [17447279, 2521303]
 
@@ -32,12 +33,22 @@ def _u64(values):
     return np.array(values, dtype=np.uint64)
 
 
-def _attempt0(n, seed, max_iters):
-    """The factor that rho attempt 0 finds in n, or 0: Brent's walk
-    (Brent 1980) one step at a time, on the y0 and c of factorize's rng."""
-    rng = random.Random((seed << 8) ^ (n & 0xFFFFFFFFFFFF))
-    y = rng.randrange(1, n)
-    c = rng.randrange(1, n)
+def _draw(n, seed, attempt=0):
+    """The y0 and c of rho attempt ``attempt`` on n."""
+    rng = random.Random((seed << 8) ^ (n & 0xFFFFFFFFFFFF) ^ attempt)
+    return rng.randrange(1, n), rng.randrange(1, n)
+
+
+def _draws(ns):
+    """The uint64 rows [y0, c] of rho attempt 0 with seed 0 on ns."""
+    return _u64([_draw(n, 0) for n in ns]).reshape(-1, 2).T
+
+
+def _attempt0(n, seed, max_iters, attempt=0):
+    """The factor that rho attempt 0 (or ``attempt``) finds in n, or 0:
+    Brent's walk (Brent 1980) one step at a time, on the y0 and c of
+    factorize's rng."""
+    y, c = _draw(n, seed, attempt)
     x, y, q, r, iters, g = y, (y * y + c) % n, 1, 1, 0, 1
     while g == 1:
         k = 0
@@ -90,9 +101,7 @@ def _composites(count, seed):
 def _scalar_state(n, seed, r_at, k_at):
     """(c, x, y, q, iters) of rho attempt 0 on n after k_at steps of the
     second half of round r_at, stepped as _attempt0 steps."""
-    rng = random.Random((seed << 8) ^ (n & 0xFFFFFFFFFFFF))
-    y = rng.randrange(1, n)
-    c = rng.randrange(1, n)
+    y, c = _draw(n, seed)
     x, y, q, r, iters = y, (y * y + c) % n, 1, 1, 0
     while r < r_at:
         for _ in range(r):
@@ -275,31 +284,67 @@ class TestLaneBrent:
         # last walks finish in _brent_walks; 10^9: every walk does
         monkeypatch.setattr(primes, "LANES", lanes)
         ns = _composites(510, seed=3) + G_EQ_N
-        got = _brent_lanes(_u64(ns), 0, max_iters).tolist()
-        want = [_attempt0(n, 0, max_iters) for n in ns]
-        assert all(g in (w, 0) for g, w in zip(got, want))
-        # a lane that ends at g == n gives 0; the scalar walk backtracks
-        left = [n for n, g, w in zip(ns, got, want) if g != w]
-        if lanes == 10**9:
-            assert left == []
-        elif lanes == 1 and max_iters == MAX_ITERS:
-            assert set(G_EQ_N) <= set(left)
+        got = _brent_lanes(_u64(ns), _draws(ns), max_iters).tolist()
+        assert got == [_attempt0(n, 0, max_iters) for n in ns]
         if max_iters == 64:
-            assert 0 < want.count(0) < len(ns)
+            assert 0 < got.count(0) < len(ns)
+
+    def test_g_eq_n_lanes_backtrack(self, monkeypatch):
+        # with LANES = 1 the walks on G_EQ_N end in lanes, at g == n: each
+        # backtracks from its chunk's first y, and none walks again from y0
+        monkeypatch.setattr(primes, "LANES", 1)
+        walks = _spy(monkeypatch, "_brent_walks")
+        backtracks = _spy(monkeypatch, "_backtrack")
+        draws = _spy(monkeypatch, "_rho_rng")
+        got = _brent_lanes(_u64(G_EQ_N), _draws(G_EQ_N), MAX_ITERS).tolist()
+        want = [_attempt0(n, 0, MAX_ITERS) for n in G_EQ_N]
+        assert got == want and 0 not in want
+        # from the same (n, c, x, y) as the scalar walk's backtrack
+        assert [n for n, *_ in backtracks] == G_EQ_N
+        _brent_walks([_start(n) for n in G_EQ_N], 1, 0, 0, MAX_ITERS)
+        assert backtracks[len(G_EQ_N) :] == backtracks[: len(G_EQ_N)]
+        owner, q = factorize_lanes(np.array(G_EQ_N, np.int64), 0)
+        assert _factor_lists(owner, q, len(G_EQ_N)) == list(map(_factorint, G_EQ_N))
+        assert draws == [(n, 0, 0) for n in G_EQ_N]
+        assert all(state == [] for state, *_ in walks)
+
+    @pytest.mark.parametrize("lanes", [1, primes.LANES])
+    def test_retry_after_give_up(self, monkeypatch, lanes):
+        # semiprimes of two primes near 2^11 on which attempt 0 gives up
+        # within 64 steps and attempt 1 splits
+        rng = random.Random(8)
+        ms = []
+        while len(ms) < 6:
+            m = sympy.nextprime(rng.randrange(1500, 2500)) * sympy.nextprime(
+                rng.randrange(1500, 2500)
+            )
+            if _attempt0(m, 0, 64) == 0 and _attempt0(m, 0, 64, 1):
+                ms.append(m)
+        monkeypatch.setattr(primes, "LANES", lanes)
+        monkeypatch.setattr(primes, "RHO_MAX_ITERS", 64)
+        draws = _spy(monkeypatch, "_rho_rng")
+        owner, q = factorize_lanes(np.array(ms, np.int64), 0)
+        assert _factor_lists(owner, q, len(ms)) == list(map(_factorint, ms))
+        assert sorted(draws) == sorted((m, 0, a) for m in ms for a in (0, 1))
+        # one attempt only: rho gives up on each m, and the error names
+        # the least owner of a part given up on
+        monkeypatch.setattr(primes, "RHO_ATTEMPTS", 1)
+        batch = [3 * 1_000_003, *ms[::-1]]
+        with pytest.raises(FactorTimeout, match=f"^rho gave up on {ms[-1]}$") as info:
+            factorize_lanes(np.array(batch, np.int64), 0)
+        assert info.value.owner == 1
+        # the pass names n and the cofactor of that owner
+        n = np.arange(7, 7 + len(batch))
+        error = f"^f at N=99: n=8, cofactor {ms[-1]}: rho gave up on {ms[-1]}$"
+        with pytest.raises(FactorTimeout, match=error):
+            sieve._factor_large("f", 99, n, np.array(batch, np.int64), 0)
 
     def test_handoff_state_is_the_scalar_walks(self, monkeypatch):
-        calls = []
-        walk = primes._brent_walks
-
-        def spy(walks, r, k, iters, max_iters):
-            calls.append((walks, r, k, iters))
-            return walk(walks, r, k, iters, max_iters)
-
-        monkeypatch.setattr(primes, "_brent_walks", spy)
+        calls = _spy(monkeypatch, "_brent_walks")
         ns = _composites(510, seed=3)
-        _brent_lanes(_u64(ns), 0, MAX_ITERS)
+        _brent_lanes(_u64(ns), _draws(ns), MAX_ITERS)
         assert len(calls) == 1
-        (walks, r, k, iters), = calls
+        (walks, r, k, iters, _), = calls
         assert 0 < len(walks) < primes.LANES and k % 128 == 0 < k < r
         for n, c, x, y, q in walks:
             assert (c, x, y, q, iters) == _scalar_state(n, 0, r, k)
@@ -313,36 +358,72 @@ class TestLaneBrent:
         # primes of primes._TINY_PRIMES, 2 among them
         ms += [3 * 5 * 47 * 1_000_003, 3**4 * 7 * 11, 9, 37, 47, 3 * 2**61 + 1]
         ms += [2 * 3 * 1_000_003, 2**40 * 5, 2 * (2**61 - 1)]
-        (owner, q), (left, rest) = factorize_lanes(np.array(ms, np.int64), 0, MAX_ITERS)
-        counts = collections.Counter(zip(owner.tolist(), q.tolist()))
-        for i, m in zip(left.tolist(), rest.tolist()):
-            for p, e in factorize(m):
-                counts[i, p] += e
-        got = collections.defaultdict(list)
-        for (i, p), e in sorted(counts.items()):
-            got[i].append((p, e))
-        assert [got[i] for i in range(len(ms))] == [factorize(m) for m in ms]
-        if lanes == 1:  # every part runs in lanes: only rho failures are left
-            assert not any(map(is_probable_prime, rest.tolist()))
+        owner, q = factorize_lanes(np.array(ms, np.int64), 0)
+        assert q.dtype == np.int64
+        assert _factor_lists(owner, q, len(ms)) == list(map(_factorint, ms))
+        # an object batch: products of two composites above, each product
+        # above 2^63 and its parts below it, times 2 for some; a prime
+        # square near 2^70; a prime near 2^64
+        big = [a * b for a, b in zip(ms[0:90:3], ms[1:90:3])]
+        big += [2 * m for m in big[:5]]
+        big += [sympy.nextprime(2**35) ** 2, sympy.nextprime(2**64)]
+        assert min(big) >= 2**63
+        owner, q = factorize_lanes(np.array(big, dtype=object), 0)
+        assert q.dtype == object
+        assert _factor_lists(owner, q, len(big)) == list(map(_factorint, big))
 
     def test_ledger_rows_add_up_lanes_and_scalar(self, monkeypatch):
         # c = p * m for a prime p of m in G_EQ_N: a lane splits off p, its
-        # walk on m ends at g == n, and factor_cofactor(m) finds p again
+        # walk on m ends at g == n and backtracks to p again; the pass
+        # never calls factor_cofactor
         monkeypatch.setattr(primes, "LANES", 1)
+        monkeypatch.setattr(sieve, "factor_cofactor", _not_called)
         cs = [p * m for m in G_EQ_N for p, _ in factorize(m)]
         n = np.arange(1, len(cs) + 1)
         hits = sieve._factor_large("f", len(cs), n, np.array(cs, np.int64), 0)
         rows = _grouped_rows(hits)
         assert rows == [(i, p, k) for i, c in zip(n, cs) for p, k in factorize(c)]
 
-    def test_small_batch_with_even_cofactors(self):
-        # fewer than primes.LANES cofactors: the lanes divide out 2 and the
-        # other tiny primes, and leave every part to factor_cofactor
+    def test_small_batch_with_even_cofactors(self, monkeypatch):
+        # fewer than primes.LANES cofactors: factorize_lanes divides out 2 and
+        # the other tiny primes, and tests the parts one at a time
+        monkeypatch.setattr(sieve, "factor_cofactor", _not_called)
         cs = [2**3 * 1_000_003 * 1_000_033, 2 * G_EQ_N[0], 1_000_003**2, *G_EQ_N]
         n = np.arange(7, 7 + len(cs))
         hits = sieve._factor_large("f", 99, n, np.array(cs, np.int64), 0)
         rows = _grouped_rows(hits)
         assert rows == [(i, p, k) for i, c in zip(n, cs) for p, k in factorize(c)]
+
+
+def _spy(monkeypatch, name):
+    """The list of the argument tuples of every later call of primes.name."""
+    calls = []
+    real = getattr(primes, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(primes, name, spy)
+    return calls
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("factor_cofactor called")
+
+
+def _factorint(m):
+    """sympy's factorization of m as a sorted list of (prime, exponent)."""
+    return sorted(sympy.factorint(m).items())
+
+
+def _factor_lists(owner, q, count):
+    """The sorted (prime, exponent) list of each owner 0..count - 1 from
+    factorize_lanes' (owner, prime) rows."""
+    counts = [collections.Counter() for _ in range(count)]
+    for i, p in zip(owner.tolist(), q.tolist()):
+        counts[i][p] += 1
+    return [sorted(c.items()) for c in counts]
 
 
 # rho attempt 0 with seed 0 also ends at g == n on these, in the rounds
@@ -395,10 +476,6 @@ class TestPackWalk:
         got = _brent_walks([_start(n) for n in ns], 1, 0, 0, max_iters)
         want = [_attempt0(n, 0, max_iters) for n in ns]
         assert [g or 0 for g in got] == want
-        # one walk alone is factorize's rho
-        for n, w in zip(ns, want):
-            rng = primes._rho_rng(n, 0, 0)
-            assert (primes._pollard_brent(n, rng, max_iters) or 0) == w
 
     def test_backtrack_and_budget(self):
         # the g == n walks backtrack alone; a walk whose round ends at

@@ -151,12 +151,13 @@ class TestBuildLedger:
 
     @oracle_test
     def test_random_oracle_equivalence_in_lanes(self, case):
-        # every batch of cofactors above B^2 goes to primes.factorize_lanes
+        # every Miller-Rabin round and rho walk below 2^63 runs in lanes
         with mock.patch.object(primes, "LANES", 1):
             _assert_matches_oracle(*case)
 
     def test_quintic_lanes_equal_scalar(self, monkeypatch):
-        # 1225 cofactors above B^2, 478 of them composite
+        # 1225 cofactors above B^2, 478 of them composite; with LANES =
+        # 10^9 every part is tested one at a time and every walk is scalar
         f = parse_poly("x^5-x+1")
         lanes = build_ledger(f, 1500)
         monkeypatch.setattr(primes, "LANES", 10**9)
@@ -406,10 +407,13 @@ class TestBlockColumns:
 
 
 class TestColumnarLedger:
-    def test_object_columns(self):
-        # value_bound >= 2^63, so Legs 2 and 3 run in Python-int columns
-        f = parse_poly("x^2+18446744073709551617")
-        N = 300
+    @pytest.mark.parametrize(
+        "poly, N", [("x^2+18446744073709551617", 300), ("x^7+x+1", 600)]
+    )
+    def test_object_columns(self, poly, N):
+        # value_bound >= 2^63, so Legs 2 and 3 run in Python-int columns;
+        # x^7+x+1 sends 555 cofactors above B^2 to Leg 3 in one batch
+        f = parse_poly(poly)
         assert value_bound(f, N) >= 2**63
         led = build_ledger(f, N)
         assert led.p.dtype == object
@@ -550,11 +554,13 @@ class TestFactorCofactor:
         with pytest.raises(ValueError):
             factor_cofactor(1)
 
-    def test_timeout_surfaces(self):
+    def test_timeout_surfaces(self, monkeypatch):
         # absurdly small budget forces the timeout path on a hard semiprime
+        monkeypatch.setattr(primes, "RHO_MAX_ITERS", 2)
+        monkeypatch.setattr(primes, "RHO_ATTEMPTS", 1)
         n = (10**9 + 7) * (10**9 + 9)
-        with pytest.raises(FactorTimeout):
-            factorize(n, max_iters=2, attempts=1)
+        with pytest.raises(FactorTimeout, match=f"^rho gave up on {n}$"):
+            factorize(n)
 
     def test_primality_agrees_with_trial_division(self):
         def trial_prime(n):
