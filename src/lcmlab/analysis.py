@@ -38,16 +38,10 @@ class VerificationReport:
     violations: list = field(default_factory=list)
     empirical_constants: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "check_name": self.check_name,
-            "poly": self.poly,
-            "N": self.N,
-            "parameters": self.parameters,
-            "status": self.status,
-            "violations": [list(v) for v in self.violations],
-            "empirical_constants": self.empirical_constants,
-        }
+    @classmethod
+    def of(cls, name, ledger, **parameters):
+        """The report ``name`` on the f and N of ``ledger``."""
+        return cls(name, str(ledger.f), ledger.N, parameters)
 
 
 def _finish(report, applicable=True):
@@ -58,13 +52,11 @@ def _finish(report, applicable=True):
     return report
 
 
-def _multiplicity_check(name, ledger, above, parameters, rows):
+def _multiplicity_check(name, ledger, above, rows, **parameters):
     """The report ``name`` with a violation (p, label, value, bound) for
     each prime p > above and each row (label, column, bound) of ``rows``
     with column[p] > bound, by p and then in row order."""
-    report = VerificationReport(
-        check_name=name, poly=str(ledger.f), N=ledger.N, parameters=parameters
-    )
+    report = VerificationReport.of(name, ledger, **parameters)
     keep = ledger.p > above
     p = ledger.p[keep].tolist()
     values = np.array([column[keep] for _, column, _ in rows])
@@ -88,9 +80,7 @@ def check_naive_multiplicity(ledger: FactorLedger) -> VerificationReport:
         ("hit_count", led.hit_count, d),
         ("max_exp", led.max_exp, d),
     ]
-    return _multiplicity_check(
-        "naive_multiplicity", led, ledger.N, {"bound": d * d}, rows
-    )
+    return _multiplicity_check("naive_multiplicity", led, ledger.N, rows, bound=d * d)
 
 
 def check_refined_multiplicity(ledger: FactorLedger) -> VerificationReport:
@@ -101,7 +91,7 @@ def check_refined_multiplicity(ledger: FactorLedger) -> VerificationReport:
     rows = [("alpha", ledger.alpha, bound)]
     rows += [(f"b_{i}", ledger.layer(i), d - i) for i in range(1, d + 1)]
     return _multiplicity_check(
-        "refined_multiplicity", ledger, ledger.B, {"bound": bound, "DN": ledger.B}, rows
+        "refined_multiplicity", ledger, ledger.B, rows, bound=bound, DN=ledger.B
     )
 
 
@@ -132,37 +122,28 @@ def check_hensel_formula(ledger: FactorLedger) -> VerificationReport:
     unramified p <= N, scaled by ln p / ln N, with rho_f(p) read off the
     ledger's level-1 roots; ramified primes report alpha * p / N."""
     N = ledger.N
-    report = VerificationReport(
-        check_name="hensel_formula",
-        poly=str(ledger.f),
-        N=N,
-        parameters={},
-    )
+    report = VerificationReport.of("hensel_formula", ledger)
     if N < 2:
         return _finish(report, applicable=False)
     disc = ledger.f.profile.disc
     devs = []
-    ram_stats = {}
     upto = ledger.p <= N
     columns = (ledger.p, ledger.alpha, ledger.roots.lengths())
     for p, alpha, rho in zip(*(col[upto].tolist() for col in columns)):
         if disc % p == 0:
-            ram_stats[str(p)] = alpha * p / N
+            report.empirical_constants[f"ramified_{p}"] = alpha * p / N
             continue
         dev = abs(alpha - N * rho / (p - 1)) * math.log(p) / math.log(N)
         devs.append(dev)
     if devs:
         devs.sort()
-        report.empirical_constants = {
-            "max_dev": devs[-1],
-            "median_dev": devs[len(devs) // 2],
-            "mean_dev": sum(devs) / len(devs),
-            "n_primes": len(devs),
-        }
-    report.empirical_constants.update(
-        {f"ramified_{k}": v for k, v in ram_stats.items()}
-    )
-    return _finish(report, applicable=bool(devs or ram_stats))
+        report.empirical_constants.update(
+            max_dev=devs[-1],
+            median_dev=devs[len(devs) // 2],
+            mean_dev=sum(devs) / len(devs),
+            n_primes=len(devs),
+        )
+    return _finish(report, applicable=bool(report.empirical_constants))
 
 
 def complete_homogeneous(s, points):
@@ -239,12 +220,7 @@ def check_divided_difference(
     nonvanishing of A on every ledger-harvested tuple above DN."""
     f = ledger.f
     d = f.degree
-    report = VerificationReport(
-        check_name="divided_difference",
-        poly=str(f),
-        N=ledger.N,
-        parameters={"trials": trials},
-    )
+    report = VerificationReport.of("divided_difference", ledger, trials=trials)
     rng = random.Random(seed)
     for _ in range(trials):
         t = rng.randint(2, d + 1)
@@ -329,12 +305,7 @@ def check_squareful_ratios(ledger: FactorLedger) -> VerificationReport:
     prime counts below/above DN."""
     record = aggregate.summarize(ledger)
     below = int(np.searchsorted(ledger.p, ledger.B, side="right"))
-    report = VerificationReport(
-        check_name="squareful_ratios",
-        poly=str(ledger.f),
-        N=ledger.N,
-        parameters={"DN": ledger.B},
-    )
+    report = VerificationReport.of("squareful_ratios", ledger, DN=ledger.B)
     n = record.n_primes
     report.empirical_constants = {
         "n_primes": n,
@@ -352,12 +323,7 @@ def check_zone_inequalities(ledger: FactorLedger) -> VerificationReport:
     """(d-1) log L >= log Q_L and (d(d-1)/2) log rad >= log Q_L."""
     record = aggregate.summarize(ledger)
     d = ledger.f.degree
-    report = VerificationReport(
-        check_name="zone_inequalities",
-        poly=str(ledger.f),
-        N=ledger.N,
-        parameters={},
-    )
+    report = VerificationReport.of("zone_inequalities", ledger)
     lhs_l = (d - 1) * record.log_L
     lhs_rad = d * (d - 1) / 2 * record.log_rad
     report.empirical_constants = {

@@ -1,13 +1,19 @@
 """Command-line surface: sweeps to CSV/JSON/NDJSON, verification reports,
 per-prime dumps and oracle diffs.
 
-Outputs are byte-reproducible for a fixed config and seed regardless of
-worker count (the wall-clock ``seconds`` column is the one exception).
+Each output shape is declared once: the CSV columns, and the keys of a
+JSON or NDJSON record, are the fields of ``aggregate.SweepRecord``, and a
+verification report is written as ``dataclasses.asdict`` of its
+``analysis.VerificationReport``. Outputs are byte-reproducible for a fixed
+config and seed regardless of worker count (the wall-clock ``seconds``
+column is the one exception).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -17,51 +23,27 @@ from . import aggregate, analysis, oracle, polynomial, primes, sieve
 
 SCHEMA_VERSION = "1"
 
-CSV_COLUMNS = (
-    "N",
-    "log_Q",
-    "log_QS",
-    "log_QLI",
-    "log_QL",
-    "log_L",
-    "log_rad",
-    "ratio_L",
-    "ratio_rad",
-    "ratio_QS",
-    "n_primes",
-    "n_squareful",
-    "n_repeated",
-    "seconds",
-)
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(aggregate.SweepRecord))
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _fmt_float(x):
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
-
-
-def _json_float(x):
-    return None if math.isnan(x) else x
-
-
 def record_row(record):
+    """The CSV row of a SweepRecord: floats to 17 digits, NaN as nan."""
     return ",".join(
-        _fmt_float(v) if isinstance(v, float) else str(v)
-        for v in (getattr(record, col) for col in CSV_COLUMNS)
+        format(v, ".17g") if isinstance(v, float) else str(v)
+        for v in dataclasses.astuple(record)
     )
 
 
 def _record_dict(record):
-    out = {}
-    for col in CSV_COLUMNS:
-        v = getattr(record, col)
-        out[col] = _json_float(v) if isinstance(v, float) else v
-    return out
+    """The JSON record of a SweepRecord, NaN as null."""
+    return {
+        k: None if isinstance(v, float) and math.isnan(v) else v
+        for k, v in dataclasses.asdict(record).items()
+    }
 
 
 def _json_doc(meta, records, gaps):
@@ -162,10 +144,9 @@ def _load_poly(args):
     return f
 
 
-def _open_sink(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+def _open_out(path):
+    """--out as a context manager: the file ``path``, or stdout for "-"."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
 def cmd_sweep(args):
@@ -178,8 +159,7 @@ def cmd_sweep(args):
     )
     meta = {"version": SCHEMA_VERSION, "seed": args.seed, "poly": str(f)}
     head, row, tail = SWEEP_FORMATS[args.format]
-    out, close = _open_sink(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write(head(meta, banner))
 
         def sink(record):
@@ -190,9 +170,6 @@ def cmd_sweep(args):
             f, schedule, sink=sink, seed=args.seed, workers=workers
         )
         out.write(tail(meta, records, gaps))
-    finally:
-        if close:
-            out.close()
     for n, err in gaps:
         print(f"warning: N={n} failed: {err}", file=sys.stderr)
     return 2 if gaps else 0
@@ -220,14 +197,10 @@ def cmd_verify(args):
         "version": SCHEMA_VERSION,
         "seed": args.seed,
         "config": {"poly": str(f), "N": args.n, "checks": sorted(set(names))},
-        "reports": [r.to_dict() for r in reports],
+        "reports": [dataclasses.asdict(r) for r in reports],
     }
-    out, close = _open_sink(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0 if all(r.status != "fail" for r in reports) else 1
 
 

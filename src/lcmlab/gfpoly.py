@@ -20,7 +20,8 @@ these run:
 - ``frobenius_root_poly``: gcd(x^p - x, g), from x^p mod (g, p);
 - ``roots_of_split``: the roots of columns of degree <= 2 or that split
   into distinct linear factors, by equal-degree splitting (Cantor &
-  Zassenhaus 1981) in lockstep rounds, and ``low_degree_roots``;
+  Zassenhaus 1981) in lockstep rounds, with one seeded generator per
+  call, and ``low_degree_roots``;
 - ``is_irreducible``: Rabin's test (Rabin 1980) from x^(p^k) mod (g, p),
   for all its primes in one call.
 """
@@ -224,9 +225,9 @@ def roots_of_split(H, P, seed):
     The factors of degree <= 2 are read off by ``low_degree_roots``, in
     one call for the input and one per round. The others are split in
     lockstep rounds (Cantor & Zassenhaus 1981): each round, every column
-    with such a factor left draws one a from its own
-    random.Random((seed << 20) ^ p), and each of those factors h is split
-    by u = gcd((x + a)^((p-1)/2) - 1, h) into u and h/u when u is a proper
+    with such a factor left draws one a from random.Random(seed), one
+    generator for the whole call, and each of those factors h is split by
+    u = gcd((x + a)^((p-1)/2) - 1, h) into u and h/u when u is a proper
     factor. The roots are sorted, so they do not depend on seed. A factor
     left whole for _SPLIT_ROUNDS rounds in a row raises ValueError naming
     it and p.
@@ -236,8 +237,7 @@ def roots_of_split(H, P, seed):
     ps = P.tolist()
     owner = np.arange(len(P))
     rounds = np.zeros(len(P), dtype=np.int64)
-    high = np.flatnonzero(degrees(H) > 2).tolist()
-    rngs = {i: random.Random((seed << 20) ^ ps[i]) for i in high}
+    rng = random.Random(seed)
     found = []
     while True:
         d = degrees(H)
@@ -250,7 +250,7 @@ def roots_of_split(H, P, seed):
             break
         d, owner, rounds = d[~low], owner[~low], rounds[~low]
         H = H[: d.max() + 1, ~low]
-        a = {i: rngs[i].randrange(ps[i]) for i in dict.fromkeys(owner.tolist())}
+        a = {i: rng.randrange(ps[i]) for i in dict.fromkeys(owner.tolist())}
         p = P[owner]
         A = np.array([a[i] for i in owner.tolist()], dtype=P.dtype)
         W = _powers(A, (p - 1) // 2, H, p)
