@@ -16,6 +16,7 @@ from lcmlab.polynomial import (
     parse_poly,
     profile,
     rational_roots,
+    resultant,
     value_bound,
 )
 from lcmlab.primes import sieve_primes
@@ -156,6 +157,45 @@ class TestDiscriminant:
                 )
                 has_repeat = gf_reference.deg(g) >= 1
                 assert (disc % p == 0) == has_repeat, (f.coeffs, p)
+
+
+class TestResultant:
+    @staticmethod
+    def _coeffs(rng, degree):
+        """Ascending coefficients of a random polynomial of the given
+        degree, each up to 10^20 in size, the leading one nonzero."""
+        size = 10 ** rng.choice((1, 3, 20))
+        coeffs = [rng.randint(-size, size) for _ in range(degree + 1)]
+        coeffs[-1] = coeffs[-1] or rng.choice((-3, 2, 10**20))
+        return coeffs
+
+    def test_matches_sympy(self):
+        rng = random.Random(20)
+        pairs = [
+            (self._coeffs(rng, rng.randint(1, 8)), self._coeffs(rng, rng.randint(0, 7)))
+            for _ in range(150)
+        ]
+        pairs += [
+            ([7, -2, 0, 5], [-6]),  # a constant b: Res = b^deg a
+            ([4, 10**20], [1, 0, -3, 2]),  # a linear a
+            ([3, 5], [2, 7]),
+            ([0, 3, 1], [0, 2]),  # a shared root: Res = 0
+            ([-6, 11, -6, 1], [-2, 1]),
+            ([0, 1], [1, 0, 0, 1]),
+        ]
+        assert resultant([0, 1], [1, 0, 0, 1]) == 1  # x^3 + 1 at x = 0
+        for a, b in pairs:
+            # sympy 1.14 flips the sign of Res(a, b) when deg a < deg b and
+            # both are odd (it gives -1 for Res(x, x^3 + 1) = 1), so it is
+            # asked with the higher degree first
+            high, low = (a, b) if len(a) >= len(b) else (b, a)
+            expected = sympy.resultant(
+                sympy.Poly(high[::-1], X), sympy.Poly(low[::-1], X)
+            )
+            assert resultant(high, low) == expected, (a, b)
+            # Res(low, high) = (-1)^(deg a * deg b) Res(high, low)
+            sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+            assert resultant(low, high) == sign * expected, (a, b)
 
 
 class TestProfile:
