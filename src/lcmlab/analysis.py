@@ -189,10 +189,11 @@ def divided_difference_A(f: IntPoly, points):
     return int(direct)
 
 
-def harvest_divisibility_tuples(ledger: FactorLedger, above="N", limit=200):
+def harvest_divisibility_tuples(ledger: FactorLedger, above, limit=200):
     """Qualifying (p, i, points) tuples read off the ledger for primes
-    above N (or DN): points are the n <= N hit by p with v_p(f(n)) >= i,
-    taken when exactly enough for arity d - i + 1."""
+    above N (``above="N"``) or above DN (any other value): points are the
+    n <= N hit by p with v_p(f(n)) >= i, taken when exactly enough for
+    arity d - i + 1."""
     d = ledger.f.degree
     N = ledger.N
     bound = N if above == "N" else ledger.B

@@ -144,10 +144,11 @@ def lift_columns(f: IntPoly, cols: RootColumns):
     """The RootColumns of f mod p^(k+1) from those mod p^k.
 
     A simple root r lifts to its one root r - p^k * t mod p^(k+1), with
-    t = (f(r)/p^k) * f'(r)^-1 mod p, in lockstep: f(r) mod p^(k+1) and
-    f'(r) mod p by Horner's rule, in int64 while every p^(k+1) < 2^31 and
-    in Python ints otherwise. Each non-simple root is tested against all p
-    candidates r + j * p^k; its lifts are non-simple too.
+    t = (f(r)/p^k) * f'(r)^-1 mod p, in lockstep: one Horner pass gives
+    f(r) and f'(r) mod p^(k+1), in int64 while every p^(k+1) < 2^31 and in
+    Python ints otherwise, and f'(r) mod p is the latter mod p. Each
+    non-simple root is tested against all p candidates r + j * p^k; its
+    lifts are non-simple too.
     """
     k = cols.k
     s = np.flatnonzero(cols.simple)
@@ -156,10 +157,8 @@ def lift_columns(f: IntPoly, cols: RootColumns):
     m = gfpoly.modulus_column(powers(p, k + 1))
     pk = powers(p, k).astype(m.dtype)
     r = cols.r[s].astype(m.dtype)
-    val, _ = _horner([gfpoly.residue(c, m) for c in f.coeffs], r, m)
-    _, der = _horner(
-        [gfpoly.residue(c, p) for c in f.coeffs], (r % p).astype(p.dtype), p
-    )
+    val, der = _horner([gfpoly.residue(c, m) for c in f.coeffs], r, m)
+    der = (der % p).astype(p.dtype)
     # f(r) mod p^(k+1) is p^k * (f(r)/p^k mod p)
     t = (val // pk).astype(p.dtype) * gfpoly.inverse(der, p) % p
     lifted = [(row, (r - pk * t) % m)]

@@ -34,10 +34,6 @@ class IntPoly:
             raise ValueError("degree must be at least 1")
         if coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
-        # f' for deriv_eval; not a field, so equality and hashing see only
-        # coeffs
-        deriv = tuple(i * c for i, c in enumerate(coeffs) if i >= 1)
-        object.__setattr__(self, "_deriv", deriv)
 
     @functools.cached_property
     def profile(self):
@@ -57,13 +53,7 @@ class IntPoly:
 
     def deriv_coeffs(self):
         """Coefficients of f', ascending (length d; may be constant)."""
-        return self._deriv
-
-    def deriv_eval(self, n):
-        acc = 0
-        for c in reversed(self._deriv):
-            acc = acc * n + c
-        return acc
+        return tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
     def __str__(self):
         terms = []
@@ -142,63 +132,30 @@ def parse_poly(text):
     return IntPoly(tuple(coeffs.get(i, 0) for i in range(d + 1)))
 
 
-def _pseudo_rem(a, b):
-    """Pseudo-remainder prem(a, b) over Z, coefficients ascending."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    da = len(a) - 1
-    e = da - db + 1
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        shift = len(a) - 1 - db
-        top = a[-1]
-        a = [c * lead for c in a]
-        for i, bc in enumerate(b):
-            a[shift + i] -= top * bc
-        e -= 1
-        while a and a[-1] == 0:
-            a.pop()
-    if e > 0:
-        a = [c * lead**e for c in a]
-    return a
-
-
 def resultant(a, b):
-    """Res(a, b) over Z via the subresultant PRS, exact."""
-    a = list(a)
-    b = list(b)
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    if not a or not b:
-        return 0
-    s = 1
-    if len(a) < len(b):
-        if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
-            s = -s
-        a, b = b, a
-    g = h = 1
-    while len(b) - 1 > 0:
-        delta = (len(a) - 1) - (len(b) - 1)
-        if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
-            s = -s
-        r = _pseudo_rem(a, b)
-        while r and r[-1] == 0:
-            r.pop()
-        a = b
-        denom = g * h**delta
-        b = [c // denom for c in r]
-        g = a[-1]
-        h = g**delta // h ** (delta - 1) if delta > 0 else h
-        if not b:
+    """Res(a, b) over Z, exact, for ascending coefficient lists a and b
+    with nonzero leading coefficients: the determinant of their Sylvester
+    matrix, by fraction-free elimination (Bareiss 1968). Every division is
+    exact, and a row swap flips the sign."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + list(a[::-1]) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(b[::-1]) + [0] * (m - 1 - i) for i in range(m)]
+    sign = prev = 1
+    for k in range(m + n):
+        pivot = next((i for i in range(k, m + n) if rows[i][k]), None)
+        if pivot is None:
             return 0
-    da = len(a) - 1
-    return s * (b[0] ** da // h ** (da - 1))
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        for row in rows[k + 1 :]:
+            row[k + 1 :] = [
+                (top[k] * x - row[k] * y) // prev
+                for x, y in zip(row[k + 1 :], top[k + 1 :])
+            ]
+        prev = top[k]
+    return sign * prev
 
 
 def discriminant(f: IntPoly):

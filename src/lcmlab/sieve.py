@@ -31,15 +31,17 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
   over every part left, in lockstep lanes of exact uint64 Montgomery
   arithmetic below 2^63, and in packs of the scalar walk, each a single
   walk modulo the product of its moduli, for the last walks and the
-  larger parts. The hits of such primes up to a checkpoint are those
-  read so far.
+  larger parts. Each prime factor q of the cofactor of n is one (q, n)
+  row, repeated with its multiplicity; the hits of such primes up to a
+  checkpoint are the rows read so far.
 
 The ledger at checkpoint N_i equals a pass to N_i alone: a Leg 1 prime in
 (D*N_i, B] holds its hits n <= N_i, read off the lifted roots, in place of
-its roots. Its hit rows and Leg 3's go to one grouping (``_group_hits``),
-which adds up v_p(f(n)) per (p, n) and makes the rows of every prime above
-D*N_i. A FactorLedger holds columns sorted by p;
-``FactorLedger.entries`` reads them as a mapping p -> PrimeLocalData, and
+its roots, one (p, n) row per lifted root equal to n. These rows and Leg
+3's go to one grouping (``_group_hits``), which counts the rows of each
+(p, n), that is v_p(f(n)), and makes the ledger rows of every prime above
+D*N_i. A FactorLedger holds columns sorted by p; ``FactorLedger.entries``
+reads them as a mapping p -> PrimeLocalData, and
 ``FactorLedger.prime_hits`` reads the hits of one prime. No other module
 reads the layout.
 """
@@ -391,13 +393,14 @@ class PrimeColumns:
         return Csr(offsets, b[keep])
 
     def hits(self, rows, n_max, zeros):
-        """(q, n, 1) hit columns of the rows the mask ``rows`` selects, whose
+        """(q, n) hit rows of the rows the mask ``rows`` selects, whose
         primes all exceed n_max: n <= n_max lies in a progression of layer k
-        only as its residue, so each progression with residue n adds 1 to
-        v_q(f(n)). ``zeros`` are the integer zeros of f, which are no hits."""
+        only as its residue, so each progression with residue n is one row
+        of (q, n), and v_q(f(n)) is their number. ``zeros`` are the integer
+        zeros of f, which are no hits."""
         at = rows[self.row] & (self.r > 0) & (self.r <= n_max)
         at &= ~np.isin(self.r, zeros)
-        return self.p[self.row[at]], self.r[at], np.ones(np.count_nonzero(at), np.int64)
+        return self.p[self.row[at]], self.r[at]
 
 
 def _prime_columns(coeffs, block, N, zeros, seed):
@@ -484,8 +487,9 @@ def _leg1(coeffs, B, N, zeros, seed, workers):
 
 def factor_cofactor(c, seed=0):
     """Factor a residual cofactor (all prime factors exceed the sieve
-    bound) into a sorted list of (prime, exponent). The pass factors its
-    cofactors in batches (_factor_large) instead."""
+    bound) into a sorted list of (prime, exponent). The pass factors a
+    segment's cofactors in one _factor_large call instead, as (q, n)
+    rows."""
     return primes.factorize(c, seed=seed)
 
 
@@ -537,14 +541,12 @@ def _divide_segment(values, lo, prog, levels):
 
 
 def _mulmod(a, b, m):
-    """a * b mod m for residues a, b in [0, m).
+    """a * b mod m for int64 residues a, b in [0, m) and moduli m < 2^50.
 
-    In int64 (m < 2^50) the quotient q = floor(a*b/m) is taken in float64,
-    off by at most one, and a*b - q*m, computed with wrapping, lands in
-    [-m, 2m); one correction each way makes it exact.
+    The quotient q = floor(a*b/m) is taken in float64, off by at most one,
+    and a*b - q*m, computed with wrapping, lands in [-m, 2m); one
+    correction each way makes it exact.
     """
-    if m.dtype == object:
-        return a * b % m
     q = np.floor(a.astype(np.float64) * b / m).astype(np.int64)
     r = a * b - q * m
     r = np.where(r < 0, r + m, r)
@@ -552,29 +554,29 @@ def _mulmod(a, b, m):
 
 
 def _fermat_base2(m):
-    """Whether 2^(m-1) = 1 mod m, for each m > 2 of an integer array, by
-    square-and-multiply in lockstep: int64 columns below 2^50, Python ints
-    above."""
-    passed = np.ones(len(m), dtype=bool)
+    """Whether 2^(m-1) = 1 mod m, for each m > 2 of an integer array: by
+    square-and-multiply in lockstep int64 columns below 2^50, and by one
+    ``pow(2, m - 1, m)`` per Python int above."""
+    passed = np.empty(len(m), dtype=bool)
     small = m < _MULMOD_INT64_LIMIT
-    for part, dtype in ((small, np.int64), (~small, object)):
-        if not part.any():
-            continue
-        mod = m[part].astype(dtype)
-        e = mod - 1
-        acc = np.ones_like(mod)
-        for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-            acc = _mulmod(acc, acc, mod)
-            twice = acc + acc
-            twice = np.where(twice >= mod, twice - mod, twice)
-            acc = np.where((e >> bit) & 1 == 1, twice, acc)
-        passed[part] = acc == 1
+    big = np.flatnonzero(~small)
+    passed[big] = [pow(2, x - 1, x) == 1 for x in m[big].tolist()]
+    mod = m[small].astype(np.int64)
+    e = mod - 1
+    acc = np.ones_like(mod)
+    for bit in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
+        acc = _mulmod(acc, acc, mod)
+        twice = acc + acc
+        twice = np.where(twice >= mod, twice - mod, twice)
+        acc = np.where((e >> bit) & 1 == 1, twice, acc)
+    passed[small] = acc == 1
     return passed
 
 
 def _large_hits(f, N, B, cofactors, lo, seed):
-    """(q, n, e) hit columns of the primes q > B in ``cofactors`` (of
-    n = lo, lo + 1, ...), each prime to B divided out.
+    """(q, n) hit rows of the primes q > B in ``cofactors`` (of
+    n = lo, lo + 1, ...), each prime to B divided out: one row per prime
+    factor with its multiplicity.
 
     A cofactor in (B, B^2) is prime unless a prime <= B was missed, and
     must pass a base-2 Fermat test; larger ones are factored by rho.
@@ -591,25 +593,21 @@ def _large_hits(f, N, B, cofactors, lo, seed):
             f"{f} at N={N}: the cofactor {c[i]} of f({n[i]}) is not a "
             "prime above B, so the sieve missed a prime <= B"
         )
-    q, hit, e = _factor_large(f, N, n[~below], c[~below], seed)
+    q, hit = _factor_large(f, N, n[~below], c[~below], seed)
     missed = q <= B
     if missed.any():
         i = int(np.argmax(missed))
         raise LedgerMismatch(
             f"{f} at N={N}: prime {q[i]} <= B survived the sieve at n={hit[i]}"
         )
-    return (
-        np.concatenate((c[below], q)),
-        np.concatenate((n[below], hit)),
-        np.concatenate((np.ones(len(n[below]), np.int64), e)),
-    )
+    return np.concatenate((c[below], q)), np.concatenate((n[below], hit))
 
 
 def _factor_large(f, N, n, c, seed):
-    """(q, n, e) hit columns of the primes q of the cofactors c of f(n),
-    all above B^2: one row for each prime factor with its multiplicity,
-    each with e = 1, from primes.factorize_lanes, which takes an int64 or
-    an object batch. A FactorTimeout names f, N, n and the cofactor.
+    """(q, n) hit rows of the primes q of the cofactors c of f(n), all
+    above B^2: one row for each prime factor with its multiplicity, from
+    primes.factorize_lanes, which takes an int64 or an object batch. A
+    FactorTimeout names f, N, n and the cofactor.
     """
     try:
         owner, q = primes.factorize_lanes(c, seed)
@@ -618,21 +616,22 @@ def _factor_large(f, N, n, c, seed):
         raise primes.FactorTimeout(
             f"{f} at N={N}: n={n[i]}, cofactor {c[i]}: {exc}", i
         ) from exc
-    return q, n[owner], np.ones(len(q), np.int64)
+    return q, n[owner]
 
 
-def _group_hits(q, n, e):
-    """The p column, layer table and hit table of primes from their
-    (q, n, e) hit columns, in any order: v_q(f(n)) is the sum of e over the
-    rows of (q, n)."""
+def _group_hits(q, n):
+    """The p column, layer table and hit table of primes from their (q, n)
+    hit rows, in any order: v_q(f(n)) is the number of rows of (q, n)."""
     order = np.lexsort((n, q))
-    q, n, e = q[order], n[order], e[order]
+    q, n = q[order], n[order]
     del order  # as long as the columns: free it before the peak below
     first = np.ones(len(q), dtype=bool)  # the first row of each (q, n)
     first[1:] = (q[1:] != q[:-1]) | (n[1:] != n[:-1])
-    if not first.all():  # compacting copies every column
-        at = np.flatnonzero(first)
-        q, n, e = q[at], n[at], np.add.reduceat(e, at)
+    at = np.flatnonzero(first)
+    e = np.diff(at, append=len(q))
+    if len(at) < len(q):  # compacting copies every column
+        q, n = q[at], n[at]
+    del at
     new = np.ones(len(q), dtype=bool)
     new[1:] = q[1:] != q[:-1]
     starts = np.flatnonzero(new)
@@ -698,7 +697,7 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
 def _checkpoint(f, N, cols, sieved, large, skipped):
     """The FactorLedger of Q(N) at a checkpoint of a pass, once every n <= N
     is sieved. ``sieved`` holds the layers of g Leg 2 counted for each row
-    of the PrimeColumns ``cols``, and ``large`` Leg 3's (q, n, e) hits.
+    of the PrimeColumns ``cols``, and ``large`` Leg 3's (q, n) hit rows.
 
     Leg 1's layers of g must equal ``sieved`` at every row. A row's prime
     up to D*N keeps its level-1 roots and Leg 1's layers. Above D*N its

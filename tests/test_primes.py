@@ -526,8 +526,9 @@ class TestPackWalk:
 
 
 def _grouped_rows(hits):
-    """(n, q, e) rows, sorted, of the (q, n, e) hit columns ``hits`` as
-    sieve._group_hits groups them: one row per (q, n)."""
+    """(n, q, e) rows, sorted, of the (q, n) hit rows ``hits`` as
+    sieve._group_hits groups them: one row per (q, n), e its number of
+    hit rows."""
     p, _, table = sieve._group_hits(*hits)
     return sorted(
         (n, q, e) for i, q in enumerate(p.tolist()) for n, e in table.row(i).tolist()
