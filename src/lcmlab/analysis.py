@@ -9,6 +9,7 @@ are report-only.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -301,10 +302,9 @@ def check_amgm_suite(d, seed=0, cases_per_cell=100) -> VerificationReport:
     return _finish(report)
 
 
-def check_squareful_ratios(ledger: FactorLedger) -> VerificationReport:
+def check_squareful_ratios(ledger: FactorLedger, record) -> VerificationReport:
     """Report-only: the two conjecture-equivalence ratios and the split of
-    prime counts below/above DN."""
-    record = aggregate.summarize(ledger)
+    prime counts below/above DN; ``record`` is aggregate.summarize(ledger)."""
     below = int(np.searchsorted(ledger.p, ledger.B, side="right"))
     report = VerificationReport.of("squareful_ratios", ledger, DN=ledger.B)
     n = record.n_primes
@@ -320,9 +320,9 @@ def check_squareful_ratios(ledger: FactorLedger) -> VerificationReport:
     return _finish(report, applicable=n > 0)
 
 
-def check_zone_inequalities(ledger: FactorLedger) -> VerificationReport:
-    """(d-1) log L >= log Q_L and (d(d-1)/2) log rad >= log Q_L."""
-    record = aggregate.summarize(ledger)
+def check_zone_inequalities(ledger: FactorLedger, record) -> VerificationReport:
+    """(d-1) log L >= log Q_L and (d(d-1)/2) log rad >= log Q_L; ``record``
+    is aggregate.summarize(ledger)."""
     d = ledger.f.degree
     report = VerificationReport.of("zone_inequalities", ledger)
     lhs_l = (d - 1) * record.log_L
@@ -341,27 +341,28 @@ def check_zone_inequalities(ledger: FactorLedger) -> VerificationReport:
     return _finish(report)
 
 
-# check name -> callable(ledger, seed) returning its VerificationReport.
+# check name -> callable(ledger, seed, rec) returning its VerificationReport,
+# where rec() is aggregate.summarize(ledger).
 CHECKS = {
-    "naive_multiplicity": lambda ledger, seed: check_naive_multiplicity(ledger),
-    "refined_multiplicity": lambda ledger, seed: check_refined_multiplicity(ledger),
-    "hensel_formula": lambda ledger, seed: check_hensel_formula(ledger),
-    "divided_difference": lambda ledger, seed: check_divided_difference(
-        ledger, seed=seed
-    ),
-    "amgm_ratio": lambda ledger, seed: check_amgm_suite(ledger.f.degree, seed=seed),
-    "squareful_ratios": lambda ledger, seed: check_squareful_ratios(ledger),
-    "zone_inequalities": lambda ledger, seed: check_zone_inequalities(ledger),
+    "naive_multiplicity": lambda led, seed, rec: check_naive_multiplicity(led),
+    "refined_multiplicity": lambda led, seed, rec: check_refined_multiplicity(led),
+    "hensel_formula": lambda led, seed, rec: check_hensel_formula(led),
+    "divided_difference": lambda led, seed, rec: check_divided_difference(led, seed),
+    "amgm_ratio": lambda led, seed, rec: check_amgm_suite(led.f.degree, seed=seed),
+    "squareful_ratios": lambda led, seed, rec: check_squareful_ratios(led, rec()),
+    "zone_inequalities": lambda led, seed, rec: check_zone_inequalities(led, rec()),
 }
 CHECK_NAMES = tuple(CHECKS)
 
 
 def run_checks(f: IntPoly, N, checks, seed=0, workers=1):
-    """Build one ledger and run the named checks, sorted by check_name."""
+    """Build one ledger and run the named checks, sorted by check_name. The
+    ledger is summarized once, when a check first needs the record."""
     unknown = sorted(set(checks) - set(CHECKS))
     if unknown:
         raise ValueError(
             f"unknown checks {unknown}; valid: {', '.join(CHECK_NAMES)}"
         )
     ledger = build_ledger(f, N, seed=seed, workers=workers)
-    return [CHECKS[name](ledger, seed) for name in sorted(set(checks))]
+    record = functools.cache(lambda: aggregate.summarize(ledger))
+    return [CHECKS[name](ledger, seed, record) for name in sorted(set(checks))]

@@ -238,8 +238,8 @@ def cmd_oracle_check(args):
         return 1
     led = sieve.build_ledger(f, args.n, seed=args.seed, workers=_resolve_workers(args))
     diffs = []
-    for p in sorted(set(ora.ledger.entries) | set(led.entries)):
-        a = ora.ledger.entries.get(p)
+    for p in sorted(set(ora.entries) | set(led.entries)):
+        a = ora.entries.get(p)
         b = led.entries.get(p)
         if a is None or b is None:
             diffs.append(f"p={p}: present only in {'sieve' if a is None else 'oracle'}")

@@ -65,7 +65,7 @@ class RootColumns:
     p: np.ndarray  # the primes, a ``gfpoly.modulus_column``
     k: int
     row: np.ndarray  # int64: the index of the root's prime in p
-    r: np.ndarray  # in ``_power_dtype(p, k)``
+    r: np.ndarray  # in ``power_dtype(p, k)``
     simple: np.ndarray  # bool: f'(r) invertible mod p
 
     def take(self, rows):
@@ -83,15 +83,15 @@ class RootColumns:
             yield RootSet(p, self.k, tuple(r[lo:hi]), tuple(simple[lo:hi]))
 
 
-def _power_dtype(p, k):
+def power_dtype(p, k):
     """int64 when every p^k of the column of primes p is below 2^63, object
     otherwise."""
     return np.int64 if not len(p) or int(p.max()) ** k < _INT64_LIMIT else object
 
 
 def powers(p, k):
-    """p^k for the column of primes p, in ``_power_dtype(p, k)``."""
-    return p.astype(_power_dtype(p, k)) ** k
+    """p^k for the column of primes p, in ``power_dtype(p, k)``."""
+    return p.astype(power_dtype(p, k)) ** k
 
 
 def _horner(coeffs, r, m):
@@ -136,12 +136,13 @@ def roots_mod_primes(f: IntPoly, primes, seed=0):
     order = np.lexsort((r, row))
     row, r = row[order], r[order]
     _, der = _horner(C[:, row], r, P[row])
-    r = r.astype(_power_dtype(P, 1))
+    r = r.astype(power_dtype(P, 1))
     return RootColumns(p=P, k=1, row=row, r=r, simple=der != 0)
 
 
-def lift_columns(f: IntPoly, cols: RootColumns):
-    """The RootColumns of f mod p^(k+1) from those mod p^k.
+def lift_columns(f: IntPoly, cols: RootColumns, moduli):
+    """The RootColumns of f mod p^(k+1) from those mod p^k, where
+    ``moduli`` holds p^(k+1) for each root.
 
     A simple root r lifts to its one root r - p^k * t mod p^(k+1), with
     t = (f(r)/p^k) * f'(r)^-1 mod p, in lockstep: one Horner pass gives
@@ -154,8 +155,8 @@ def lift_columns(f: IntPoly, cols: RootColumns):
     s = np.flatnonzero(cols.simple)
     row = cols.row[s]
     p = cols.p[row]
-    m = gfpoly.modulus_column(powers(p, k + 1))
-    pk = powers(p, k).astype(m.dtype)
+    m = gfpoly.modulus_column(moduli[s])
+    pk = m // p.astype(m.dtype)
     r = cols.r[s].astype(m.dtype)
     val, der = _horner([gfpoly.residue(c, m) for c in f.coeffs], r, m)
     der = (der % p).astype(p.dtype)
@@ -173,7 +174,7 @@ def lift_columns(f: IntPoly, cols: RootColumns):
             if f.eval(x + j * pk) % (pk * prime) == 0
         ]
         lifted.append((np.full(len(new), i), np.array(new, dtype=object)))
-    dtype = _power_dtype(cols.p, k + 1)
+    dtype = power_dtype(cols.p, k + 1)
     row = np.concatenate([np.zeros(0, np.int64)] + [i for i, _ in lifted])
     r = np.concatenate([x.astype(dtype) for _, x in lifted])
     simple = np.repeat(
@@ -193,7 +194,7 @@ def lift_roots(f: IntPoly, prev: RootSet):
         p=P,
         k=prev.k,
         row=np.zeros(len(prev.roots), dtype=np.int64),
-        r=np.array(prev.roots, dtype=_power_dtype(P, prev.k)),
+        r=np.array(prev.roots, dtype=power_dtype(P, prev.k)),
         simple=np.array(prev.simple_flags, dtype=bool),
     )
-    return next(lift_columns(f, cols).root_sets())
+    return next(lift_columns(f, cols, powers(P[cols.row], prev.k + 1)).root_sets())

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .polynomial import IntPoly
-from .sieve import FactorLedger, PrimeLocalData
+from .sieve import PrimeLocalData
 
 HARD_CAP = 10**4
 _TRIAL_LIMIT = 10**6
@@ -27,7 +27,7 @@ class OracleResult:
     N: int
     lcm_value: int
     rad_value: int
-    ledger: FactorLedger
+    entries: dict  # p -> PrimeLocalData, with no roots, in ascending p
 
 
 def trial_factor(n):
@@ -67,16 +67,14 @@ def log_big(n):
 
 
 def naive_run(f: IntPoly, N) -> OracleResult:
-    """Exact lcm, radical, and naively built ledger for f over [1, N]."""
+    """Exact lcm, radical, and naively built per-prime data for f over [1, N]."""
     if N > HARD_CAP:
         raise OracleCapped(f"oracle capped at N = {HARD_CAP}")
     stats = {}  # p -> list of per-n valuations
     lcm_value = 1
-    skipped = 0
     for n in range(1, N + 1):
         v = f.eval(n)
         if v == 0:
-            skipped += 1
             continue
         a = abs(v)
         lcm_value = lcm_value * a // math.gcd(lcm_value, a)
@@ -100,7 +98,6 @@ def naive_run(f: IntPoly, N) -> OracleResult:
         raise AssertionError(
             "ledger-reconstructed lcm disagrees with gcd-chain lcm"
         )
-    ledger = FactorLedger.from_entries(f, N, entries, skipped)
     return OracleResult(
-        N=N, lcm_value=lcm_value, rad_value=rad_value, ledger=ledger
+        N=N, lcm_value=lcm_value, rad_value=rad_value, entries=entries
     )

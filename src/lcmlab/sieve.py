@@ -35,15 +35,16 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
   row, repeated with its multiplicity; the hits of such primes up to a
   checkpoint are the rows read so far.
 
-The ledger at checkpoint N_i equals a pass to N_i alone: a Leg 1 prime in
-(D*N_i, B] holds its hits n <= N_i, read off the lifted roots, in place of
-its roots, one (p, n) row per lifted root equal to n. These rows and Leg
-3's go to one grouping (``_group_hits``), which counts the rows of each
-(p, n), that is v_p(f(n)), and makes the ledger rows of every prime above
-D*N_i. A FactorLedger holds columns sorted by p; ``FactorLedger.entries``
-reads them as a mapping p -> PrimeLocalData, and
-``FactorLedger.prime_hits`` reads the hits of one prime. No other module
-reads the layout.
+The ledger at checkpoint N_i equals a pass to N_i alone. The n <= N_i
+that a prime p > D*N_i divides lie in distinct classes mod p, so they are
+its roots of f in [1, N_i], and the ledger keeps them as its roots. A Leg
+1 prime in (D*N_i, B] gives one (p, n) row per lifted root equal to an
+n <= N_i; these rows and Leg 3's go to one grouping (``_group_hits``),
+which counts the rows of each (p, n), that is v_p(f(n)), and makes the
+layers and roots of every prime above D*N_i. A FactorLedger holds columns
+sorted by p; ``FactorLedger.entries`` reads them as a mapping
+p -> PrimeLocalData, and ``FactorLedger.prime_hits`` the hits of one
+prime. No other module reads the layout.
 """
 
 from __future__ import annotations
@@ -77,14 +78,14 @@ class PrimeLocalData:
     """Per-prime statistics of Q(N).
 
     layer_counts[i] = b_{i+1} = #{n <= N : p^(i+1) | f(n)}; trailing zeros
-    are never stored. Primes up to the sieve bound carry their level-1
-    roots, primes above it their hits.
+    are never stored. ``roots`` holds the level-1 roots of f mod p for a
+    prime up to the sieve bound, and for a prime above it the n <= N with
+    p | f(n) != 0, which are its roots in [1, N].
     """
 
     p: int
     layer_counts: tuple
-    roots: tuple  # level-1 roots of f mod p
-    hits: tuple = ()  # (n, v_p(f(n))) for each n <= N that p divides
+    roots: tuple
 
     @property
     def alpha(self):
@@ -103,10 +104,8 @@ class PrimeLocalData:
 
 
 def _int_column(values):
-    """Nonnegative integers as an int64 array, or as an object array of
-    Python ints when one of them is >= 2^63."""
-    if not isinstance(values, np.ndarray):
-        values = np.array(values, dtype=object)
+    """A column of nonnegative integers as an int64 array, or as an object
+    array of Python ints when one of them is >= 2^63."""
     if values.dtype == object and (not len(values) or values.max() < _INT64_LIMIT):
         values = values.astype(np.int64)
     return values
@@ -118,14 +117,6 @@ class Csr:
 
     offsets: np.ndarray  # int64, one longer than the table
     values: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows, column=_int_column):
-        """The table of a list of sequences; ``column`` makes the values
-        array from their concatenation."""
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=offsets[1:])
-        return cls(offsets, column([v for row in rows for v in row]))
 
     @classmethod
     def from_levels(cls, levels, rows):
@@ -160,10 +151,6 @@ class Csr:
             self.values[np.repeat(rows, lengths)],
         )
 
-    def empty_rows(self, rows):
-        """A table of ``rows`` empty rows with values like self's."""
-        return Csr(np.zeros(rows + 1, dtype=np.int64), self.values[:0])
-
 
 @dataclass(frozen=True, eq=False)
 class FactorLedger:
@@ -172,30 +159,11 @@ class FactorLedger:
 
     f: IntPoly
     N: int
-    skipped_zero_count: int
     p: np.ndarray  # int64, or object when a prime is >= 2^63
     layers: Csr  # layer_counts
-    # level-1 roots; empty rows above B. A prime of the content c of f
-    # holds the roots of f/c.
+    # level-1 roots up to B, and above B the n <= N with p | f(n) != 0. A
+    # prime of the content c of f holds the roots of f/c.
     roots: Csr
-    hits: Csr  # (n, v_p(f(n))) pairs, an (h, 2) array; empty rows up to B
-
-    @classmethod
-    def from_entries(cls, f, N, entries, skipped_zero_count):
-        """The ledger of a dict p -> PrimeLocalData."""
-        data = [entries[p] for p in sorted(entries)]
-        return cls(
-            f=f,
-            N=N,
-            skipped_zero_count=skipped_zero_count,
-            p=_int_column([d.p for d in data]),
-            layers=Csr.from_rows([d.layer_counts for d in data]),
-            roots=Csr.from_rows([d.roots for d in data]),
-            hits=Csr.from_rows(
-                [d.hits for d in data],
-                lambda flat: np.array(flat, dtype=np.int64).reshape(-1, 2),
-            ),
-        )
 
     @property
     def B(self):
@@ -243,26 +211,18 @@ class FactorLedger:
     def prime_hits(self, p, limit):
         """(n, v_p(f(n))) for each n <= limit that p divides, in n order.
 
-        Primes above B carry their hits. Below it, ``limit`` must be under
-        p, so each root of f mod p yields at most one hit, the root itself;
-        a prime of the content of f divides every f(n), so every n <= limit
-        is a hit.
+        ``limit`` must be under p, so the hits are roots of f mod p, which
+        above B are kept only in [1, N], and v_p(f(n)) is read off f(n); a
+        prime of the content of f divides every f(n), so every n is a hit.
         """
         i = self._row(p)
-        if p > self.B:
-            return [(n, v) for n, v in self.hits.row(i).tolist() if n <= limit]
-        if _content_exp(self.f, p):
+        if math.gcd(*self.f.coeffs) % p == 0:
             candidates = range(1, limit + 1)
         else:
             candidates = [r for r in self.roots.row(i).tolist() if 1 <= r <= limit]
         hits = []
         for n in candidates:
-            fn = abs(self.f.eval(n))
-            v = 0
-            while fn and fn % p == 0:
-                fn //= p
-                v += 1
-            if v:
+            if (fn := self.f.eval(n)) and (v := _valuation(fn, p)):
                 hits.append((n, v))
         return hits
 
@@ -270,9 +230,10 @@ class FactorLedger:
         """This ledger with the layers of the content c of f dropped: at
         each prime p of c, the layer vector after its first v_p(c) entries,
         which is that of f/c. Every prime of c is at most c."""
-        upto = np.searchsorted(self.p, math.gcd(*self.f.coeffs), side="right")
+        c = math.gcd(*self.f.coeffs)
+        upto = np.searchsorted(self.p, c, side="right")
         drop = np.zeros(len(self.p), dtype=np.int64)
-        drop[:upto] = [_content_exp(self.f, q) for q in self.p[:upto].tolist()]
+        drop[:upto] = [_valuation(c, q) for q in self.p[:upto].tolist()]
         offsets, values = self.layers.offsets, self.layers.values
         lengths = self.layers.lengths()
         at = np.arange(len(values)) - np.repeat(offsets[:-1], lengths)
@@ -297,7 +258,6 @@ class LedgerEntries(Mapping):
             p=int(led.p[i]),
             layer_counts=tuple(led.layers.row(i).tolist()),
             roots=tuple(led.roots.row(i).tolist()),
-            hits=tuple(map(tuple, led.hits.row(i).tolist())),
         )
 
     def __iter__(self):
@@ -307,11 +267,11 @@ class LedgerEntries(Mapping):
         return len(self._ledger.p)
 
 
-def _content_exp(f: IntPoly, p):
-    """v_p(c) for the content c of f."""
-    c, e = math.gcd(*f.coeffs), 0
-    while c % p == 0:
-        c //= p
+def _valuation(x, p):
+    """v_p(x) for an integer x != 0."""
+    e = 0
+    while x % p == 0:
+        x //= p
         e += 1
     return e
 
@@ -413,7 +373,9 @@ def _prime_columns(coeffs, block, N, zeros, seed):
     lifted level by level, all primes of the block at once: a prime's
     roots go on while some n <= N with g(n) != 0 lies in one of their
     progressions and p^(k+1) is at most ``value_bound(g, N)``, which bounds
-    every nonzero |g(n)|.
+    every nonzero |g(n)|. Each root carries p^k from the level before, and
+    p^(k+1) = p^k * p, in ``modular.power_dtype``, serves both that test
+    and the lift.
     """
     f = IntPoly(coeffs)
     g = primitive_part(f)
@@ -424,7 +386,7 @@ def _prime_columns(coeffs, block, N, zeros, seed):
     if c > 1 and N > len(zeros):
         ps = np.array(block, dtype=object)
         at = np.flatnonzero(c % ps == 0)
-        e[at] = [_content_exp(f, ps[i]) for i in at]
+        e[at] = [_valuation(c, ps[i]) for i in at]
     per_prime = np.bincount(rc.row, minlength=len(block))
     kept = (per_prime > 0) | (e > 0)
     new_row = np.cumsum(kept) - 1
@@ -434,8 +396,8 @@ def _prime_columns(coeffs, block, N, zeros, seed):
     for k in range(1, int(e.max(initial=0)) + 1):
         at = new_row[e >= k]
         progs.append((at, np.full_like(at, k), np.zeros_like(at), np.ones_like(at)))
+    pk = modular.powers(rc.p[rc.row], 1)  # p^k of each root
     while len(rc.row):
-        pk = modular.powers(rc.p[rc.row], rc.k)
         count = np.zeros(len(block), dtype=np.int64)
         np.add.at(count, rc.row, _count_progression(rc.r, pk, N).astype(np.int64))
         go = count[rc.row] > len(zeros)
@@ -443,9 +405,15 @@ def _prime_columns(coeffs, block, N, zeros, seed):
         r = np.where(rc.r <= N, rc.r, 0).astype(np.int64)
         m = np.minimum(pk, N + 1).astype(np.int64)
         progs.append((new_row[rc.row], e[rc.row] + rc.k, r, m))
-        rc = rc.take(modular.powers(rc.p[rc.row], rc.k + 1) <= cap)
+        p = rc.p[rc.row]
+        dtype = modular.power_dtype(p, rc.k + 1)
+        pk = pk.astype(dtype) * p.astype(dtype)
+        keep = pk <= cap
+        rc, pk = rc.take(keep), pk[keep]
         if len(rc.row):
-            rc = modular.lift_columns(g, rc)
+            # a lifted root's p^(k+1) is that of the first root of its row
+            lifted = modular.lift_columns(g, rc, pk)
+            rc, pk = lifted, pk[np.searchsorted(rc.row, lifted.row)]
     row, level, r, m = map(np.concatenate, zip(*progs))
     order = np.lexsort((level, row))
     progs = np.stack([col[order] for col in (row, level, r, m)])
@@ -620,8 +588,9 @@ def _factor_large(f, N, n, c, seed):
 
 
 def _group_hits(q, n):
-    """The p column, layer table and hit table of primes from their (q, n)
-    hit rows, in any order: v_q(f(n)) is the number of rows of (q, n)."""
+    """The p column, layer table and root table of primes from their (q, n)
+    hit rows, in any order: v_q(f(n)) is the number of rows of (q, n), and
+    the roots of q are its distinct n, sorted."""
     order = np.lexsort((n, q))
     q, n = q[order], n[order]
     del order  # as long as the columns: free it before the peak below
@@ -640,8 +609,9 @@ def _group_hits(q, n):
         np.bincount(group[e >= k], minlength=len(starts))
         for k in range(1, int(e.max(initial=0)) + 1)
     ]
-    hits = Csr(np.append(starts, len(q)), np.stack((n, e), axis=1))
-    return q[starts], Csr.from_levels(levels, len(starts)), hits
+    del e, group  # free them before the layer table's copies of the levels
+    roots = Csr(np.append(starts, len(q)), n)
+    return q[starts], Csr.from_levels(levels, len(starts)), roots
 
 
 def build_ledger(f: IntPoly, N, seed=0, workers=1):
@@ -681,20 +651,18 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
     )
     levels = [np.zeros(rows, dtype=np.int64)]
     large = []
-    skipped = 0
     lo = 1
     for n_max in schedule:
         while lo <= n_max:
             hi = min(lo + SEGMENT_SIZE - 1, n_max)
             values = _abs_values(g, lo, hi, dtype)
-            skipped += int(np.count_nonzero(values == 0))
             cofactors = _divide_segment(values, lo, prog, levels)
             large.append(_large_hits(f, n_max, B, cofactors, lo, seed))
             lo = hi + 1
-        yield _checkpoint(f, n_max, cols, Csr.from_levels(levels, rows), large, skipped)
+        yield _checkpoint(f, n_max, cols, Csr.from_levels(levels, rows), large)
 
 
-def _checkpoint(f, N, cols, sieved, large, skipped):
+def _checkpoint(f, N, cols, sieved, large):
     """The FactorLedger of Q(N) at a checkpoint of a pass, once every n <= N
     is sieved. ``sieved`` holds the layers of g Leg 2 counted for each row
     of the PrimeColumns ``cols``, and ``large`` Leg 3's (q, n) hit rows.
@@ -702,7 +670,7 @@ def _checkpoint(f, N, cols, sieved, large, skipped):
     Leg 1's layers of g must equal ``sieved`` at every row. A row's prime
     up to D*N keeps its level-1 roots and Leg 1's layers. Above D*N its
     hits join Leg 3's in one _group_hits call, which makes the layers and
-    hits of every prime above D*N.
+    roots of every prime above D*N.
     """
     zeros = f.profile.integer_roots_in_range(N)
     layers, g_layers = cols.layers(N, len(zeros))
@@ -722,16 +690,13 @@ def _checkpoint(f, N, cols, sieved, large, skipped):
 
     above = cols.p > f.profile.D * N
     small = ~above & (layers.lengths() > 0)
-    p, hit_layers, hits = _group_hits(
+    p, hit_layers, hit_roots = _group_hits(
         *(np.concatenate(col) for col in zip(cols.hits(above, N, zeros), *large))
     )
-    roots = cols.roots.take(small)
     return FactorLedger(
         f=f,
         N=N,
-        skipped_zero_count=skipped,
         p=_int_column(np.concatenate((cols.p[small], p))),
         layers=layers.take(small).concat(hit_layers),
-        roots=roots.concat(roots.empty_rows(len(p))),
-        hits=hits.empty_rows(np.count_nonzero(small)).concat(hits),
+        roots=cols.roots.take(small).concat(hit_roots),
     )

@@ -41,11 +41,11 @@ def test_criterion_1_oracle_equivalence(ledger_factory):
         for N in list(range(1, 201)) + [500]:
             led = ledger_factory(f, N)
             ora = naive_run(f, N)
-            if set(led.entries) != set(ora.ledger.entries):
+            if set(led.entries) != set(ora.entries):
                 ok, detail = False, f"{name} N={N}: prime sets differ"
                 break
             for p in led.entries:
-                a, b = led.entries[p], ora.ledger.entries[p]
+                a, b = led.entries[p], ora.entries[p]
                 if (a.alpha, a.max_exp, a.hit_count) != (
                     b.alpha, b.max_exp, b.hit_count,
                 ):

@@ -20,6 +20,7 @@ from lcmlab.analysis import (
     refined_multiplicity_threshold,
     run_checks,
 )
+from lcmlab.aggregate import summarize
 from lcmlab.polynomial import IntPoly, parse_poly, profile
 from lcmlab.sieve import build_ledger
 
@@ -234,14 +235,16 @@ class TestAmGmRatio:
 
 class TestLedgerChecks:
     def test_squareful_example_n5(self, ledger_factory):
-        report = check_squareful_ratios(ledger_factory(F, 5))
+        led = ledger_factory(F, 5)
+        report = check_squareful_ratios(led, summarize(led))
         ec = report.empirical_constants
         assert ec["n_primes"] == 4
         assert ec["n_squareful"] == 2
         assert ec["squareful_ratio"] == 0.5
 
     def test_zone_inequalities(self, ledger_factory, test_poly):
-        report = check_zone_inequalities(ledger_factory(test_poly, 500))
+        led = ledger_factory(test_poly, 500)
+        report = check_zone_inequalities(led, summarize(led))
         assert report.status == "pass"
 
     def test_divided_difference_check(self, ledger_factory):

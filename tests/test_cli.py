@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lcmlab import analysis, parse_poly, polynomial, primes, sieve
+from lcmlab import aggregate, analysis, parse_poly, polynomial, primes, sieve
 from lcmlab.cli import CSV_COLUMNS, build_parser, main
 
 from conftest import TEST_POLYS
@@ -194,6 +194,26 @@ class TestVerify:
         assert len(doc["reports"]) == 7
         names = [r["check_name"] for r in doc["reports"]]
         assert names == sorted(names)
+
+    @pytest.mark.parametrize(
+        "checks, calls",
+        [("all", 1), ("zone_inequalities", 1), ("naive_multiplicity,amgm_ratio", 0)],
+    )
+    def test_ledger_summarized_at_most_once(self, monkeypatch, capsys, checks, calls):
+        # squareful_ratios and zone_inequalities share one summarize record
+        seen = []
+        real = aggregate.summarize
+
+        def counted(ledger):
+            seen.append(ledger)
+            return real(ledger)
+
+        monkeypatch.setattr(aggregate, "summarize", counted)
+        code, _, _ = _run(
+            capsys, "verify", "--poly", "x^3+2", "--n", "200", "--checks", checks
+        )
+        assert code == 0
+        assert len(seen) == calls
 
     def test_seed_recorded(self, capsys):
         code, out, _ = _run(

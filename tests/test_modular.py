@@ -13,6 +13,7 @@ from lcmlab.modular import (
     BLOCK_SIZE,
     lift_columns,
     lift_roots,
+    powers,
     roots_mod_p,
     roots_mod_primes,
 )
@@ -463,7 +464,7 @@ class TestClosedForm:
         cols = cols.take(cols.p[cols.row] < 50)
         assert not cols.simple.all()
         for k in (2, 3):
-            cols = lift_columns(f, cols)
+            cols = lift_columns(f, cols, powers(cols.p[cols.row], k))
             for p, rs in zip(small, cols.root_sets()):
                 assert rs.roots == brute_lifts(f, p, k), (p, k)
                 simple = discriminant(f) % p != 0

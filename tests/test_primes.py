@@ -526,10 +526,8 @@ class TestPackWalk:
 
 
 def _grouped_rows(hits):
-    """(n, q, e) rows, sorted, of the (q, n) hit rows ``hits`` as
-    sieve._group_hits groups them: one row per (q, n), e its number of
-    hit rows."""
-    p, _, table = sieve._group_hits(*hits)
-    return sorted(
-        (n, q, e) for i, q in enumerate(p.tolist()) for n, e in table.row(i).tolist()
-    )
+    """(n, q, e) rows, sorted, of the (q, n) hit rows ``hits``: one row per
+    (q, n), e its number of hit rows."""
+    q, n = hits
+    counts = collections.Counter(zip(n.tolist(), q.tolist()))
+    return sorted((n, q, e) for (n, q), e in counts.items())
