@@ -352,7 +352,7 @@ class PrimeColumns:
         np.cumsum(np.bincount(row[keep], minlength=len(self.p)), out=offsets[1:])
         return Csr(offsets, b[keep])
 
-    def hits(self, rows, n_max, zeros):
+    def hit_rows(self, rows, n_max, zeros):
         """(q, n) hit rows of the rows the mask ``rows`` selects, whose
         primes all exceed n_max: n <= n_max lies in a progression of layer k
         only as its residue, so each progression with residue n is one row
@@ -691,7 +691,7 @@ def _checkpoint(f, N, cols, sieved, large):
     above = cols.p > f.profile.D * N
     small = ~above & (layers.lengths() > 0)
     p, hit_layers, hit_roots = _group_hits(
-        *(np.concatenate(col) for col in zip(cols.hits(above, N, zeros), *large))
+        *(np.concatenate(col) for col in zip(cols.hit_rows(above, N, zeros), *large))
     )
     return FactorLedger(
         f=f,
