@@ -35,6 +35,11 @@ GOLDEN = {
     SWEEP + ("--format", "json"): (
         0, "json", "a4301dcc41b9c9867623ae34cf4faf36e996737f235970f3037ac87838d6ee73"
     ),
+    # 56 checkpoints, most of them inside one Leg 2 segment
+    ("sweep", "--poly", "x^2+1", "--n-geom", "100:20000:1.1", "--format", "csv",
+     "--seed", "3"): (
+        0, "csv", "fbe47b75255fb9f35a359ee61708e2a233a79536a712c5fa191ef75f70ca5c44"
+    ),
     # N = 1 has undefined ratios: nan in CSV, null in JSON
     ("sweep", "--poly", "x^2+x+1", "--n", "1,2,3", "--format", "csv"): (
         0, "csv", "60c2cab1e6eeabb1e8e870b331d84cc101c82ad8e4575e5545c9131c0c2fce13"
