@@ -1,8 +1,17 @@
 """Scalar statistics derived from a FactorLedger.
 
 Zone decomposition (p <= N, N < p <= DN, p > DN), log of the LCM and its
-radical, conjecture ratios, and multi-N sweeps from one ledger pass. All
-log-space sums use natural log with Kahan compensation.
+radical, conjecture ratios, and multi-N sweeps from one ledger pass.
+
+Every log-space sum is one Kahan pass in ascending p over natural logs
+from ``math.log`` (``np.log`` may differ in the last bit), which keeps
+every float, and so the CSV, byte-reproducible. A pass runs over chunks
+of at most ``CHUNK`` primes, carrying its running sum and compensation
+from chunk to chunk, so ``summarize`` holds one chunk of Python floats
+at a time. Each term, such as alpha * log p, is one float64 product in
+numpy, the same IEEE multiply as Python's int * float, since every
+exponent is below 2^53. A sweep takes the log of each prime once: every
+ledger of a pass holds the primes of the one before it.
 """
 
 from __future__ import annotations
@@ -17,16 +26,19 @@ import numpy as np
 from . import primes, sieve
 from .polynomial import IntPoly
 
+CHUNK = 1 << 16  # primes per chunk of a summarize pass
 
-def _kahan_sum(terms):
-    """Compensated sum of ``terms`` in order; sweeps add ~1e6 log terms."""
-    s = c = 0.0
+
+def _kahan_sum(terms, state=(0.0, 0.0)):
+    """The compensated sum (s, c) of ``terms`` in order, continuing the
+    running sum s and compensation c of ``state``; s is the sum."""
+    s, c = state
     for x in terms:
         y = x - c
         t = s + y
         c = (t - s) - y
         s = t
-    return s
+    return s, c
 
 
 @dataclass(frozen=True)
@@ -51,37 +63,70 @@ class SweepRecord:
 
 def summarize(ledger: sieve.FactorLedger) -> SweepRecord:
     """Zone sums and counts from a complete ledger."""
+    return _summarize(ledger, None)
+
+
+def _summarize(ledger, logs):
+    """summarize, with logs[i] = math.log(ledger.p[i]) when given."""
     d = ledger.f.degree
     N = ledger.N
-    # ascending p, math.log and one sequential sum per statistic keep
-    # every float, and so the CSV, byte-reproducible
-    logs = [math.log(p) for p in ledger.p.tolist()]
-    alpha = ledger.alpha
-    contrib = [a * lp for a, lp in zip(alpha.tolist(), logs)]
     small, linear = np.searchsorted(ledger.p, (N, ledger.B), side="right").tolist()
-    log_q = _kahan_sum(contrib)
-    log_qs = _kahan_sum(contrib[:small])
-    log_qli = _kahan_sum(contrib[small:linear])
-    log_ql = _kahan_sum(contrib[linear:])
-    log_l = _kahan_sum([m * lp for m, lp in zip(ledger.max_exp.tolist(), logs)])
-    log_rad = _kahan_sum(logs)
-    norm = (d - 1) * N * math.log(N) if d >= 2 and N >= 2 else 0.0
-    norm_qs = N * math.log(N) if N >= 2 else 0.0
+    # the Kahan states of log_Q, log_QS, log_QLI, log_QL, log_L, log_rad
+    q = qs = qli = ql = l = rad = (0.0, 0.0)
+    n_squareful = n_repeated = 0
+    for lo in range(0, len(ledger.p), CHUNK):
+        part = ledger.rows(lo, min(lo + CHUNK, len(ledger.p)))
+        if logs is None:
+            lp = np.fromiter(map(math.log, part.p.tolist()), float, len(part.p))
+        else:
+            lp = logs[lo : lo + CHUNK]
+        alpha = part.alpha
+        # the chunk's terms in each zone: [0, a), [a, b) and [b, len)
+        a, b = (min(max(x - lo, 0), len(lp)) for x in (small, linear))
+        # a memoryview yields the floats of a column, with no list
+        terms = memoryview(alpha * lp)
+        q = _kahan_sum(terms, q)
+        qs = _kahan_sum(terms[:a], qs)
+        qli = _kahan_sum(terms[a:b], qli)
+        ql = _kahan_sum(terms[b:], ql)
+        l = _kahan_sum(memoryview(part.max_exp * lp), l)
+        rad = _kahan_sum(memoryview(lp), rad)
+        n_squareful += int(np.count_nonzero(alpha >= 2))
+        n_repeated += int(np.count_nonzero(part.hit_count >= 2))
+    log_qs, log_l, log_rad = qs[0], l[0], rad[0]
+    log_n = math.log(N) if N >= 2 else 0.0
+    norm = (d - 1) * N * log_n if d >= 2 else 0.0
+    norm_qs = N * log_n
     return SweepRecord(
         N=N,
-        log_Q=log_q,
+        log_Q=q[0],
         log_QS=log_qs,
-        log_QLI=log_qli,
-        log_QL=log_ql,
+        log_QLI=qli[0],
+        log_QL=ql[0],
         log_L=log_l,
         log_rad=log_rad,
         ratio_L=log_l / norm if norm else math.nan,
         ratio_rad=log_rad / norm if norm else math.nan,
         ratio_QS=log_qs / norm_qs if norm_qs else math.nan,
         n_primes=len(ledger.p),
-        n_squareful=int(np.count_nonzero(alpha >= 2)),
-        n_repeated=int(np.count_nonzero(ledger.hit_count >= 2)),
+        n_squareful=n_squareful,
+        n_repeated=n_repeated,
     )
+
+
+def _pass_logs(ledgers):
+    """(ledger, logs) for each ledger of a pass, with logs[i] =
+    math.log(ledger.p[i]). A ledger holds every prime of the one before it,
+    so each prime's log is taken once, at the first ledger that holds it."""
+    p, logs = np.zeros(0, dtype=np.int64), np.zeros(0)
+    for ledger in ledgers:
+        at = np.searchsorted(ledger.p, p)
+        new = np.ones(len(ledger.p), dtype=bool)
+        new[at] = False
+        p, old, logs = ledger.p, logs, np.empty(len(ledger.p))
+        logs[at] = old
+        logs[new] = [math.log(x) for x in p[new].tolist()]
+        yield ledger, logs
 
 
 def sweep(f: IntPoly, schedule, sink=None, seed=0, workers=1):
@@ -95,13 +140,13 @@ def sweep(f: IntPoly, schedule, sink=None, seed=0, workers=1):
     propagates with a note naming f and the N in progress.
     """
     schedule = list(schedule)
-    ledgers = sieve.iter_ledgers(f, schedule, seed=seed, workers=workers)
+    ledgers = _pass_logs(sieve.iter_ledgers(f, schedule, seed=seed, workers=workers))
     records = []
     gaps = []
     t0 = time.perf_counter()
     for N in schedule:
         try:
-            record = summarize(next(ledgers))
+            record = _summarize(*next(ledgers))
         except primes.FactorTimeout as exc:
             error = f"{type(exc).__name__}: {exc}"
             gaps = [(n, error) for n in schedule[len(records) :]]

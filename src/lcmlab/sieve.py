@@ -20,7 +20,8 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
   (int64 when ``value_bound`` is below 2^63, Python ints otherwise);
   segments end at each checkpoint. Each level-1 progression n = r mod p
   is expanded into its hits and p is divided out again and again, which
-  gives every v_p(g(n)) exactly. At each checkpoint the layer vector
+  gives every v_p(g(n)) exactly. A progression carries its next n from
+  segment to segment, so a segment reads only those that hit it. At each checkpoint the layer vector
   counted from these valuations must equal Leg 1's layers of g for every
   prime, or the pass raises LedgerMismatch naming that N.
 - Leg 3: what remains of each |g(n)| has only prime factors above B. A
@@ -32,16 +33,17 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
   arithmetic below 2^63, and in packs of the scalar walk, each a single
   walk modulo the product of its moduli, for the last walks and the
   larger parts. Each prime factor q of the cofactor of n is one (q, n)
-  row, repeated with its multiplicity; the hits of such primes up to a
-  checkpoint are the rows read so far.
+  row, repeated with its multiplicity. A segment's rows are sorted once
+  and merged into one run of distinct (q, n) pairs, kept sorted by
+  (q, n) across the pass (``_merge_hits``), each with its number of rows,
+  v_q(f(n)); the hits of such primes up to a checkpoint are the run.
 
 The ledger at checkpoint N_i equals a pass to N_i alone. The n <= N_i
 that a prime p > D*N_i divides lie in distinct classes mod p, so they are
-its roots of f in [1, N_i], and the ledger keeps them as its roots. A Leg
-1 prime in (D*N_i, B] gives one (p, n) row per lifted root equal to an
-n <= N_i; these rows and Leg 3's go to one grouping (``_group_hits``),
-which counts the rows of each (p, n), that is v_p(f(n)), and makes the
-layers and roots of every prime above D*N_i. A FactorLedger holds columns
+its roots of f in [1, N_i], and the ledger keeps them as its roots: for
+a Leg 1 prime in (D*N_i, B], its level-1 roots in [1, N_i] that are no
+zeros of f, with Leg 1's layers; above B, the n of its pairs in the run,
+which give its layers (``_group_run``). A FactorLedger holds columns
 sorted by p; ``FactorLedger.entries`` reads them as a mapping
 p -> PrimeLocalData, and ``FactorLedger.prime_hits`` the hits of one
 prime. No other module reads the layout.
@@ -136,6 +138,16 @@ class Csr:
     def lengths(self):
         return np.diff(self.offsets)
 
+    def sums(self):
+        """The sum of each row, in int64."""
+        sums = np.concatenate(([0], np.cumsum(self.values, dtype=np.int64)))
+        return sums[self.offsets[1:]] - sums[self.offsets[:-1]]
+
+    def slice(self, lo, hi):
+        """The table of rows lo .. hi - 1."""
+        start, end = self.offsets[lo], self.offsets[hi]
+        return Csr(self.offsets[lo : hi + 1] - start, self.values[start:end])
+
     def concat(self, other):
         """The rows of self followed by the rows of other."""
         return Csr(
@@ -143,12 +155,13 @@ class Csr:
             np.concatenate((self.values, other.values)),
         )
 
-    def take(self, rows):
-        """The table of the rows the boolean mask ``rows`` selects."""
-        lengths = self.lengths()
+    def take(self, rows, keep=True):
+        """The table of the rows the boolean mask ``rows`` selects, holding
+        only the values the boolean mask ``keep`` selects."""
+        keep = np.repeat(rows, self.lengths()) & keep
+        counts = np.diff(np.concatenate(([0], np.cumsum(keep)))[self.offsets])
         return Csr(
-            np.concatenate(([0], np.cumsum(lengths[rows]))),
-            self.values[np.repeat(rows, lengths)],
+            np.concatenate(([0], np.cumsum(counts[rows]))), self.values[keep]
         )
 
 
@@ -178,8 +191,7 @@ class FactorLedger:
     @property
     def alpha(self):
         """The exponent of each p in Q(N), as an array."""
-        sums = np.concatenate(([0], np.cumsum(self.layers.values, dtype=np.int64)))
-        return sums[self.layers.offsets[1:]] - sums[self.layers.offsets[:-1]]
+        return self.layers.sums()
 
     @property
     def max_exp(self):
@@ -199,6 +211,16 @@ class FactorLedger:
         has = self.max_exp >= i
         out[has] = self.layers.values[self.layers.offsets[:-1][has] + i - 1]
         return out
+
+    def rows(self, lo, hi):
+        """The rows lo .. hi - 1 of this ledger alone, as a FactorLedger of
+        the same (f, N): a part of the ledger, read without copies."""
+        return dataclasses.replace(
+            self,
+            p=self.p[lo:hi],
+            layers=self.layers.slice(lo, hi),
+            roots=self.roots.slice(lo, hi),
+        )
 
     def _row(self, p):
         """The row of the prime p; KeyError when p has none."""
@@ -332,17 +354,28 @@ class PrimeColumns:
             m=column(c.m for c in parts),
         )
 
+    @functools.cached_property
+    def _runs(self):
+        """The progressions of each layer, a run of (row, level): the first
+        and last progression of each run, its row, and whether it is a
+        layer of g (not a content layer), or None when every layer is."""
+        new = np.ones(len(self.row), dtype=bool)
+        new[1:] = (np.diff(self.row) != 0) | (np.diff(self.level) != 0)
+        first = np.flatnonzero(new)
+        last = np.append(first, len(new))[1:] - 1
+        g = self.m[first] > 1
+        return first, last, self.row[first], None if g.all() else g
+
     def layers(self, n_max, nzeros):
         """The layer tables at n_max <= N, of f and of g, for ``nzeros``
         integer zeros of f in [1, n_max]."""
-        count = _count_progression(self.r, self.m, n_max)
-        new = np.ones(len(count), dtype=bool)
-        new[1:] = (np.diff(self.row) != 0) | (np.diff(self.level) != 0)
-        starts = np.flatnonzero(new)
-        b = np.maximum(np.add.reduceat(count, starts) - nzeros, 0)
-        row = self.row[starts]
-        g = self.m[starts] > 1
-        return self._table(b, row), self._table(b[g], row[g])
+        first, last, row, g = self._runs
+        total = np.cumsum(_count_progression(self.r, self.m, n_max))
+        b = total[last]
+        b[1:] -= total[first[1:] - 1]
+        b = np.maximum(b - nzeros, 0)
+        table = self._table(b, row)
+        return table, table if g is None else self._table(b[g], row[g])
 
     def _table(self, b, row):
         """The layer table of the layer counts b of rows ``row``; every row
@@ -351,16 +384,6 @@ class PrimeColumns:
         offsets = np.zeros(len(self.p) + 1, dtype=np.int64)
         np.cumsum(np.bincount(row[keep], minlength=len(self.p)), out=offsets[1:])
         return Csr(offsets, b[keep])
-
-    def hit_rows(self, rows, n_max, zeros):
-        """(q, n) hit rows of the rows the mask ``rows`` selects, whose
-        primes all exceed n_max: n <= n_max lies in a progression of layer k
-        only as its residue, so each progression with residue n is one row
-        of (q, n), and v_q(f(n)) is their number. ``zeros`` are the integer
-        zeros of f, which are no hits."""
-        at = rows[self.row] & (self.r > 0) & (self.r <= n_max)
-        at &= ~np.isin(self.r, zeros)
-        return self.p[self.row[at]], self.r[at]
 
 
 def _prime_columns(coeffs, block, N, zeros, seed):
@@ -477,18 +500,23 @@ def _divide_segment(values, lo, prog, levels):
     """The cofactors of values = |f(n)|, n = lo, lo + 1, ..., once every
     small prime is divided out along its level-1 progressions.
 
-    ``prog`` holds the columns (p, r, i): the prime, the root and the
-    prime's row. levels[k - 1][i] gains the number of n with
-    p_i^k | f(n) != 0; a level is appended when first reached.
+    ``prog`` holds the columns (p, nxt, i): the prime, the least n >= lo
+    of the progression and the prime's row. Only the progressions with
+    nxt in the segment are read, and their nxt moves past it in place, so
+    a segment costs its hits, not every progression. levels[k - 1][i]
+    gains the number of n with p_i^k | f(n) != 0; a level is appended when
+    first reached.
     """
-    p, r, row = prog
+    p, nxt, row = prog
     hi = lo + len(values) - 1
-    first = lo + (r - lo) % p
-    count = np.where(first <= hi, (hi - first) // p + 1, 0)
-    # hit j of progression g lies at first[g] + j * p[g], j < count[g]
-    g = np.repeat(np.arange(len(p)), count)
+    g = np.flatnonzero(nxt <= hi)
+    q, first, row = p[g], nxt[g], row[g]
+    count = (hi - first) // q + 1
+    nxt[g] = first + count * q
+    # hit j of progression g lies at first[g] + j * q[g], j < count[g]
+    g = np.repeat(np.arange(len(g)), count)
     j = np.arange(len(g)) - np.repeat(np.cumsum(count) - count, count)
-    q, row = p[g], row[g]
+    q, row = q[g], row[g]
     at = first[g] - lo + j * q
     live = values[at] != 0
     at, q, row = at[live], q[live].astype(values.dtype), row[live]
@@ -508,35 +536,53 @@ def _divide_segment(values, lo, prog, levels):
         k += 1
 
 
-def _mulmod(a, b, m):
-    """a * b mod m for int64 residues a, b in [0, m) and moduli m < 2^50.
+def _mulmod(a, b, m, inv, out):
+    """out = a * b mod m for int64 residues a, b in [0, m), moduli m < 2^50
+    and inv = 1/m in float64; ``out`` may be a or b.
 
-    The quotient q = floor(a*b/m) is taken in float64, off by at most one,
-    and a*b - q*m, computed with wrapping, lands in [-m, 2m); one
-    correction each way makes it exact.
+    The quotient a*b/m, taken in float64, is within 3/8 of its true value,
+    so rounded to the nearest integer q it leaves a*b - q*m, computed with
+    wrapping, in (-m, m); adding m where it is negative makes it exact.
     """
-    q = np.floor(a.astype(np.float64) * b / m).astype(np.int64)
-    r = a * b - q * m
-    r = np.where(r < 0, r + m, r)
-    return np.where(r >= m, r - m, r)
+    q = np.multiply(a, b, dtype=np.float64)
+    q *= inv
+    q = np.rint(q, out=q).astype(np.int64)
+    q *= m
+    np.multiply(a, b, out=out)
+    out -= q
+    np.right_shift(out, 63, out=q)  # -1 where negative, else 0
+    q &= m
+    out += q
+    return out
 
 
 def _fermat_base2(m):
-    """Whether 2^(m-1) = 1 mod m, for each m > 2 of an integer array: by
-    square-and-multiply in lockstep int64 columns below 2^50, and by one
-    ``pow(2, m - 1, m)`` per Python int above."""
+    """Whether 2^(m-1) = 1 mod m, for each m > 2 of an integer array.
+
+    Below 2^50 the columns run in lockstep int64 arithmetic, in place: the
+    exponent m - 1 is read in windows of 3 bits from the top, and each
+    window squares the residue three times (``_mulmod``) and then
+    multiplies it by 2^digit with a shift and one %. A residue below
+    m < 2^50 keeps acc * 2^7 < 2^57, so 3 is the widest window int64
+    holds. Above 2^50, one ``pow(2, m - 1, m)`` per Python int.
+    """
     passed = np.empty(len(m), dtype=bool)
     small = m < _MULMOD_INT64_LIMIT
     big = np.flatnonzero(~small)
     passed[big] = [pow(2, x - 1, x) == 1 for x in m[big].tolist()]
     mod = m[small].astype(np.int64)
     e = mod - 1
-    acc = np.ones_like(mod)
-    for bit in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
-        acc = _mulmod(acc, acc, mod)
-        twice = acc + acc
-        twice = np.where(twice >= mod, twice - mod, twice)
-        acc = np.where((e >> bit) & 1 == 1, twice, acc)
+    inv = 1.0 / mod
+    shift = 3 * ((int(e.max(initial=1)).bit_length() - 1) // 3)
+    acc = np.left_shift(1, (e >> shift) & 7) % mod
+    digit = np.empty_like(e)
+    for shift in range(shift - 3, -1, -3):
+        for _ in range(3):
+            _mulmod(acc, acc, mod, inv, acc)
+        np.right_shift(e, shift, out=digit)
+        digit &= 7
+        acc <<= digit
+        acc %= mod
     passed[small] = acc == 1
     return passed
 
@@ -587,20 +633,32 @@ def _factor_large(f, N, n, c, seed):
     return q, n[owner]
 
 
-def _group_hits(q, n):
-    """The p column, layer table and root table of primes from their (q, n)
-    hit rows, in any order: v_q(f(n)) is the number of rows of (q, n), and
-    the roots of q are its distinct n, sorted."""
+def _merge_hits(run, q, n):
+    """Leg 3's ``run`` of hits with a segment's (q, n) hit rows merged in.
+
+    A run is three columns (q, n, e): the distinct pairs (q, n) sorted by
+    (q, n), and e = v_q(f(n)), the number of rows of the pair. The rows
+    are sorted here, once; every n of the segment exceeds those of the
+    run, so a pair goes after the run's pairs of its q.
+    """
     order = np.lexsort((n, q))
     q, n = q[order], n[order]
-    del order  # as long as the columns: free it before the peak below
     first = np.ones(len(q), dtype=bool)  # the first row of each (q, n)
     first[1:] = (q[1:] != q[:-1]) | (n[1:] != n[:-1])
     at = np.flatnonzero(first)
     e = np.diff(at, append=len(q))
-    if len(at) < len(q):  # compacting copies every column
-        q, n = q[at], n[at]
-    del at
+    q, n = q[at], n[at]
+    rq, rn, re = run
+    dtype = np.result_type(rq, q)
+    rq, q = rq.astype(dtype, copy=False), q.astype(dtype, copy=False)
+    at = np.searchsorted(rq, q, side="right")
+    return np.insert(rq, at, q), np.insert(rn, at, n), np.insert(re, at, e)
+
+
+def _group_run(q, n, e):
+    """The p column, layer table and root table of the primes of a run
+    (``_merge_hits``): the roots of q are its n, and its layer b_k counts
+    its pairs with e >= k."""
     new = np.ones(len(q), dtype=bool)
     new[1:] = q[1:] != q[:-1]
     starts = np.flatnonzero(new)
@@ -609,9 +667,7 @@ def _group_hits(q, n):
         np.bincount(group[e >= k], minlength=len(starts))
         for k in range(1, int(e.max(initial=0)) + 1)
     ]
-    del e, group  # free them before the layer table's copies of the levels
-    roots = Csr(np.append(starts, len(q)), n)
-    return q[starts], Csr.from_levels(levels, len(starts)), roots
+    return q[starts], Csr.from_levels(levels, len(starts)), Csr(np.append(starts, len(q)), n)
 
 
 def build_ledger(f: IntPoly, N, seed=0, workers=1):
@@ -640,37 +696,44 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
     g = primitive_part(f)
     zeros = f.profile.integer_roots_in_range(N)
     cols = PrimeColumns.concat(_leg1(f.coeffs, B, N, zeros, seed, workers))
+    # the least checkpoint that holds each root r of p: N >= p / D, or,
+    # as a hit of p, N >= r when r >= 1 is no integer zero of f
+    r = cols.roots.values
+    held = -(-np.repeat(cols.p, cols.roots.lengths()) // f.profile.D)
+    hit = (r >= 1) & ~np.isin(r, zeros)
+    held[hit] = np.minimum(held[hit], r[hit])
 
     dtype = np.int64 if polynomial.value_bound(g, N) < _INT64_LIMIT else object
     rows = len(cols.p)
     per_root = cols.roots.lengths()
-    prog = (
-        np.repeat(cols.p, per_root),
-        cols.roots.values,
-        np.repeat(np.arange(rows), per_root),
-    )
+    p = np.repeat(cols.p, per_root)
+    # the least n >= 1 of each level-1 progression r mod p
+    prog = (p, np.where(r >= 1, r, p), np.repeat(np.arange(rows), per_root))
     levels = [np.zeros(rows, dtype=np.int64)]
-    large = []
+    run = (np.zeros(0, dtype=np.int64),) * 3
     lo = 1
     for n_max in schedule:
         while lo <= n_max:
             hi = min(lo + SEGMENT_SIZE - 1, n_max)
             values = _abs_values(g, lo, hi, dtype)
             cofactors = _divide_segment(values, lo, prog, levels)
-            large.append(_large_hits(f, n_max, B, cofactors, lo, seed))
+            q, n = _large_hits(f, n_max, B, cofactors, lo, seed)
+            if len(q):
+                run = _merge_hits(run, q, n)
             lo = hi + 1
-        yield _checkpoint(f, n_max, cols, Csr.from_levels(levels, rows), large)
+        yield _checkpoint(f, n_max, cols, held, Csr.from_levels(levels, rows), run)
 
 
-def _checkpoint(f, N, cols, sieved, large):
+def _checkpoint(f, N, cols, held, sieved, run):
     """The FactorLedger of Q(N) at a checkpoint of a pass, once every n <= N
     is sieved. ``sieved`` holds the layers of g Leg 2 counted for each row
-    of the PrimeColumns ``cols``, and ``large`` Leg 3's (q, n) hit rows.
+    of the PrimeColumns ``cols``, and ``run`` Leg 3's hits (``_merge_hits``).
 
-    Leg 1's layers of g must equal ``sieved`` at every row. A row's prime
-    up to D*N keeps its level-1 roots and Leg 1's layers. Above D*N its
-    hits join Leg 3's in one _group_hits call, which makes the layers and
-    roots of every prime above D*N.
+    Leg 1's layers of g must equal ``sieved`` at every row. Every Leg 1
+    prime with a hit keeps Leg 1's layers, and the roots that ``held``
+    marks as held from N or earlier: up to D*N its level-1 roots, and above
+    D*N those of them in [1, N] that are no zeros of f. Leg 3's primes, all
+    above B, follow with the layers and roots of their run.
     """
     zeros = f.profile.integer_roots_in_range(N)
     layers, g_layers = cols.layers(N, len(zeros))
@@ -688,15 +751,12 @@ def _checkpoint(f, N, cols, sieved, large):
             f"{tuple(sieved.row(i).tolist())}"
         )
 
-    above = cols.p > f.profile.D * N
-    small = ~above & (layers.lengths() > 0)
-    p, hit_layers, hit_roots = _group_hits(
-        *(np.concatenate(col) for col in zip(cols.hit_rows(above, N, zeros), *large))
-    )
+    kept = layers.lengths() > 0
+    p, hit_layers, hit_roots = _group_run(*run)
     return FactorLedger(
         f=f,
         N=N,
-        p=_int_column(np.concatenate((cols.p[small], p))),
-        layers=layers.take(small).concat(hit_layers),
-        roots=cols.roots.take(small).concat(hit_roots),
+        p=_int_column(np.concatenate((cols.p[kept], p))),
+        layers=layers.take(kept).concat(hit_layers),
+        roots=cols.roots.take(kept, held <= N).concat(hit_roots),
     )

@@ -1,9 +1,13 @@
+import collections
 import dataclasses
 import math
+import random
+import types
 
+import numpy as np
 import pytest
 
-from lcmlab import primes, sieve
+from lcmlab import aggregate, primes, sieve
 from lcmlab.aggregate import summarize, sweep
 from lcmlab.polynomial import parse_poly
 
@@ -44,7 +48,68 @@ class TestSummarize:
             assert 0 <= rec.n_repeated <= rec.n_squareful <= rec.n_primes
 
 
+def one_list_sums(ledger):
+    """(log_Q, log_QS, log_QLI, log_QL, log_L, log_rad) of a ledger, each
+    as one Kahan sum over one list of Python floats in ascending p."""
+    logs = [math.log(p) for p in ledger.p.tolist()]
+    contrib = [a * lp for a, lp in zip(ledger.alpha.tolist(), logs)]
+    lcm = [m * lp for m, lp in zip(ledger.max_exp.tolist(), logs)]
+    small, linear = np.searchsorted(ledger.p, (ledger.N, ledger.B), side="right")
+    parts = (contrib, contrib[:small], contrib[small:linear], contrib[linear:], lcm, logs)
+    return tuple(aggregate._kahan_sum(terms)[0] for terms in parts)
+
+
+class TestChunkedKahan:
+    @pytest.mark.parametrize("length", ["0", "1", "c-1", "c", "c+1", "3c+5"])
+    def test_chunks_equal_one_list(self, length):
+        chunk = aggregate.CHUNK
+        extra = {"0": -chunk, "1": 1 - chunk, "c-1": -1, "c": 0, "c+1": 1}.get(
+            length, 2 * chunk + 5
+        )
+        rng = random.Random(extra)
+        terms = np.array([rng.uniform(0, 20) for _ in range(chunk + extra)])
+        state = (0.0, 0.0)
+        for lo in range(0, len(terms), chunk):
+            state = aggregate._kahan_sum(memoryview(terms[lo : lo + chunk]), state)
+        assert state == aggregate._kahan_sum(terms.tolist())
+
+    def test_summarize_chunks(self, ledger_factory, monkeypatch):
+        # chunks of 1, 7, n - 1, n and n + 1 primes, so the zone bounds
+        # fall inside chunks and at their ends; and ledgers of 0 and 1
+        # primes
+        led = ledger_factory(F, 300)
+        n = len(led.p)
+        want = one_list_sums(led)
+        for chunk in (1, 7, n - 1, n, n + 1):
+            monkeypatch.setattr(aggregate, "CHUNK", chunk)
+            rec = summarize(led)
+            got = (rec.log_Q, rec.log_QS, rec.log_QLI, rec.log_QL, rec.log_L, rec.log_rad)
+            assert got == want, chunk
+        for f, N, primes_held in (("x^2-1", 1, 0), ("x^2+1", 1, 1)):
+            led = sieve.build_ledger(parse_poly(f), N)
+            assert len(led.p) == primes_held
+            rec = summarize(led)
+            got = (rec.log_Q, rec.log_QS, rec.log_QLI, rec.log_QL, rec.log_L, rec.log_rad)
+            assert got == one_list_sums(led)
+
+
 class TestSweep:
+    def test_log_once_per_prime(self, monkeypatch):
+        # a sweep takes math.log of each prime of its pass once, and of
+        # each N >= 2 once for the normalizers
+        calls = collections.Counter()
+
+        def log(x):
+            calls[x] += 1
+            return math.log(x)
+
+        monkeypatch.setattr(aggregate, "math", types.SimpleNamespace(log=log, nan=math.nan))
+        schedule = [1, 2, 10, 100, 101, 1000, 3000]
+        records, _ = sweep(F, schedule)
+        primes_held = sieve.build_ledger(F, schedule[-1]).p.tolist()
+        assert calls == collections.Counter(primes_held + schedule[1:])
+
+
     def test_ratio_trend_upward(self):
         records, gaps = sweep(F, [10, 100])
         assert not gaps

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lcmlab import modular, polynomial, primes, sieve
-from lcmlab.aggregate import summarize
+from lcmlab.aggregate import summarize, sweep
 from lcmlab.modular import roots_mod_p
 from lcmlab.oracle import log_big, naive_run
 from lcmlab.polynomial import IntPoly, discriminant, parse_poly, value_bound
@@ -297,6 +297,34 @@ class TestCheckpointPass:
                 p: _entry_tuple(d) for p, d in ora.entries.items()
             }, led.N
 
+    @pytest.mark.parametrize("size", [7, 64])
+    @pytest.mark.parametrize(
+        "poly, schedule",
+        [
+            ("x^2+1", [1, 2, 6, 7, 10, 14, 64, 65, 100, 128, 129, 200, 448]),
+            # the content 6 and the integer zero n = 1
+            ("6x^2-6", [1, 2, 3, 7, 13, 14, 21, 63, 64, 100, 191, 300]),
+            # Leg 3 factors cofactors above B^2 by rho
+            ("x^5-x+1", [1, 3, 7, 8, 20, 49, 64, 70, 127, 128, 150]),
+        ],
+    )
+    def test_checkpoints_across_segments(self, monkeypatch, poly, schedule, size):
+        # with segments of 7 or 64 values, checkpoints fall inside segments
+        # and at their ends; Leg 3's run and Leg 2's progressions are then
+        # carried across many segments and checkpoints
+        f = parse_poly(poly)
+        singles = {N: build_ledger(f, N) for N in schedule}
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+        ledgers = list(sieve.iter_ledgers(f, schedule))
+        records, gaps = sweep(f, schedule)
+        assert not gaps
+        assert [led.N for led in ledgers] == [r.N for r in records] == schedule
+        for led, rec in zip(ledgers, records):
+            single = singles[led.N]
+            assert dict(led.entries) == dict(single.entries), (poly, led.N)
+            assert summarize(led) == summarize(single)
+            assert dataclasses.replace(rec, seconds=0.0) == summarize(single)
+
     def test_leg1_streams_primes(self, monkeypatch):
         # with 2 workers at most 4 blocks are in flight, so the first
         # block's result arrives after 4 of the 379 blocks were read
@@ -499,23 +527,53 @@ class TestLegCrossCheck:
             build_ledger(parse_poly(poly), 10)
 
     def test_fermat_kernel_matches_pow(self):
+        import sympy
+
         rng = random.Random(7)
         # near 2^50 the float quotient is off by one in either direction
-        # for a few percent of products
-        m = [rng.randrange(1 << 49, 1 << 50) for _ in range(2000)]
-        a, b = ([rng.randrange(x) for x in m] for _ in range(2))
-        got = sieve._mulmod(*(np.array(v, dtype=np.int64) for v in (a, b, m)))
-        assert got.tolist() == [x * y % z for x, y, z in zip(a, b, m)]
+        # for a few percent of products; the kernel squares in place
+        m = np.array([rng.randrange(1 << 49, 1 << 50) for _ in range(2000)])
+        a, b = (np.array([rng.randrange(x) for x in m.tolist()]) for _ in range(2))
+        want = [x * y % z for x, y, z in zip(a.tolist(), b.tolist(), m.tolist())]
+        got = sieve._mulmod(a, b, m, 1.0 / m, np.empty_like(m))
+        assert got.tolist() == want
+        want = [x * x % z for x, z in zip(a.tolist(), m.tolist())]
+        assert sieve._mulmod(a, a, m, 1.0 / m, a).tolist() == want
         ms = [
             rng.randrange(3, 1 << bits)
             for bits in (12, 40, 50, 51, 62, 90)
             for _ in range(300)
         ]
         ms += [(1 << 50) - 1, 1 << 50, 341, 561, 2069 * 10939, 1093**2]
+        # m - 1 of every bit length up to 50, so a multiple of the 3-bit
+        # window or not: 2^k + 1 and 2^k - 1, and the primes next to 2^k,
+        # which must pass
+        ms += [(1 << k) + s for k in range(2, 50) for s in (-1, 1)]
+        ms += [int(sympy.nextprime(1 << k)) for k in range(1, 50)]
+        ms += [int(sympy.prevprime(1 << k)) for k in range(2, 51)]
         column = np.array(ms, dtype=object)
         for column in (column, sieve._int_column(column[:1500])):
             got = sieve._fermat_base2(column)
             assert got.tolist() == [pow(2, x - 1, x) == 1 for x in column.tolist()]
+        for column in ([], [7], [9], [2**61 - 1], [2**61 + 1]):
+            got = sieve._fermat_base2(np.array(column, dtype=object))
+            assert got.tolist() == [pow(2, x - 1, x) == 1 for x in column]
+            got = sieve._fermat_base2(sieve._int_column(np.array(column, dtype=object)))
+            assert got.tolist() == [pow(2, x - 1, x) == 1 for x in column]
+
+    def test_fermat_kernel_base2_pseudoprimes(self):
+        import sympy
+
+        # every m in [3, 10^4): the odd composites that pass are the base-2
+        # pseudoprimes below 10^4 (OEIS A001567)
+        column = np.arange(3, 10**4)
+        passed = sieve._fermat_base2(column)
+        assert passed.tolist() == [pow(2, x - 1, x) == 1 for x in column.tolist()]
+        pseudo = [x for x in column[passed].tolist() if not sympy.isprime(x)]
+        assert pseudo == [
+            341, 561, 645, 1105, 1387, 1729, 1905, 2047, 2465, 2701, 2821,
+            3277, 4033, 4369, 4371, 4681, 5461, 6601, 7957, 8321, 8481, 8911,
+        ]
 
 
 @pytest.mark.parametrize("span", [64, 1000])
