@@ -536,24 +536,23 @@ def _divide_segment(values, lo, prog, levels):
         k += 1
 
 
-def _mulmod(a, b, m, inv, out):
-    """out = a * b mod m for int64 residues a, b in [0, m), moduli m < 2^50
-    and inv = 1/m in float64; ``out`` may be a or b.
+def _square_mod(acc, m, inv, qf, q):
+    """acc = acc^2 mod m in place, up to sign: for int64 residues |acc| < m,
+    moduli m < 2^50 and inv = 1/m in float64, it leaves |acc| < m. ``qf``
+    and ``q`` are float64 and int64 scratch rows as long as acc.
 
-    The quotient a*b/m, taken in float64, is within 3/8 of its true value,
-    so rounded to the nearest integer q it leaves a*b - q*m, computed with
-    wrapping, in (-m, m); adding m where it is negative makes it exact.
+    The quotient acc^2/m, taken in float64, is within 3/8 of its true
+    value, so rounded to the nearest integer q it leaves acc^2 - q*m,
+    computed with wrapping, in (-m, m). A residue of either sign squares
+    to the same value, so no step here makes it nonnegative.
     """
-    q = np.multiply(a, b, dtype=np.float64)
-    q *= inv
-    q = np.rint(q, out=q).astype(np.int64)
-    q *= m
-    np.multiply(a, b, out=out)
-    out -= q
-    np.right_shift(out, 63, out=q)  # -1 where negative, else 0
-    q &= m
-    out += q
-    return out
+    np.multiply(acc, acc, out=qf, dtype=np.float64)
+    np.multiply(qf, inv, out=qf)
+    np.rint(qf, out=qf)
+    np.copyto(q, qf, casting="unsafe")
+    np.multiply(q, m, out=q)
+    np.multiply(acc, acc, out=acc)
+    np.subtract(acc, q, out=acc)
 
 
 def _fermat_base2(m):
@@ -561,10 +560,11 @@ def _fermat_base2(m):
 
     Below 2^50 the columns run in lockstep int64 arithmetic, in place: the
     exponent m - 1 is read in windows of 3 bits from the top, and each
-    window squares the residue three times (``_mulmod``) and then
-    multiplies it by 2^digit with a shift and one %. A residue below
-    m < 2^50 keeps acc * 2^7 < 2^57, so 3 is the widest window int64
-    holds. Above 2^50, one ``pow(2, m - 1, m)`` per Python int.
+    window squares the residue three times (``_square_mod``) and then
+    multiplies it by 2^digit with a shift and one %, which also brings it
+    into [0, m). A residue below m < 2^50 keeps acc * 2^7 < 2^57, so 3 is
+    the widest window int64 holds. Above 2^50, one ``pow(2, m - 1, m)``
+    per Python int.
     """
     passed = np.empty(len(m), dtype=bool)
     small = m < _MULMOD_INT64_LIMIT
@@ -573,12 +573,12 @@ def _fermat_base2(m):
     mod = m[small].astype(np.int64)
     e = mod - 1
     inv = 1.0 / mod
+    qf, q, digit = np.empty_like(inv), np.empty_like(e), np.empty_like(e)
     shift = 3 * ((int(e.max(initial=1)).bit_length() - 1) // 3)
     acc = np.left_shift(1, (e >> shift) & 7) % mod
-    digit = np.empty_like(e)
     for shift in range(shift - 3, -1, -3):
         for _ in range(3):
-            _mulmod(acc, acc, mod, inv, acc)
+            _square_mod(acc, mod, inv, qf, q)
         np.right_shift(e, shift, out=digit)
         digit &= 7
         acc <<= digit
