@@ -7,11 +7,13 @@ Every log-space sum is one Kahan pass in ascending p over natural logs
 from ``math.log`` (``np.log`` may differ in the last bit), which keeps
 every float, and so the CSV, byte-reproducible. A pass runs over chunks
 of at most ``CHUNK`` primes, carrying its running sum and compensation
-from chunk to chunk, so ``summarize`` holds one chunk of Python floats
-at a time. Each term, such as alpha * log p, is one float64 product in
+from chunk to chunk, so ``summarize`` holds the columns of one chunk at
+a time. Each term, such as alpha * log p, is one float64 product in
 numpy, the same IEEE multiply as Python's int * float, since every
-exponent is below 2^53. A sweep takes the log of each prime once: every
-ledger of a pass holds the primes of the one before it.
+exponent is below 2^53; the loop reads the column through a memoryview,
+which yields its floats one at a time. A sweep takes the log of each
+prime once: every ledger of a pass holds the primes of the one before
+it.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ def _summarize(ledger, logs):
     d = ledger.f.degree
     N = ledger.N
     small, linear = np.searchsorted(ledger.p, (N, ledger.B), side="right").tolist()
-    # the Kahan states of log_Q, log_QS, log_QLI, log_QL, log_L, log_rad
-    q = qs = qli = ql = l = rad = (0.0, 0.0)
+    # the Kahan state (s, c) of each sum, s being the sum
+    log_q = log_qs = log_qli = log_ql = log_l = log_rad = (0.0, 0.0)
     n_squareful = n_repeated = 0
     for lo in range(0, len(ledger.p), CHUNK):
         part = ledger.rows(lo, min(lo + CHUNK, len(ledger.p)))
@@ -83,26 +85,27 @@ def _summarize(ledger, logs):
         alpha = part.alpha
         # the chunk's terms in each zone: [0, a), [a, b) and [b, len)
         a, b = (min(max(x - lo, 0), len(lp)) for x in (small, linear))
-        # a memoryview yields the floats of a column, with no list
         terms = memoryview(alpha * lp)
-        q = _kahan_sum(terms, q)
-        qs = _kahan_sum(terms[:a], qs)
-        qli = _kahan_sum(terms[a:b], qli)
-        ql = _kahan_sum(terms[b:], ql)
-        l = _kahan_sum(memoryview(part.max_exp * lp), l)
-        rad = _kahan_sum(memoryview(lp), rad)
+        log_q = _kahan_sum(terms, log_q)
+        log_qs = _kahan_sum(terms[:a], log_qs)
+        log_qli = _kahan_sum(terms[a:b], log_qli)
+        log_ql = _kahan_sum(terms[b:], log_ql)
+        log_l = _kahan_sum(memoryview(part.max_exp * lp), log_l)
+        log_rad = _kahan_sum(memoryview(lp), log_rad)
         n_squareful += int(np.count_nonzero(alpha >= 2))
         n_repeated += int(np.count_nonzero(part.hit_count >= 2))
-    log_qs, log_l, log_rad = qs[0], l[0], rad[0]
+    log_q, log_qs, log_qli, log_ql, log_l, log_rad = (
+        s for s, _ in (log_q, log_qs, log_qli, log_ql, log_l, log_rad)
+    )
     log_n = math.log(N) if N >= 2 else 0.0
     norm = (d - 1) * N * log_n if d >= 2 else 0.0
     norm_qs = N * log_n
     return SweepRecord(
         N=N,
-        log_Q=q[0],
+        log_Q=log_q,
         log_QS=log_qs,
-        log_QLI=qli[0],
-        log_QL=ql[0],
+        log_QLI=log_qli,
+        log_QL=log_ql,
         log_L=log_l,
         log_rad=log_rad,
         ratio_L=log_l / norm if norm else math.nan,

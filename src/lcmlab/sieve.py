@@ -21,9 +21,10 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
   segments end at each checkpoint. Each level-1 progression n = r mod p
   is expanded into its hits and p is divided out again and again, which
   gives every v_p(g(n)) exactly. A progression carries its next n from
-  segment to segment, so a segment reads only those that hit it. At each checkpoint the layer vector
-  counted from these valuations must equal Leg 1's layers of g for every
-  prime, or the pass raises LedgerMismatch naming that N.
+  segment to segment, so a segment reads only those that hit it. At each
+  checkpoint the layer vector counted from these valuations must equal
+  Leg 1's layers of g for every prime, or the pass raises LedgerMismatch
+  naming that N.
 - Leg 3: what remains of each |g(n)| has only prime factors above B. A
   cofactor below B^2 is then prime; it must pass a base-2 Fermat test
   first, so that a prime Leg 1 missed cannot pass for one. The larger
@@ -72,7 +73,7 @@ class LedgerMismatch(RuntimeError):
 SEGMENT_SIZE = 1 << 16  # values of f held at once by Leg 2
 
 _INT64_LIMIT = 1 << 63  # integer columns below this are int64
-_MULMOD_INT64_LIMIT = 1 << 50  # the float-quotient mulmod is exact below
+_MULMOD_INT64_LIMIT = 1 << 50  # the float-quotient squaring is exact below
 
 
 @dataclass(frozen=True)
@@ -647,10 +648,11 @@ def _merge_hits(run, q, n):
     first[1:] = (q[1:] != q[:-1]) | (n[1:] != n[:-1])
     at = np.flatnonzero(first)
     e = np.diff(at, append=len(q))
+    e = e.astype(np.min_scalar_type(e.max(initial=0)))  # uint8 but for huge f(n)
     q, n = q[at], n[at]
     rq, rn, re = run
-    dtype = np.result_type(rq, q)
-    rq, q = rq.astype(dtype, copy=False), q.astype(dtype, copy=False)
+    rq, q = (x.astype(np.result_type(rq, q), copy=False) for x in (rq, q))
+    re, e = (x.astype(np.result_type(re, e), copy=False) for x in (re, e))
     at = np.searchsorted(rq, q, side="right")
     return np.insert(rq, at, q), np.insert(rn, at, n), np.insert(re, at, e)
 
@@ -667,7 +669,8 @@ def _group_run(q, n, e):
         np.bincount(group[e >= k], minlength=len(starts))
         for k in range(1, int(e.max(initial=0)) + 1)
     ]
-    return q[starts], Csr.from_levels(levels, len(starts)), Csr(np.append(starts, len(q)), n)
+    roots = Csr(np.append(starts, len(q)), n)
+    return q[starts], Csr.from_levels(levels, len(starts)), roots
 
 
 def build_ledger(f: IntPoly, N, seed=0, workers=1):
@@ -710,7 +713,7 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
     # the least n >= 1 of each level-1 progression r mod p
     prog = (p, np.where(r >= 1, r, p), np.repeat(np.arange(rows), per_root))
     levels = [np.zeros(rows, dtype=np.int64)]
-    run = (np.zeros(0, dtype=np.int64),) * 3
+    run = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=np.uint8),)
     lo = 1
     for n_max in schedule:
         while lo <= n_max:

@@ -48,15 +48,19 @@ class TestSummarize:
             assert 0 <= rec.n_repeated <= rec.n_squareful <= rec.n_primes
 
 
+def record_sums(rec):
+    return rec.log_Q, rec.log_QS, rec.log_QLI, rec.log_QL, rec.log_L, rec.log_rad
+
+
 def one_list_sums(ledger):
-    """(log_Q, log_QS, log_QLI, log_QL, log_L, log_rad) of a ledger, each
-    as one Kahan sum over one list of Python floats in ascending p."""
+    """The sums of ``record_sums`` for a ledger, each one Kahan sum over one
+    list of Python floats in ascending p."""
     logs = [math.log(p) for p in ledger.p.tolist()]
     contrib = [a * lp for a, lp in zip(ledger.alpha.tolist(), logs)]
     lcm = [m * lp for m, lp in zip(ledger.max_exp.tolist(), logs)]
     small, linear = np.searchsorted(ledger.p, (ledger.N, ledger.B), side="right")
-    parts = (contrib, contrib[:small], contrib[small:linear], contrib[linear:], lcm, logs)
-    return tuple(aggregate._kahan_sum(terms)[0] for terms in parts)
+    zones = (contrib[:small], contrib[small:linear], contrib[linear:])
+    return tuple(aggregate._kahan_sum(t)[0] for t in (contrib, *zones, lcm, logs))
 
 
 class TestChunkedKahan:
@@ -79,18 +83,13 @@ class TestChunkedKahan:
         # primes
         led = ledger_factory(F, 300)
         n = len(led.p)
-        want = one_list_sums(led)
         for chunk in (1, 7, n - 1, n, n + 1):
             monkeypatch.setattr(aggregate, "CHUNK", chunk)
-            rec = summarize(led)
-            got = (rec.log_Q, rec.log_QS, rec.log_QLI, rec.log_QL, rec.log_L, rec.log_rad)
-            assert got == want, chunk
-        for f, N, primes_held in (("x^2-1", 1, 0), ("x^2+1", 1, 1)):
+            assert record_sums(summarize(led)) == one_list_sums(led), chunk
+        for f, N, held in (("x^2-1", 1, 0), ("x^2+1", 1, 1)):
             led = sieve.build_ledger(parse_poly(f), N)
-            assert len(led.p) == primes_held
-            rec = summarize(led)
-            got = (rec.log_Q, rec.log_QS, rec.log_QLI, rec.log_QL, rec.log_L, rec.log_rad)
-            assert got == one_list_sums(led)
+            assert len(led.p) == held
+            assert record_sums(summarize(led)) == one_list_sums(led)
 
 
 class TestSweep:
@@ -103,12 +102,12 @@ class TestSweep:
             calls[x] += 1
             return math.log(x)
 
-        monkeypatch.setattr(aggregate, "math", types.SimpleNamespace(log=log, nan=math.nan))
+        counted = types.SimpleNamespace(log=log, nan=math.nan)
+        monkeypatch.setattr(aggregate, "math", counted)
         schedule = [1, 2, 10, 100, 101, 1000, 3000]
-        records, _ = sweep(F, schedule)
-        primes_held = sieve.build_ledger(F, schedule[-1]).p.tolist()
-        assert calls == collections.Counter(primes_held + schedule[1:])
-
+        sweep(F, schedule)
+        held = sieve.build_ledger(F, schedule[-1]).p.tolist()
+        assert calls == collections.Counter(held + schedule[1:])
 
     def test_ratio_trend_upward(self):
         records, gaps = sweep(F, [10, 100])
