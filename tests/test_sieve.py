@@ -306,6 +306,8 @@ class TestCheckpointPass:
             ("6x^2-6", [1, 2, 3, 7, 13, 14, 21, 63, 64, 100, 191, 300]),
             # Leg 3 factors cofactors above B^2 by rho
             ("x^5-x+1", [1, 3, 7, 8, 20, 49, 64, 70, 127, 128, 150]),
+            # values above 2^63: Python-int columns and Leg 3 primes
+            ("x^2+20000000000000000003", [1, 2, 7, 10, 14, 30, 64, 65, 100, 128]),
         ],
     )
     def test_checkpoints_across_segments(self, monkeypatch, poly, schedule, size):
