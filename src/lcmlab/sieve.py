@@ -215,7 +215,7 @@ class FactorLedger:
 
     def rows(self, lo, hi):
         """The rows lo .. hi - 1 of this ledger alone, as a FactorLedger of
-        the same (f, N): a part of the ledger, read without copies."""
+        the same (f, N) on slices of its columns."""
         return dataclasses.replace(
             self,
             p=self.p[lo:hi],
