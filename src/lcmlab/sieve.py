@@ -699,17 +699,16 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
     g = primitive_part(f)
     zeros = f.profile.integer_roots_in_range(N)
     cols = PrimeColumns.concat(_leg1(f.coeffs, B, N, zeros, seed, workers))
+    rows = len(cols.p)
+    per_root = cols.roots.lengths()
+    p, r = np.repeat(cols.p, per_root), cols.roots.values
     # the least checkpoint that holds each root r of p: N >= p / D, or,
     # as a hit of p, N >= r when r >= 1 is no integer zero of f
-    r = cols.roots.values
-    held = -(-np.repeat(cols.p, cols.roots.lengths()) // f.profile.D)
+    held = -(-p // f.profile.D)
     hit = (r >= 1) & ~np.isin(r, zeros)
     held[hit] = np.minimum(held[hit], r[hit])
 
     dtype = np.int64 if polynomial.value_bound(g, N) < _INT64_LIMIT else object
-    rows = len(cols.p)
-    per_root = cols.roots.lengths()
-    p = np.repeat(cols.p, per_root)
     # the least n >= 1 of each level-1 progression r mod p
     prog = (p, np.where(r >= 1, r, p), np.repeat(np.arange(rows), per_root))
     levels = [np.zeros(rows, dtype=np.int64)]
