@@ -7,7 +7,8 @@ and Python ints otherwise (``modulus_column``), by the same code.
 
 One kernel, ``_pow_columns``, raises x + a_i to e_i mod (g_i, p_i) for a
 column of primes at once, by square-and-multiply in numpy, and ``_powers``
-groups a matrix by degree for it; ``pow_mod`` is the same loop on numbers.
+groups a matrix by degree for it; ``pow_mod`` powers columns of numbers
+over 2-bit windows.
 ``_gcd`` is Euclid's algorithm in lockstep: each step cancels one leading
 term of every column whose a has degree >= deg b by pseudo-division
 (Knuth, TAOCP vol. 2, 4.6.1), so one inverse at the end makes it monic;
@@ -15,8 +16,9 @@ term of every column whose a has degree >= deg b by pseudo-division
 these run:
 
 - ``low_degree_roots``: the roots of monic columns of degree <= 2 in
-  closed form: Euler's criterion, then D^((p+1)/4) or Cipolla's square
-  root of the discriminant D;
+  closed form, with the square root of the discriminant by Tonelli-Shanks
+  (Shanks 1973) in lockstep, from nonresidues that quadratic reciprocity
+  gives without powering;
 - ``frobenius_root_poly``: gcd(x^p - x, g), from x^p mod (g, p);
 - ``roots_of_split``: the roots of columns of degree <= 2 or that split
   into distinct linear factors, by equal-degree splitting (Cantor &
@@ -29,6 +31,7 @@ these run:
 from __future__ import annotations
 
 import random
+from math import isqrt
 
 import numpy as np
 
@@ -42,10 +45,6 @@ _INT64_LIMIT = 1 << 63
 # about 1/4 for large p), so it survives this many rounds with probability
 # below 10^-32. A factor that does is not such a product.
 _SPLIT_ROUNDS = 64
-
-# Candidates t per lockstep round of Cipolla's search for a non-square
-# t^2 - a: about one column in 2^_CIPOLLA_TRIES needs a second round.
-_CIPOLLA_TRIES = 4
 
 
 def modulus_column(ms):
@@ -177,15 +176,20 @@ def _pow_columns(A, E, neg_low, P):
 
 def pow_mod(a, e, P):
     """a_i^e_i mod P_i for residue columns a and P (``modulus_column``) and
-    an exponent column e, by square-and-multiply in lockstep: the kernel's
-    powering of x + a mod g = x, without its polynomial bookkeeping. a may
-    hold several rows of columns, which share e and P."""
-    acc = np.ones_like(a)
-    if not acc.size:
-        return acc
-    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+    an exponent column e, in lockstep over 2-bit windows of e from the
+    top: two squarings, then one product with a_i^w_i, where w_i is the
+    window's digit, from a table of a^0 .. a^3. That is three products
+    per two bits, where square-and-multiply takes four."""
+    table = np.empty((4, len(a)), dtype=a.dtype)
+    table[0], table[1] = 1, a
+    np.remainder(a * a, P, out=table[2])
+    np.remainder(table[2] * a, P, out=table[3])
+    col = np.arange(len(a))
+    acc = table[0]
+    for shift in range(int(e.max(initial=0)).bit_length() - 1 & ~1, -1, -2):
         acc = acc * acc % P
-        acc = np.where((e >> bit) & 1 == 1, acc * a % P, acc)
+        acc = acc * acc % P
+        acc = acc * table[(e >> shift & 3).astype(np.int64), col] % P
     return acc
 
 
@@ -269,6 +273,9 @@ def roots_of_split(H, P, seed):
         H = np.concatenate((H[:, ~split], U[:, split], Q), axis=1)
         owner = np.concatenate((owner[~split], owner[split], owner[split]))
         rounds = np.concatenate((rounds[~split], 0 * du[split], 0 * du[split]))
+    if len(found) == 1:
+        # nothing was split: read off by column, each column's roots in order
+        return found[0]
     row, r = map(np.concatenate, zip(*found))
     order = np.lexsort((r, row))
     return row[order], r[order]
@@ -282,9 +289,9 @@ def low_degree_roots(c0, c1, quad, P):
     Returns (roots, count): column i has the count[i] roots
     roots[0, i] <= roots[1, i], or the one root roots[0, i]. A quadratic
     has 2, 1 or 0 roots as its discriminant D = c1^2 - 4*c0 is a nonzero
-    square, zero, or not a square (Euler's criterion); its roots are
-    (-c1 +- s)/2 for a square root s of D: D^((p+1)/4) when p = 3 mod 4,
-    and by Cipolla's method (``_cipolla``) when p = 1 mod 4.
+    square, zero, or not a square; its roots are (-c1 +- s)/2 for the
+    square root s of D from ``_square_roots`` (Tonelli-Shanks, with
+    nonresidues from quadratic reciprocity).
     """
     roots = np.zeros((2, len(P)), dtype=P.dtype)
     roots[0] = -c0 % P
@@ -294,41 +301,100 @@ def low_degree_roots(c0, c1, quad, P):
         return roots, count
     P, c0, c1 = P[q], c0[q], c1[q]
     disc = (c1 * c1 - 4 * c0) % P
-    euler = pow_mod(disc, (P - 1) // 2, P)
-    s = np.zeros_like(P)
-    three = np.flatnonzero((euler == 1) & (P % 4 == 3))
-    s[three] = pow_mod(disc[three], (P[three] + 1) // 4, P[three])
-    one = np.flatnonzero((euler == 1) & (P % 4 == 1))
-    s[one] = _cipolla(disc[one], P[one])
+    s, square = _square_roots(disc, P)
     half = (P + 1) // 2
-    lo, hi = (-c1 - s) % P * half % P, (s - c1) % P * half % P
+    lo, hi = (-c1 - s) * half % P, (s - c1) * half % P
     roots[0, q] = np.where(lo < hi, lo, hi)
     roots[1, q] = np.where(lo < hi, hi, lo)
-    count[q] = np.where(euler == 1, 2, np.where(disc == 0, 1, 0))
+    count[q] = np.where(square, 2, np.where(disc == 0, 1, 0))
     return roots, count
 
 
-def _cipolla(a, P):
-    """A square root of each nonzero square a_i mod the prime P_i = 1 mod 4
-    (Cipolla 1903): (t + x)^((p+1)/2) mod (x^2 - w, p), where w = t^2 - a
-    is not a square. t is the least such t >= 1. The candidates are tried
-    _CIPOLLA_TRIES at a time, in lockstep over the columns that have no t
-    yet; some t <= p is one, as (p - 1)/2 of the residues t are."""
-    t = np.zeros_like(P)
-    todo = np.arange(len(P))
-    start = 1
+def _square_roots(a, P):
+    """(s, square) for residue columns a mod the odd primes P: square[i]
+    is whether a_i is a nonzero square mod p_i, and then s_i^2 = a_i;
+    s_i = 0 where a_i = 0.
+
+    Tonelli-Shanks (Shanks 1973) in lockstep. With p - 1 = 2^e q, q odd,
+    one ladder gives u = a^((q-1)/2), x = a u and b = x u = a^q. At e = 1,
+    a is a square iff b = 1, and x is its root. At e >= 2, a is a square
+    iff b^(2^(e-1)) = 1, by squarings. Only the squares with b != 1 run
+    the loop, on c = z^q, of order 2^e, for the nonresidue z of
+    ``_nonresidues``: while b has order 2^i > 1, x is multiplied by
+    c^(2^(e-i-1)) and b by its square, which lowers the order of b; a
+    step that does not, which no prime allows, raises ArithmeticError. The
+    powers c^(2^j) are squared once, before the loop.
+    """
+    m = P - 1
+    low = m & -m
+    q = m // low
+    if P.dtype == object:
+        e = np.array([v.bit_length() for v in (low - 1).tolist()], dtype=np.int64)
+    else:
+        e = np.bitwise_count(low - 1).astype(np.int64)
+    u = pow_mod(a, (q - 1) // 2, P)
+    x = a * u % P
+    b = x * u % P
+    square = b == 1
+    deep = np.flatnonzero(e >= 2)
+    i = _order_log(b[deep], e[deep], P[deep])
+    square[deep] = i < e[deep]
+    go = square[deep] & (i > 0)
+    live, i = deep[go], i[go]
+    p, b, e = P[live], b[live], e[live]
+    tower = [pow_mod(_nonresidues(p), q[live], p)]
+    for _ in range(1, e.max(initial=1)):
+        tower.append(tower[-1] * tower[-1] % p)
+    tower = np.stack(tower)
+    col = np.arange(len(live))
+    while len(live):
+        x[live] = x[live] * tower[e - i - 1, col] % p
+        b = b * tower[e - i, col] % p
+        last, i = i, _order_log(b, i, p)
+        if (stalled := i == last).any():
+            raise ArithmeticError(f"Tonelli-Shanks stalled mod {p[np.argmax(stalled)]}")
+        more = i > 0
+        live, col, p, b, e, i = (v[more] for v in (live, col, p, b, e, i))
+    return x, square
+
+
+def _order_log(b, e, P):
+    """The least i < e_i with b_i^(2^i) = 1 mod p_i for each column, or
+    e_i where there is none: how many of b_i, b_i^2, b_i^4, ... come
+    before the first 1, at most e_i, with every column squared in
+    lockstep."""
+    i = (b != 1).astype(np.int64)
+    for _ in range(1, int(e.max(initial=0))):
+        b = b * b % P
+        i += b != 1
+    return np.minimum(i, e)
+
+
+def _nonresidues(P):
+    """A quadratic nonresidue mod each odd prime of the column P, found by
+    quadratic reciprocity, with no powering: 2 where p = 3 or 5 mod 8, and
+    otherwise the least odd prime l with p mod l a nonsquare mod l, whose
+    symbol (l/p) = (p/l) (-1)^((p-1)/2 (l-1)/2) makes it a nonresidue, or
+    -l where p = l = 3 mod 4.
+
+    The odd primes l are tried in turn, each with its table of squares
+    built here, until every column has one."""
+    z = np.zeros_like(P)
+    z[(P % 8 == 3) | (P % 8 == 5)] = 2
+    todo = np.flatnonzero(z == 0)
+    l = 1
     while len(todo):
-        cand = np.arange(start, start + _CIPOLLA_TRIES).astype(P.dtype)[:, None]
+        l += 2
+        if any(l % r == 0 for r in range(3, isqrt(l) + 1, 2)):
+            continue
+        squares = np.zeros(l, dtype=bool)
+        squares[np.arange(l) ** 2 % l] = True
         p = P[todo]
-        w = (cand * cand - a[todo]) % p
-        nonsquare = pow_mod(w, (p - 1) // 2, p) == p - 1
-        first = np.argmax(nonsquare, axis=0)
-        found = nonsquare.any(axis=0)
-        t[todo[found]] = cand[first[found], 0]
+        found = ~squares[(p % l).astype(np.int64)]
+        p = p[found]
+        z[todo[found]] = np.where((p % 4 == 3) & (l % 4 == 3), p - l, l)
         todo = todo[~found]
-        start += _CIPOLLA_TRIES
-    neg_low = np.stack(((t * t - a) % P, np.zeros_like(P)))
-    return _pow_columns(t, (P + 1) // 2, neg_low, P)[0]
+    return z
 
 
 def is_irreducible(f, ps):

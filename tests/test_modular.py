@@ -430,7 +430,9 @@ def brute_lifts(f, p, k):
 class TestClosedForm:
     """gfpoly.low_degree_roots, the one root finder for degree <= 2, alone
     and behind roots_mod_primes, against brute force and the per-prime
-    Tonelli-Shanks reference."""
+    Tonelli-Shanks reference; its lockstep Tonelli-Shanks square root and
+    the nonresidues it takes from quadratic reciprocity, against brute
+    force and pow."""
 
     @pytest.mark.parametrize("poly", ["x^2+1", "x^2+x+1", "x^2-2"])
     def test_every_odd_prime_below_3000(self, poly):
@@ -471,9 +473,9 @@ class TestClosedForm:
                 assert rs.simple_flags == (simple,) * len(rs.roots), (p, k)
 
     def test_every_square_mod_primes_1_mod_8(self):
-        # p = 1 mod 8 has no fixed small non-square, so Cipolla's search
-        # for a non-square t^2 - a takes the most rounds; every nonzero
-        # square a of each such p below 3000 is one column here
+        # p = 1 mod 8 has no fixed small nonresidue, so Tonelli-Shanks takes
+        # its z from the reciprocity search; every nonzero square a of each
+        # such p below 3000 is one column here
         ps = [p for p in ODD_PRIMES if p % 8 == 1]
         assert len(ps) > 100
         col_p, col_a, col_root = [], [], []
@@ -491,13 +493,80 @@ class TestClosedForm:
         assert (count == 2).all()
         assert roots[0].tolist() == col_root
         assert (roots[1] == P - roots[0]).all()
-        # some columns needed a second round of candidates
-        t = np.ones(len(P), dtype=np.int64)
-        for _ in range(gfpoly._CIPOLLA_TRIES):
-            bad = np.array([pow(int((x * x - y) % p), (p - 1) // 2, p) != p - 1
-                            for x, y, p in zip(t, col_a, col_p)])
-            t += bad
-        assert bad.any()
+
+    @pytest.mark.parametrize(
+        "p, e",
+        [(3, 1), (5, 2), (17, 4), (97, 5), (193, 6), (257, 8), (7681, 9),
+         (12289, 12), (40961, 13), (65537, 16)],
+    )
+    def test_every_residue_mod_primes_of_each_two_adic_order(self, p, e):
+        # p - 1 = 2^e q: the loop runs as many levels deep as e allows
+        assert (p - 1) & (1 - p) == 2**e
+        P = gfpoly.modulus_column([p] * p)
+        a = np.arange(p)
+        roots, count = gfpoly.low_degree_roots(-a % P, 0 * a, np.ones(p, bool), P)
+        # the least x with x^2 = a, for each square a
+        squares, least = np.unique(a * a % p, return_index=True)
+        expected = np.zeros(p, dtype=np.int64)
+        expected[squares] = np.where(squares == 0, 1, 2)
+        assert count.tolist() == expected.tolist()
+        assert (roots[0, squares] == least).all()
+        two = np.flatnonzero(count == 2)
+        assert (roots[1, two] == p - roots[0, two]).all()
+
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            # e = 18, 20, 21, 22, 25, 26 and 27, in one int64 column
+            [786433, 7340033, 23068673, 104857601, 167772161, 469762049,
+             2013265921],
+            # e = 30, above 2^31: a Python-int column
+            [3221225473],
+        ],
+    )
+    def test_sampled_residues_mod_deep_primes(self, ps):
+        rng = random.Random(ps[0])
+        col_p, col_a = [], []
+        for p in ps:
+            # squares of random x, whose a^q take orders up to 2^(e-1),
+            # random residues (about half of them not squares), and 0, 1, -1
+            col_a += [rng.randrange(p) ** 2 % p for _ in range(300)]
+            col_a += [rng.randrange(p) for _ in range(100)] + [0, 1, p - 1]
+            col_p += [p] * 403
+        P = gfpoly.modulus_column(col_p)
+        assert P.dtype == (object if ps[0] > 2**31 else np.int64)
+        a = np.array(col_a, dtype=P.dtype)
+        roots, count = gfpoly.low_degree_roots(-a % P, 0 * a, np.ones(len(P), bool), P)
+        for p, x, n, r0, r1 in zip(col_p, col_a, count.tolist(), *roots.tolist()):
+            assert n == (1 if x == 0 else 2 if pow(x, (p - 1) // 2, p) == 1 else 0)
+            if n:
+                assert r0 * r0 % p == x and r0 <= r1 == (p - r0) % p, (p, x)
+
+    def test_stalled_loop_raises(self):
+        # 21 = 5 mod 8 takes z = 2, which is a square mod 7, so c = z^q has
+        # too low an order for the loop to lower that of b
+        P = gfpoly.modulus_column([21] * 21)
+        a = np.arange(21)
+        with pytest.raises(ArithmeticError, match="stalled mod 21"):
+            gfpoly.low_degree_roots(-a % P, 0 * a, np.ones(21, bool), P)
+
+    def test_nonresidues_from_reciprocity(self):
+        ps = sieve_primes(10**5)[1:]
+        z = gfpoly._nonresidues(gfpoly.modulus_column(ps)).tolist()
+        assert all(pow(x, (p - 1) // 2, p) == p - 1 for x, p in zip(z, ps))
+        # at p = 1 mod 8 it is the least odd nonresidue, at most 29 here
+        least = [
+            next(y for y in range(3, p, 2) if pow(y, (p - 1) // 2, p) == p - 1)
+            for p in ps
+            if p % 8 == 1
+        ]
+        assert [x for x, p in zip(z, ps) if p % 8 == 1] == least
+        assert max(least) == 29
+        # least odd nonresidues 47, 53 and 59, found in a Python-int column
+        # too
+        far = [3818929, 9257329, 22000801]
+        for P in (gfpoly.modulus_column(far), np.array(far, dtype=object)):
+            assert gfpoly._nonresidues(P).tolist() == [47, 53, 59]
 
     @pytest.mark.parametrize("poly", ["x^2+1", "x^2+x+1", "x^2-2", "3x^2+5x+7"])
     def test_python_int_columns(self, poly):
