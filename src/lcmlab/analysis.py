@@ -161,8 +161,11 @@ def complete_homogeneous(s, points):
 
 def divided_difference_A(f: IntPoly, points):
     """The divided-difference integer A for f at t distinct points,
-    computed two ways (exact rational defining sum and the complete
-    homogeneous symmetric expansion) and cross-asserted."""
+    computed two ways and cross-asserted: the defining sum
+    sum_j f(m_j) / prod_{k != j} (m_j - m_k), over the common denominator
+    L = lcm of its denominators, with one divmod by L; and the complete
+    homogeneous symmetric expansion. A Fraction is built only to word the
+    NonIntegral raised when L does not divide the sum."""
     points = list(points)
     t = len(points)
     d = f.degree
@@ -170,24 +173,24 @@ def divided_difference_A(f: IntPoly, points):
         raise ValueError(f"need 2 <= t <= d+1 points, got {t}")
     if len(set(points)) != t:
         raise ValueError("points must be distinct")
-    direct = Fraction(0)
-    for j, mj in enumerate(points):
-        denom = 1
-        for k, mk in enumerate(points):
-            if k != j:
-                denom *= mj - mk
-        direct += Fraction(f.eval(mj), denom)
+    denoms = [
+        math.prod(mj - mk for k, mk in enumerate(points) if k != j)
+        for j, mj in enumerate(points)
+    ]
+    L = math.lcm(*denoms)
+    total = sum(f.eval(m) * (L // den) for m, den in zip(points, denoms))
+    direct, rest = divmod(total, L)
     i = d - t + 1  # expansion truncates at ell >= d - i
     expansion = 0
     for ell in range(d - i, d + 1):
         expansion += f.coeffs[ell] * complete_homogeneous(ell - (d - i), points)
-    if direct.denominator != 1:
-        raise NonIntegral(f"A = {direct} at points {points}")
+    if rest:
+        raise NonIntegral(f"A = {Fraction(total, L)} at points {points}")
     if direct != expansion:
         raise NonIntegral(
             f"routes disagree: {direct} vs {expansion} at points {points}"
         )
-    return int(direct)
+    return direct
 
 
 def harvest_divisibility_tuples(ledger: FactorLedger, above, limit=200):
@@ -261,20 +264,20 @@ def check_amgm_ratio(d, i, ell, points) -> VerificationReport:
     if s == 0:
         # numerator h_0 = 1 vs denominator t: the bracket presumes s > 0
         return _finish(report, applicable=False)
+    # the ratio num/den against the sharp bound C/t, compared as integers;
+    # int / int is correctly rounded, as float(Fraction) is
     num = complete_homogeneous(s, points)
     den = sum(m**s for m in points)
-    ratio = Fraction(num, den)
-    sharp = Fraction(comb(ell, d - i), d - i + 1)
-    report.empirical_constants["ratio"] = float(ratio)
-    report.empirical_constants["sharp_bound"] = float(sharp)
-    if ratio < 1:
-        report.violations.append((tuple(points), "ratio >= 1", float(ratio), 1))
-    if ratio > sharp:
-        report.violations.append(
-            (tuple(points), "ratio <= sharp", float(ratio), float(sharp))
-        )
-    if sharp > 2**d:
-        report.violations.append(("-", "sharp <= 2^d", float(sharp), 2**d))
+    C = comb(ell, d - i)
+    ratio, sharp = num / den, C / t
+    report.empirical_constants["ratio"] = ratio
+    report.empirical_constants["sharp_bound"] = sharp
+    if num < den:
+        report.violations.append((tuple(points), "ratio >= 1", ratio, 1))
+    if num * t > C * den:
+        report.violations.append((tuple(points), "ratio <= sharp", ratio, sharp))
+    if C > 2**d * t:
+        report.violations.append(("-", "sharp <= 2^d", sharp, 2**d))
     return _finish(report)
 
 

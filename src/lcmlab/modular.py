@@ -114,7 +114,10 @@ def roots_mod_primes(f: IntPoly, primes, seed=0):
     """The level-1 RootColumns of f at the primes of ``primes``.
 
     Roots are sorted and do not depend on ``seed``, which only drives the
-    random splitting of gcds of degree >= 3. A prime that divides every
+    random splitting of gcds of degree >= 3: ``gfpoly.roots_of_split``
+    returns the odd primes' roots sorted by column and root, and the roots
+    of 2 go in at its column, with no sort. The ledger's blocks ascend, so
+    there 2 is column 0 and its roots go first. A prime that divides every
     coefficient of f raises ValueError.
     """
     P = gfpoly.modulus_column(primes)
@@ -128,13 +131,11 @@ def roots_mod_primes(f: IntPoly, primes, seed=0):
         H[:, high] = gfpoly.frobenius_root_poly(H[:, high], P[odd[high]])
     row, r = gfpoly.roots_of_split(H, P[odd], seed)
     # one (column, root) pair per root
-    found = [(odd[row], r)]
-    for i in np.flatnonzero(P == 2):
-        two = [r for r in (0, 1) if f.eval(r) % 2 == 0]
-        found.append((np.full(len(two), i), np.array(two, dtype=P.dtype)))
-    row, r = map(np.concatenate, zip(*found))
-    order = np.lexsort((r, row))
-    row, r = row[order], r[order]
+    row = odd[row]
+    for i in np.flatnonzero(P == 2).tolist():
+        two = [x for x in (0, 1) if f.eval(x) % 2 == 0]
+        at = np.searchsorted(row, i)
+        row, r = np.insert(row, at, [i] * len(two)), np.insert(r, at, two)
     _, der = _horner(C[:, row], r, P[row])
     r = r.astype(power_dtype(P, 1))
     return RootColumns(p=P, k=1, row=row, r=r, simple=der != 0)

@@ -5,11 +5,13 @@ every run is reproducible.
 
 ``factorize_lanes`` is the one factorizer: it splits a column of cofactors
 in rounds, each on every part left. Miller-Rabin and Brent's rho run in
-lanes on the parts below 2^63, on Montgomery products of 32-bit limbs
-written into preallocated uint64 rows; the last walks, and the walks on
-larger parts, finish in the scalar walk, in packs whose walks step
-together as one walk modulo the product of their moduli (Chinese
-remainder theorem). ``factorize`` is its call on one value.
+lanes on the parts below 2^63, with products written into preallocated
+uint64 rows: a batch whose moduli are all below 2^50 takes the
+float-quotient product (``float_product``), and only a batch that reaches
+[2^50, 2^63) takes Montgomery products of 32-bit limbs. The last walks,
+and the walks on larger parts, finish in the scalar walk, in packs whose
+walks step together as one walk modulo the product of their moduli
+(Chinese remainder theorem). ``factorize`` is its call on one value.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ class FactorTimeout(RuntimeError):
 
 _SEGMENT_SPAN = 1 << 22  # numbers per sieve segment
 _INT64_LIMIT = 1 << 63  # parts below this run in lanes
+FLOAT_PRODUCT_LIMIT = 1 << 50  # float_product is exact for moduli below
 
 # Deterministic Miller-Rabin witness set, valid for all n < 2^64.
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -273,6 +276,9 @@ def factorize(n, seed=0):
 # of a round), a pack's 0.19-0.22 us a walk (0.08-0.09): the crossover is
 # 140-190 walks. The cofactors of x^5-x+1 at N = 6000 and x^3+2 at
 # N = 5000 took 1.40 s at 128, 1.49-1.52 s at 96, 192 and 256 (best of 5).
+# These timings, and PACK's and _MR_CHUNK's, were taken with every lane on
+# Montgomery products, before the float-quotient product served moduli
+# below 2^50.
 LANES = 128
 # Walks per pack: the same cofactors took 1.82, 1.53, 1.47, 1.45, 1.46 and
 # 1.59 s with 1, 2, 3, 4, 6 and 8 (bigint division grows quadratically).
@@ -381,36 +387,107 @@ class _Montgomery:
         return self.mul(a, np.ones_like(a))
 
 
+def float_product(a, b, m, inv, out, qf, q):
+    """a * b - rint(a * b * inv) * m into ``out``, which is a * b mod m up
+    to sign: for integer columns with |a|, |b| < m, moduli
+    m < FLOAT_PRODUCT_LIMIT and inv = 1/m in float64, it lies in (-m, m).
+    b, m and inv may broadcast against a, and out may be an operand; qf
+    and q are float64 and integer scratch arrays of out's shape.
+
+    The quotient a * b / m, taken in float64, is within 3/8 of its true
+    value, which is below 2^50, so rounded to the nearest integer q it
+    leaves a * b - q * m in (-m, m). The products are computed with
+    wrapping, and the bits are the same in int64 and uint64, so signed
+    and unsigned columns share this product.
+    """
+    np.multiply(a, b, out=qf, dtype=np.float64)
+    qf *= inv
+    np.rint(qf, out=qf)
+    np.copyto(q, qf, casting="unsafe")
+    q *= m
+    np.multiply(a, b, out=out)
+    return np.subtract(out, q, out=out)
+
+
+@dataclass(frozen=True, eq=False)
+class _FloatQuotient:
+    """Arithmetic modulo a uint64 column n of moduli below
+    FLOAT_PRODUCT_LIMIT, one lane each, with _Montgomery's interface: mul
+    is float_product brought into [0, n), and every number is its own
+    form."""
+
+    n: np.ndarray
+    inv: np.ndarray  # 1/n in float64
+
+    @classmethod
+    def of(cls, n):
+        return cls(n, 1.0 / n)
+
+    def take(self, i):
+        """The arithmetic of the lanes i, an index, mask or slice."""
+        return _FloatQuotient(self.n[i], self.inv[i])
+
+    @functools.cached_property
+    def _scratch(self):
+        """float64 and uint64 scratch for operands of one row (ndim 1) or
+        two."""
+        qf, q = np.empty((2, len(self.n))), np.empty((2, len(self.n)), np.uint64)
+        return {1: (qf[0], q[0]), 2: (qf, q)}
+
+    def mul(self, a, b, out=None):
+        """a * b mod n; b may broadcast against a."""
+        out = np.empty_like(a) if out is None else out
+        qf, q = self._scratch[a.ndim]
+        float_product(a, b, self.n, self.inv, out, qf, q)
+        # a result in (-n, 0) wrapped to out + 2^64, and adding n takes it
+        # below n; one in [0, n) stays the smaller
+        return np.minimum(out, np.add(out, self.n, out=q), out=out)
+
+    def to_form(self, a):
+        return a
+
+    from_form = to_form
+
+
+def _lane_arithmetic(n):
+    """The lane arithmetic modulo the uint64 column n of odd moduli below
+    2^63: _FloatQuotient when the largest is below FLOAT_PRODUCT_LIMIT,
+    _Montgomery otherwise."""
+    small = n.max(initial=0) < FLOAT_PRODUCT_LIMIT
+    return (_FloatQuotient if small else _Montgomery).of(n)
+
+
 def _probable_primes(n):
     """Whether each n of a uint64 column is prime, by is_probable_prime's
     Miller-Rabin in lanes. Every n is odd, below 2^63, and has no prime
     factor in _TINY_PRIMES.
 
-    Base 2 runs on every n of a chunk first. The n that pass it need the
-    next k - 1 witnesses of the prefix _MR_EXACT_BELOW gives them; all
-    those (n, base) pairs are one lane call, and an n is prime when every
-    one of its pairs passes."""
+    Each chunk of _MR_CHUNK values takes its own lane arithmetic
+    (_lane_arithmetic). Base 2 runs on every n of a chunk first. The n
+    that pass it need the next k - 1 witnesses of the prefix
+    _MR_EXACT_BELOW gives them; all those (n, base) pairs are one lane
+    call, and an n is prime when every one of its pairs passes."""
     prime = np.zeros(len(n), dtype=bool)
     bounds = np.array(_MR_EXACT_BELOW[:-1], dtype=np.uint64)
     witnesses = np.array(_MR_WITNESSES_64, dtype=np.uint64)
     for lo in range(0, len(n), _MR_CHUNK):
-        mont = _Montgomery.of(n[lo : lo + _MR_CHUNK])
-        passed = _strong_probable_primes(mont, np.full_like(mont.n, 2))
+        arith = _lane_arithmetic(n[lo : lo + _MR_CHUNK])
+        passed = _strong_probable_primes(arith, np.full_like(arith.n, 2))
         rest = np.flatnonzero(passed)
-        more = np.searchsorted(bounds, mont.n[rest], side="right")
-        # pair j of n = mont.n[rest[i]] tests base witnesses[1 + j], j < more[i]
+        more = np.searchsorted(bounds, arith.n[rest], side="right")
+        # pair j of n = arith.n[rest[i]] tests base witnesses[1 + j], j < more[i]
         i = np.repeat(np.arange(len(rest)), more)
         j = np.arange(len(i)) - np.repeat(np.cumsum(more) - more, more)
-        ok = _strong_probable_primes(mont.take(rest[i]), witnesses[1 + j])
+        ok = _strong_probable_primes(arith.take(rest[i]), witnesses[1 + j])
         passed[rest] = np.bincount(i, weights=ok, minlength=len(rest)) == more
         prime[lo : lo + _MR_CHUNK] = passed
     return prime
 
 
-def _strong_probable_primes(mont, base):
-    """Whether each n of the lanes of ``mont`` is a strong probable prime
+def _strong_probable_primes(arith, base):
+    """Whether each n of the lanes of ``arith`` is a strong probable prime
     to its base, for a uint64 column base of their length."""
-    n = mont.n
+    n = arith.n
     d, s = n - 1, np.zeros(len(n), dtype=np.int64)
     while (even := (d & _1) == 0).any():
         d[even] >>= _1
@@ -418,19 +495,19 @@ def _strong_probable_primes(mont, base):
     # base^d by square-and-multiply from the low bit: [acc, base] times
     # base is one product on two rows of lanes, and acc keeps its old
     # value where the low bit of d, shifted once a step, is 0
-    acc = mont.to_form(np.stack((np.ones_like(n), base)))
+    acc = arith.to_form(np.stack((np.ones_like(n), base)))
     one = acc[0].copy()
     minus_one = n - one
     prod = np.empty_like(acc)
     for _ in range(int(d.max(initial=0)).bit_length()):
-        mont.mul(acc, acc[1], out=prod)
+        arith.mul(acc, acc[1], out=prod)
         np.copyto(prod[0], acc[0], where=d & _1 == 0)
         d >>= _1
         acc, prod = prod, acc
     x = acc[0]
     passed = (x == one) | (x == minus_one)
     for i in range(1, int(s.max(initial=0))):
-        mont.mul(x, x, out=x)
+        arith.mul(x, x, out=x)
         passed |= (x == minus_one) & (i < s)
     return passed
 
@@ -444,28 +521,29 @@ def _brent_lanes(n, draws, max_iters):
     stops at the gcd that finds its factor; one that ends at g == n
     backtracks from its chunk's first y (_backtrack). Once fewer than
     LANES lanes go on, their states go to _brent_walks, which finishes the
-    same walks.
+    same walks. The lane arithmetic (_lane_arithmetic) is chosen once, by
+    the largest n.
     """
     factor = np.zeros_like(n)
     live = np.arange(len(n))
-    mont = _Montgomery.of(n)
+    arith = _lane_arithmetic(n)
     # the lanes' rows, compacted together: d = x - y mod n, the walk y, q,
     # the round's fixed point x, c, scratch and the chunk's first y
     w = np.ones((7, len(n)), dtype=np.uint64)
-    w[3:5] = mont.to_form(draws)
+    w[3:5] = arith.to_form(draws)
     d, y, q, x, c, t, ys = w
 
     def step(a, b):  # a * b into a, then y + c mod n
-        mont.mul(a, b, out=a)
+        arith.mul(a, b, out=a)
         np.add(y, c, out=y)
-        np.minimum(y, np.subtract(y, mont.n, out=t), out=y)
+        np.minimum(y, np.subtract(y, arith.n, out=t), out=y)
 
     def diff():
         np.subtract(x, y, out=d)
-        np.minimum(d, np.add(d, mont.n, out=t), out=d)
+        np.minimum(d, np.add(d, arith.n, out=t), out=d)
 
-    # q stays out of Montgomery form: its product with x - y in form is
-    # q * (x - y) mod n. A step of the second half is one product on two
+    # q stays out of form (Montgomery's; in _FloatQuotient every number is
+    # its own form): its product with x - y in form is q * (x - y) mod n. A step of the second half is one product on two
     # rows of lanes, [y, q] times [y, x - y], which squares y and
     # multiplies q by x - y for the same y, so each chunk starts with one
     # more step of y and ends with one more factor of q.
@@ -489,23 +567,23 @@ def _brent_lanes(n, draws, max_iters):
             diff()
             step(yq, yd)
         diff()
-        mont.mul(q, d, out=q)
+        arith.mul(q, d, out=q)
         k += 128
-        g = np.gcd(q, mont.n)
+        g = np.gcd(q, arith.n)
         done = g != 1
         if done.any():
             if iters + r <= max_iters:
-                back = np.flatnonzero(g == mont.n)
+                back = np.flatnonzero(g == arith.n)
                 if len(back):
-                    sub = mont.take(back)
+                    sub = arith.take(back)
                     rows = (sub.from_form(v[back]).tolist() for v in (c, x, ys))
                     g[back] = list(map(_backtrack, sub.n.tolist(), *rows))
-                g[g == mont.n] = 0
+                g[g == arith.n] = 0
                 factor[live[done]] = g[done]
             keep = ~done
-            live, mont, w = live[keep], mont.take(keep), w[:, keep]
+            live, arith, w = live[keep], arith.take(keep), w[:, keep]
             d, y, q, x, c, t, ys = w
-    state = (mont.n, mont.from_form(c), mont.from_form(x), mont.from_form(y), q)
+    state = (arith.n, *map(arith.from_form, (c, x, y)), q)
     walks = list(zip(*(a.tolist() for a in state)))
     factor[live] = [g or 0 for g in _brent_walks(walks, r, k, iters, max_iters)]
     return factor
@@ -517,7 +595,7 @@ def factorize_lanes(ms, seed):
     owner indexes ms, and prime has the dtype of ms.
 
     The primes of _TINY_PRIMES are divided out first, 2 included, so the
-    Montgomery arithmetic sees odd moduli only. Then each round takes
+    lane arithmetic sees odd moduli only. Then each round takes
     every part left. Miller-Rabin runs in lanes (_probable_primes) on the
     parts below 2^63 when there are at least LANES of them, and part by
     part (is_probable_prime) otherwise. Rho attempt a on a composite m

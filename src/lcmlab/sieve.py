@@ -30,8 +30,9 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
   first, so that a prime Leg 1 missed cannot pass for one. The larger
   cofactors of a segment, int64 or Python ints, are factored in one call
   of ``primes.factorize_lanes``: Miller-Rabin and Brent's rho in rounds
-  over every part left, in lockstep lanes of exact uint64 Montgomery
-  arithmetic below 2^63, and in packs of the scalar walk, each a single
+  over every part left, in lockstep lanes of exact uint64 arithmetic
+  below 2^63 (float quotients when a batch is below 2^50, Montgomery
+  products otherwise), and in packs of the scalar walk, each a single
   walk modulo the product of its moduli, for the last walks and the
   larger parts. Each prime factor q of the cofactor of n is one (q, n)
   row, repeated with its multiplicity. A segment's rows are sorted once
@@ -73,7 +74,6 @@ class LedgerMismatch(RuntimeError):
 SEGMENT_SIZE = 1 << 16  # values of f held at once by Leg 2
 
 _INT64_LIMIT = 1 << 63  # integer columns below this are int64
-_MULMOD_INT64_LIMIT = 1 << 50  # the float-quotient squaring is exact below
 
 
 @dataclass(frozen=True)
@@ -537,38 +537,21 @@ def _divide_segment(values, lo, prog, levels):
         k += 1
 
 
-def _square_mod(acc, m, inv, qf, q):
-    """acc = acc^2 mod m in place, up to sign: for int64 residues |acc| < m,
-    moduli m < 2^50 and inv = 1/m in float64, it leaves |acc| < m. ``qf``
-    and ``q`` are float64 and int64 scratch rows as long as acc.
-
-    The quotient acc^2/m, taken in float64, is within 3/8 of its true
-    value, so rounded to the nearest integer q it leaves acc^2 - q*m,
-    computed with wrapping, in (-m, m). A residue of either sign squares
-    to the same value, so no step here makes it nonnegative.
-    """
-    np.multiply(acc, acc, out=qf, dtype=np.float64)
-    np.multiply(qf, inv, out=qf)
-    np.rint(qf, out=qf)
-    np.copyto(q, qf, casting="unsafe")
-    np.multiply(q, m, out=q)
-    np.multiply(acc, acc, out=acc)
-    np.subtract(acc, q, out=acc)
-
-
 def _fermat_base2(m):
     """Whether 2^(m-1) = 1 mod m, for each m > 2 of an integer array.
 
     Below 2^50 the columns run in lockstep int64 arithmetic, in place: the
     exponent m - 1 is read in windows of 3 bits from the top, and each
-    window squares the residue three times (``_square_mod``) and then
-    multiplies it by 2^digit with a shift and one %, which also brings it
-    into [0, m). A residue below m < 2^50 keeps acc * 2^7 < 2^57, so 3 is
-    the widest window int64 holds. Above 2^50, one ``pow(2, m - 1, m)``
-    per Python int.
+    window squares the residue three times (``primes.float_product``,
+    which leaves it in (-m, m): a residue of either sign squares to the
+    same value, so no step makes it nonnegative) and then multiplies it by
+    2^digit with a shift and one %, which also brings it into [0, m). A
+    residue below m < 2^50 keeps acc * 2^7 < 2^57, so 3 is the widest
+    window int64 holds. Above 2^50, one ``pow(2, m - 1, m)`` per Python
+    int.
     """
     passed = np.empty(len(m), dtype=bool)
-    small = m < _MULMOD_INT64_LIMIT
+    small = m < primes.FLOAT_PRODUCT_LIMIT
     big = np.flatnonzero(~small)
     passed[big] = [pow(2, x - 1, x) == 1 for x in m[big].tolist()]
     mod = m[small].astype(np.int64)
@@ -579,7 +562,7 @@ def _fermat_base2(m):
     acc = np.left_shift(1, (e >> shift) & 7) % mod
     for shift in range(shift - 3, -1, -3):
         for _ in range(3):
-            _square_mod(acc, mod, inv, qf, q)
+            primes.float_product(acc, acc, mod, inv, acc, qf, q)
         np.right_shift(e, shift, out=digit)
         digit &= 7
         acc <<= digit

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcmlab import analysis
 from lcmlab.analysis import (
     NonIntegral,
     check_amgm_ratio,
@@ -28,6 +30,59 @@ from conftest import TEST_POLYS
 
 F = parse_poly("x^2+1")
 F3 = parse_poly("x^3+2")
+
+
+def fraction_A(f, points):
+    """The reference for divided_difference_A: its defining sum added in
+    Fractions, with the same checks and NonIntegral messages."""
+    direct = Fraction(0)
+    for j, mj in enumerate(points):
+        denom = 1
+        for k, mk in enumerate(points):
+            if k != j:
+                denom *= mj - mk
+        direct += Fraction(f.eval(mj), denom)
+    t = len(points)
+    expansion = sum(
+        f.coeffs[ell] * complete_homogeneous(ell - (t - 1), points)
+        for ell in range(t - 1, f.degree + 1)
+    )
+    if direct.denominator != 1:
+        raise NonIntegral(f"A = {direct} at points {points}")
+    if direct != expansion:
+        raise NonIntegral(
+            f"routes disagree: {direct} vs {expansion} at points {points}"
+        )
+    return int(direct)
+
+
+def fraction_amgm(d, i, ell, points):
+    """The reference for check_amgm_ratio at s > 0: its constants and
+    violations from the Fractions ratio and sharp bound, with h and the
+    binomial read from ``analysis`` as it reads them."""
+    s, t = ell - (d - i), d - i + 1
+    num = analysis.complete_homogeneous(s, points)
+    ratio = Fraction(num, sum(m**s for m in points))
+    sharp = Fraction(analysis.comb(ell, d - i), t)
+    violations = []
+    if ratio < 1:
+        violations.append((tuple(points), "ratio >= 1", float(ratio), 1))
+    if ratio > sharp:
+        violations.append((tuple(points), "ratio <= sharp", float(ratio), float(sharp)))
+    if sharp > 2**d:
+        violations.append(("-", "sharp <= 2^d", float(sharp), 2**d))
+    return {"ratio": float(ratio), "sharp_bound": float(sharp)}, violations
+
+
+class _OffByOne:
+    """A stand-in for f whose value at ``at`` is one too large."""
+
+    def __init__(self, f, at):
+        self.f, self.at = f, at
+        self.degree, self.coeffs = f.degree, f.coeffs
+
+    def eval(self, n):
+        return self.f.eval(n) + (n == self.at)
 
 
 def trial_division(n):
@@ -157,6 +212,35 @@ class TestDividedDifference:
             points = rng.sample(range(-(10**6), 10**6), t)
             divided_difference_A(f, points)  # raises NonIntegral on mismatch
 
+    def test_matches_fraction_sum(self):
+        rng = random.Random(24)
+        for _ in range(500):
+            d = rng.randint(2, 6)
+            coeffs = [rng.randint(-(10**6), 10**6) for _ in range(d)]
+            f = IntPoly(tuple(coeffs + [rng.choice([-3, -1, 1, 2, 7])]))
+            t = rng.randint(2, d + 1)
+            points = rng.sample(range(-(10**6), 10**6), t)
+            assert divided_difference_A(f, points) == fraction_A(f, points)
+
+    def test_off_by_one_raises_the_fraction_message(self):
+        # one value off by one leaves 1/prod(m_j - m_k) in the sum, which is
+        # not an integer unless the product is +-1; then the routes disagree
+        rng = random.Random(25)
+        cases = [(F3, [1, 2], 1), (F3, [1, 2, 4], 4), (F, [3, 5], 5)]
+        cases += [(F3, rng.sample(range(1, 10**6), rng.randint(2, 4)), None)
+                  for _ in range(50)]
+        messages = []
+        for f, points, at in cases:
+            g = _OffByOne(f, points[0] if at is None else at)
+            with pytest.raises(NonIntegral) as want:
+                fraction_A(g, points)
+            with pytest.raises(NonIntegral) as got:
+                divided_difference_A(g, points)
+            assert str(got.value) == str(want.value)
+            messages.append(str(got.value))
+        assert messages[0] == "routes disagree: 6 vs 7 at points [1, 2]"
+        assert messages[1].startswith("A = ") and "/" in messages[1]
+
     @given(
         st.integers(min_value=2, max_value=5),
         st.data(),
@@ -223,6 +307,46 @@ class TestAmGmRatio:
         assert report.status == "pass"
         assert report.empirical_constants["ratio"] == 1.5
         assert report.empirical_constants["sharp_bound"] == 1.5
+
+    @staticmethod
+    def _cases(rng, count):
+        """(d, i, ell, points) at s > 0: seeded random points, and all ones,
+        where the ratio meets the sharp bound."""
+        for _ in range(count):
+            d = rng.randint(2, 6)
+            i = rng.randint(1, d)
+            ell = rng.randint(d - i + 1, d)
+            points = [rng.randint(1, 10**6) for _ in range(d - i + 1)]
+            yield d, i, ell, points
+            yield d, i, ell, [1] * len(points)
+
+    def test_matches_fractions(self):
+        for d, i, ell, points in self._cases(random.Random(26), 400):
+            report = check_amgm_ratio(d, i, ell, points)
+            constants, violations = fraction_amgm(d, i, ell, points)
+            assert report.empirical_constants == constants
+            assert report.violations == violations == []
+            if set(points) == {1}:
+                assert constants["ratio"] == constants["sharp_bound"]
+
+    @pytest.mark.parametrize("scale", [(0, 1), (1, 2), (3, 1), (10**9, 1)])
+    @pytest.mark.parametrize("widen", [1, 2**8])
+    def test_violations_match_fractions(self, monkeypatch, scale, widen):
+        # h scaled by k/q moves the ratio out of [1, sharp], and the
+        # binomial scaled by 2^8 moves the sharp bound above 2^d
+        k, q = scale
+        h, comb = analysis.complete_homogeneous, analysis.comb
+        monkeypatch.setattr(analysis, "complete_homogeneous", lambda s, m: h(s, m) * k // q)
+        monkeypatch.setattr(analysis, "comb", lambda n, r: comb(n, r) * widen)
+        seen = 0
+        for d, i, ell, points in self._cases(random.Random(27), 100):
+            report = check_amgm_ratio(d, i, ell, points)
+            constants, violations = fraction_amgm(d, i, ell, points)
+            assert report.empirical_constants == constants
+            assert report.violations == violations
+            assert report.status == ("fail" if violations else "pass")
+            seen += bool(violations)
+        assert seen
 
     def test_degenerate_exponent_not_applicable(self):
         assert check_amgm_ratio(3, 2, 1, [5, 9]).status == "not-applicable"

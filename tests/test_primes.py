@@ -14,6 +14,8 @@ from lcmlab import primes, sieve
 from lcmlab.primes import (
     _brent_lanes,
     _brent_walks,
+    _FloatQuotient,
+    _lane_arithmetic,
     _merge,
     _Montgomery,
     _probable_primes,
@@ -201,6 +203,131 @@ class TestMontgomery:
             [v * u * i % m for v, u, i, m in zip(q, y, inv, ms)],
             [u * u * i % m for u, i, m in zip(y, inv, ms)],
         ]
+
+
+def _float_moduli(rng):
+    """Odd moduli of every bit length 2 to 50: the least and the largest
+    of each, and one drawn between."""
+    ms = []
+    for bits in range(2, 51):
+        lo, hi = 1 << (bits - 1), (1 << bits) - 1
+        ms += [lo | 1, hi, rng.randrange(lo, hi) | 1]
+    return ms
+
+
+class TestFloatQuotient:
+    """The float-quotient lane arithmetic below 2^50 against Python ints."""
+
+    @pytest.mark.parametrize("form", ["one row", "two rows", "broadcast"])
+    def test_products_match_ints(self, form):
+        rng = random.Random(11)
+        ms = _float_moduli(rng)
+        arith = _lane_arithmetic(_u64(ms))
+        assert isinstance(arith, _FloatQuotient)
+        top = [m - 1 for m in ms]  # a = b = n - 1: the worst quotient error
+        pairs = [(top, top), (top, [m - 2 for m in ms]), ([0] * len(ms), top)]
+        pairs += [
+            ([rng.randrange(m) for m in ms], [rng.randrange(m) for m in ms])
+            for _ in range(40)
+        ]
+        for a, b in pairs:
+            want = [x * y % m for x, y, m in zip(a, b, ms)]
+            if form == "one row":
+                got = [arith.mul(_u64(a), _u64(b)).tolist()]
+                wants = [want]
+            elif form == "two rows":
+                got = arith.mul(_u64([a, b]), _u64([b, a])).tolist()
+                wants = [want, want]
+            else:  # [a, b] times b, as the Miller-Rabin ladder multiplies
+                got = arith.mul(_u64([a, b]), _u64(b)).tolist()
+                wants = [want, [y * y % m for y, m in zip(b, ms)]]
+            assert got == wants
+        assert arith.to_form(_u64(top)).tolist() == top
+        assert arith.from_form(_u64(top)).tolist() == top
+
+    def test_products_in_place_through_views(self):
+        # _brent_lanes: [y, q] times [y, d] from the rows [d, y, q], into
+        # the same rows
+        rng = random.Random(12)
+        ms = _float_moduli(rng)
+        arith = _lane_arithmetic(_u64(ms))
+        d, y, q = ([rng.randrange(m) for m in ms] for _ in range(3))
+        w = _u64([d, y, q])
+        arith.mul(w[1:], w[1::-1], out=w[1:])
+        assert w.tolist() == [
+            d,
+            [u * u % m for u, m in zip(y, ms)],
+            [v * e % m for v, e, m in zip(q, d, ms)],
+        ]
+        # the lanes a take keeps
+        at = [0, 5, len(ms) - 1]
+        u = _u64([y[i] for i in at])
+        assert arith.take(at).mul(u, u, out=u) is u
+        assert u.tolist() == [y[i] * y[i] % ms[i] for i in at]
+
+    def test_signed_residues(self):
+        # the Fermat gate squares int64 residues of either sign in place
+        rng = random.Random(13)
+        m = np.array(_float_moduli(rng) * 20)
+        a = np.array([rng.randrange(1 - x, x) for x in m.tolist()])
+        want = [x * x % z for x, z in zip(a.tolist(), m.tolist())]
+        primes.float_product(a, a, m, 1.0 / m, a, np.empty(len(m)), np.empty_like(m))
+        assert (np.abs(a) < m).all()
+        assert (a % m).tolist() == want
+
+    @pytest.mark.parametrize(
+        "top, kind",
+        [
+            (primes.FLOAT_PRODUCT_LIMIT - 1, _FloatQuotient),
+            (primes.FLOAT_PRODUCT_LIMIT + 1, _Montgomery),
+        ],
+    )
+    def test_selection_by_largest_modulus(self, top, kind):
+        assert primes.FLOAT_PRODUCT_LIMIT == 1 << 50
+        assert type(_lane_arithmetic(_u64([3, top, 1_000_003]))) is kind
+
+    def test_miller_rabin_on_a014233_terms(self):
+        # the terms below 2^50 with no factor in _TINY_PRIMES are composite,
+        # and the next prime above each is prime
+        terms = [
+            n
+            for n in sorted(set(primes._MR_EXACT_BELOW))
+            if n < 1 << 50 and all(n % p for p in primes._TINY_PRIMES)
+        ]
+        assert terms == [
+            1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+            341550071728321,
+        ]
+        nxt = [int(sympy.nextprime(n)) for n in terms]
+        values = _u64(terms + nxt)
+        assert type(_lane_arithmetic(values)) is _FloatQuotient
+        assert _probable_primes(values).tolist() == [False] * 6 + [True] * 6
+
+    def test_miller_rabin_matches_sympy(self):
+        rng = random.Random(14)
+        odd = (rng.randrange(53, 1 << rng.randrange(7, 51)) | 1 for _ in range(3000))
+        values = [n for n in odd if all(n % p for p in primes._TINY_PRIMES)]
+        values += [int(sympy.prevprime(1 << 50)), int(sympy.prevprime(1 << 40))]
+        got = _probable_primes(_u64(values)).tolist()
+        assert got == [sympy.isprime(n) for n in values]
+        assert True in got and False in got
+
+    @pytest.mark.parametrize("max_iters", [MAX_ITERS, 64])
+    def test_brent_lanes_match_montgomery(self, monkeypatch, max_iters):
+        rng = random.Random(15)
+        ns = []
+        while len(ns) < primes.LANES + 200:
+            p = int(sympy.nextprime(rng.randrange(53, 1 << rng.randrange(7, 25))))
+            q = int(sympy.nextprime(rng.randrange(53, (1 << 50) // p)))
+            ns.append(p * q)
+        ns += G_EQ_N
+        assert type(_lane_arithmetic(_u64(ns))) is _FloatQuotient
+        got = _brent_lanes(_u64(ns), _draws(ns), max_iters).tolist()
+        monkeypatch.setattr(primes, "_lane_arithmetic", _Montgomery.of)
+        assert _brent_lanes(_u64(ns), _draws(ns), max_iters).tolist() == got
+        assert all(g == 0 or 1 < g < n and n % g == 0 for g, n in zip(got, ns))
+        if max_iters == 64:
+            assert 0 < got.count(0) < len(ns)
 
 
 class TestLaneMillerRabin:

@@ -537,7 +537,7 @@ class TestLegCrossCheck:
         m = np.array([rng.randrange(1 << 49, 1 << 50) for _ in range(2000)])
         a = np.array([rng.randrange(1 - x, x) for x in m.tolist()])
         want = [x * x % z for x, z in zip(a.tolist(), m.tolist())]
-        sieve._square_mod(a, m, 1.0 / m, np.empty(len(m)), np.empty_like(m))
+        primes.float_product(a, a, m, 1.0 / m, a, np.empty(len(m)), np.empty_like(m))
         assert (np.abs(a) < m).all()
         assert (a % m).tolist() == want
         ms = [
