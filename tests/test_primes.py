@@ -265,16 +265,6 @@ class TestFloatQuotient:
         assert arith.take(at).mul(u, u, out=u) is u
         assert u.tolist() == [y[i] * y[i] % ms[i] for i in at]
 
-    def test_signed_residues(self):
-        # the Fermat gate squares int64 residues of either sign in place
-        rng = random.Random(13)
-        m = np.array(_float_moduli(rng) * 20)
-        a = np.array([rng.randrange(1 - x, x) for x in m.tolist()])
-        want = [x * x % z for x, z in zip(a.tolist(), m.tolist())]
-        primes.float_product(a, a, m, 1.0 / m, a, np.empty(len(m)), np.empty_like(m))
-        assert (np.abs(a) < m).all()
-        assert (a % m).tolist() == want
-
     @pytest.mark.parametrize(
         "top, kind",
         [
