@@ -8,12 +8,12 @@ from ``math.log`` (``np.log`` may differ in the last bit), which keeps
 every float, and so the CSV, byte-reproducible. A pass runs over chunks
 of at most ``CHUNK`` primes, carrying its running sum and compensation
 from chunk to chunk, so ``summarize`` holds the columns of one chunk at
-a time. Each term, such as alpha * log p, is one float64 product in
-numpy, the same IEEE multiply as Python's int * float, since every
-exponent is below 2^53; the loop reads the column through a memoryview,
-which yields its floats one at a time. A sweep takes the log of each
-prime once: every ledger of a pass holds the primes of the one before
-it.
+a time; ``log_QS`` is log_Q's state after the primes up to N. Each term,
+such as alpha * log p, is one float64 product in numpy, the same IEEE
+multiply as Python's int * float, since every exponent is below 2^53;
+the loop reads the column through a memoryview, which yields its floats
+one at a time. A sweep takes the log of each prime once: every ledger of
+a pass holds the primes of the one before it.
 """
 
 from __future__ import annotations
@@ -86,8 +86,11 @@ def _summarize(ledger, logs):
         # the chunk's terms in each zone: [0, a), [a, b) and [b, len)
         a, b = (min(max(x - lo, 0), len(lp)) for x in (small, linear))
         terms = memoryview(alpha * lp)
-        log_q = _kahan_sum(terms, log_q)
-        log_qs = _kahan_sum(terms[:a], log_qs)
+        # log_QS is log_Q's running state after its first ``small`` terms
+        log_q = _kahan_sum(terms[:a], log_q)
+        if lo + a == small:
+            log_qs = log_q
+        log_q = _kahan_sum(terms[a:], log_q)
         log_qli = _kahan_sum(terms[a:b], log_qli)
         log_ql = _kahan_sum(terms[b:], log_ql)
         log_l = _kahan_sum(memoryview(part.max_exp * lp), log_l)

@@ -96,28 +96,6 @@ def check_refined_multiplicity(ledger: FactorLedger) -> VerificationReport:
     )
 
 
-def refined_multiplicity_threshold(ledger: FactorLedger):
-    """Smallest N0 such that the refined-multiplicity check has no
-    violation for any N in [N0, ledger.N]; 1 if it never fails.
-
-    For each p > D, the check applies at every N < p/D; the hits of p up
-    to that N are read off the ledger, so nothing is factored again.
-    """
-    d = ledger.f.degree
-    D = ledger.f.profile.D
-    worst = 0
-    # a violation needs two hits, or one hit with v_p(f(n)) >= d
-    maybe = (ledger.p > D) & ((ledger.hit_count >= 2) | (ledger.max_exp >= d))
-    for p in ledger.p[maybe].tolist():
-        n_upper = min(ledger.N, (p - 1) // D)  # N values with p > D*N
-        hits = ledger.prime_hits(p, n_upper)
-        for i in range(1, d + 1):
-            ns = [n for n, v in hits if v >= i]
-            if len(ns) > d - i:
-                worst = max(worst, n_upper)  # the (d-i+1)-th hit is <= n_upper
-    return worst + 1
-
-
 def check_hensel_formula(ledger: FactorLedger) -> VerificationReport:
     """Report-only: deviation of alpha_p from N rho_f(p)/(p-1) for
     unramified p <= N, scaled by ln p / ln N, with rho_f(p) read off the

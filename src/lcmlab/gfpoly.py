@@ -7,8 +7,8 @@ and Python ints otherwise (``modulus_column``), by the same code.
 
 One kernel, ``_pow_columns``, raises x + a_i to e_i mod (g_i, p_i) for a
 column of primes at once, by square-and-multiply in numpy, and ``_powers``
-groups a matrix by degree for it; ``pow_mod`` powers columns of numbers
-over 2-bit windows.
+groups a matrix by degree for it; ``_pow_mod`` powers columns of numbers
+on ``primes.pow_mod``, the package's one ladder for a column of bases.
 ``_gcd`` is Euclid's algorithm in lockstep: each step cancels one leading
 term of every column whose a has degree >= deg b by pseudo-division
 (Knuth, TAOCP vol. 2, 4.6.1), so one inverse at the end makes it monic;
@@ -35,10 +35,11 @@ from math import isqrt
 
 import numpy as np
 
+from . import primes
+
 # Below this modulus, residues fit int64 columns: every product of two
 # residues stays below 2^62.
 _INT64_MODULUS_LIMIT = 1 << 31
-_INT64_LIMIT = 1 << 63
 
 # A product of k >= 3 distinct linear factors over GF(p) stays whole in a
 # splitting round with probability at most 0.31 (the worst case, p = 13;
@@ -58,7 +59,7 @@ def modulus_column(ms):
 def residue(c, m):
     """The integer c mod each entry of the positive column m, in m's
     dtype."""
-    if m.dtype == object or -_INT64_LIMIT < c < _INT64_LIMIT:
+    if m.dtype == object or -primes.INT64_LIMIT < c < primes.INT64_LIMIT:
         return c % m
     return (c % m.astype(object)).astype(m.dtype)
 
@@ -153,7 +154,7 @@ def _pow_columns(A, E, neg_low, P):
     acc[0] = 1
     if not n:
         return acc
-    eager = P.dtype != object and (2 * d + 1) * int(P.max()) ** 2 >= _INT64_LIMIT
+    eager = P.dtype != object and (2 * d + 1) * int(P.max()) ** 2 >= primes.INT64_LIMIT
 
     def red(x):
         return x % P if eager else x
@@ -174,28 +175,20 @@ def _pow_columns(A, E, neg_low, P):
     return acc
 
 
-def pow_mod(a, e, P):
+def _pow_mod(a, e, P):
     """a_i^e_i mod P_i for residue columns a and P (``modulus_column``) and
-    an exponent column e, in lockstep over 2-bit windows of e from the
-    top: two squarings, then one product with a_i^w_i, where w_i is the
-    window's digit, from a table of a^0 .. a^3. That is three products
-    per two bits, where square-and-multiply takes four."""
-    table = np.empty((4, len(a)), dtype=a.dtype)
-    table[0], table[1] = 1, a
-    np.remainder(a * a, P, out=table[2])
-    np.remainder(table[2] * a, P, out=table[3])
-    col = np.arange(len(a))
-    acc = table[0]
-    for shift in range(int(e.max(initial=0)).bit_length() - 1 & ~1, -1, -2):
-        acc = acc * acc % P
-        acc = acc * acc % P
-        acc = acc * table[(e >> shift & 3).astype(np.int64), col] % P
-    return acc
+    an exponent column e: ``primes.pow_mod`` with the product x * y % P,
+    written in place."""
+
+    def mul(x, y, out):
+        return np.remainder(np.multiply(x, y, out=out), P, out=out)
+
+    return primes.pow_mod(a, e, mul, 1)
 
 
 def inverse(a, P):
     """a_i^-1 mod P_i for the nonzero residues a_i (Fermat); 0 for a_i = 0."""
-    return pow_mod(a, P - 2, P)
+    return _pow_mod(a, P - 2, P)
 
 
 def _powers(A, E, G, P):
@@ -332,7 +325,7 @@ def _square_roots(a, P):
         e = np.array([v.bit_length() for v in (low - 1).tolist()], dtype=np.int64)
     else:
         e = np.bitwise_count(low - 1).astype(np.int64)
-    u = pow_mod(a, (q - 1) // 2, P)
+    u = _pow_mod(a, (q - 1) // 2, P)
     x = a * u % P
     b = x * u % P
     square = b == 1
@@ -342,7 +335,7 @@ def _square_roots(a, P):
     go = square[deep] & (i > 0)
     live, i = deep[go], i[go]
     p, b, e = P[live], b[live], e[live]
-    tower = [pow_mod(_nonresidues(p), q[live], p)]
+    tower = [_pow_mod(_nonresidues(p), q[live], p)]
     for _ in range(1, e.max(initial=1)):
         tower.append(tower[-1] * tower[-1] % p)
     tower = np.stack(tower)

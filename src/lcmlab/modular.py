@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import gfpoly
+from .primes import INT64_LIMIT
 
 if TYPE_CHECKING:
     from .polynomial import IntPoly
@@ -39,8 +40,6 @@ if TYPE_CHECKING:
 # Primes per call of roots_mod_primes in the ledger; bounds the lockstep
 # arrays and the root and progression columns of a block held at once.
 BLOCK_SIZE = 2048
-
-_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ class RootColumns:
 def power_dtype(p, k):
     """int64 when every p^k of the column of primes p is below 2^63, object
     otherwise."""
-    return np.int64 if not len(p) or int(p.max()) ** k < _INT64_LIMIT else object
+    return np.int64 if not len(p) or int(p.max()) ** k < INT64_LIMIT else object
 
 
 def powers(p, k):

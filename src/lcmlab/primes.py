@@ -1,17 +1,23 @@
-"""Prime generation, primality certification, and Pollard rho factorization.
+"""Prime generation, primality certification, Pollard rho factorization,
+and the package's integer column arithmetic.
 
 All randomness is drawn from explicitly seeded ``random.Random`` instances so
 every run is reproducible.
+
+``pow_mod`` is the one exponent ladder for a column of bases, under a
+product passed in: ``gfpoly``'s residues mod p, and the lanes below. The
+ledger's Fermat gate, ``fermat_base2``, squares in place on
+``float_product``, which the lanes bring into [0, n) below 2^50.
 
 ``factorize_lanes`` is the one factorizer: it splits a column of cofactors
 in rounds, each on every part left. Miller-Rabin and Brent's rho run in
 lanes on the parts below 2^63, with products written into preallocated
 uint64 rows: a batch whose moduli are all below 2^50 takes the
-float-quotient product (``float_product``), and only a batch that reaches
-[2^50, 2^63) takes Montgomery products of 32-bit limbs. The last walks,
-and the walks on larger parts, finish in the scalar walk, in packs whose
-walks step together as one walk modulo the product of their moduli
-(Chinese remainder theorem). ``factorize`` is its call on one value.
+float-quotient product, and only a batch that reaches [2^50, 2^63) takes
+Montgomery products of 32-bit limbs. The last walks, and the walks on
+larger parts, finish in the scalar walk, in packs whose walks step
+together as one walk modulo the product of their moduli (Chinese
+remainder theorem). ``factorize`` is its call on one value.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ class FactorTimeout(RuntimeError):
 
 
 _SEGMENT_SPAN = 1 << 22  # numbers per sieve segment
-_INT64_LIMIT = 1 << 63  # parts below this run in lanes
+INT64_LIMIT = 1 << 63  # integer columns below this are int64 or uint64 lanes
 FLOAT_PRODUCT_LIMIT = 1 << 50  # float_product is exact for moduli below
 
 # Deterministic Miller-Rabin witness set, valid for all n < 2^64.
@@ -387,6 +393,29 @@ class _Montgomery:
         return self.mul(a, np.ones_like(a))
 
 
+def pow_mod(a, e, mul, one):
+    """a_i^e_i for each lane of the column a and the exponent column e
+    (int64, uint64 or Python ints) under ``mul(x, y, out)``, which writes
+    x * y into ``out``, an operand or not, in a's form; ``one`` is 1 in it.
+
+    Left to right over 2-bit windows of e (Knuth, TAOCP vol. 2, 4.6.3), in
+    lockstep: a_i^w_i for the top digit w_i from a table of a^0 .. a^3, then
+    per window two squarings and one product from the table: three
+    products per two bits, where square-and-multiply takes four."""
+    table = np.empty((4, len(a)), dtype=a.dtype)
+    table[0], table[1] = one, a
+    mul(a, a, out=table[2])
+    mul(table[2], a, out=table[3])
+    col = np.arange(len(a))
+    top = max(int(e.max(initial=0)).bit_length() - 1 & ~1, 0)
+    acc = table[(e >> top & 3).astype(np.int64), col]
+    for shift in range(top - 2, -1, -2):
+        mul(acc, acc, out=acc)
+        mul(acc, acc, out=acc)
+        mul(acc, table[(e >> shift & 3).astype(np.int64), col], out=acc)
+    return acc
+
+
 def float_product(a, b, m, inv, out, qf, q):
     """a * b - rint(a * b * inv) * m into ``out``, which is a * b mod m up
     to sign: for integer columns with |a|, |b| < m, moduli
@@ -407,6 +436,45 @@ def float_product(a, b, m, inv, out, qf, q):
     q *= m
     np.multiply(a, b, out=out)
     return np.subtract(out, q, out=out)
+
+
+def fermat_base2(m):
+    """Whether 2^(m-1) = 1 mod m, for each m > 2 of an integer array.
+
+    Below FLOAT_PRODUCT_LIMIT the columns run in lockstep int64
+    arithmetic, in place: the exponent m - 1 is read in windows of 3 bits
+    from the top, and each window squares the residue three times
+    (float_product, which leaves it in (-m, m): a residue of either sign
+    squares to the same value, so no step makes it nonnegative) and then
+    multiplies it by 2^digit with a shift and one %, which also brings it
+    into [0, m). A residue below m < 2^50 keeps acc * 2^7 < 2^57, so 3 is
+    the widest window int64 holds. Above 2^50, one ``pow(2, m - 1, m)`` per
+    Python int.
+
+    It stays off pow_mod, whose multiply by a^digit is a table product, not
+    a shift: on the 37,765 cofactors of a sweep of x^2+x+1 to N = 64000 it
+    took 7.56 ms on a 2-vCPU VM, a signed table ladder 9.26, the lanes'
+    ladder 11.8 and a strong base-2 test in lanes 27.5.
+    """
+    passed = np.empty(len(m), dtype=bool)
+    small = m < FLOAT_PRODUCT_LIMIT
+    big = np.flatnonzero(~small)
+    passed[big] = [pow(2, x - 1, x) == 1 for x in m[big].tolist()]
+    mod = m[small].astype(np.int64)
+    e = mod - 1
+    inv = 1.0 / mod
+    qf, q, digit = np.empty_like(inv), np.empty_like(e), np.empty_like(e)
+    shift = 3 * ((int(e.max(initial=1)).bit_length() - 1) // 3)
+    acc = np.left_shift(1, (e >> shift) & 7) % mod
+    for shift in range(shift - 3, -1, -3):
+        for _ in range(3):
+            float_product(acc, acc, mod, inv, acc, qf, q)
+        np.right_shift(e, shift, out=digit)
+        digit &= 7
+        acc <<= digit
+        acc %= mod
+    passed[small] = acc == 1
+    return passed
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,25 +554,16 @@ def _probable_primes(n):
 
 def _strong_probable_primes(arith, base):
     """Whether each n of the lanes of ``arith`` is a strong probable prime
-    to its base, for a uint64 column base of their length."""
+    to its base, for a uint64 column base of their length: with
+    n - 1 = 2^s d, d odd, base^d by pow_mod, then s - 1 squarings."""
     n = arith.n
     d, s = n - 1, np.zeros(len(n), dtype=np.int64)
     while (even := (d & _1) == 0).any():
         d[even] >>= _1
         s += even
-    # base^d by square-and-multiply from the low bit: [acc, base] times
-    # base is one product on two rows of lanes, and acc keeps its old
-    # value where the low bit of d, shifted once a step, is 0
-    acc = arith.to_form(np.stack((np.ones_like(n), base)))
-    one = acc[0].copy()
+    one = arith.to_form(np.ones_like(n))
     minus_one = n - one
-    prod = np.empty_like(acc)
-    for _ in range(int(d.max(initial=0)).bit_length()):
-        arith.mul(acc, acc[1], out=prod)
-        np.copyto(prod[0], acc[0], where=d & _1 == 0)
-        d >>= _1
-        acc, prod = prod, acc
-    x = acc[0]
+    x = pow_mod(arith.to_form(base), d, arith.mul, one)
     passed = (x == one) | (x == minus_one)
     for i in range(1, int(s.max(initial=0))):
         arith.mul(x, x, out=x)
@@ -543,10 +602,11 @@ def _brent_lanes(n, draws, max_iters):
         np.minimum(d, np.add(d, arith.n, out=t), out=d)
 
     # q stays out of form (Montgomery's; in _FloatQuotient every number is
-    # its own form): its product with x - y in form is q * (x - y) mod n. A step of the second half is one product on two
-    # rows of lanes, [y, q] times [y, x - y], which squares y and
-    # multiplies q by x - y for the same y, so each chunk starts with one
-    # more step of y and ends with one more factor of q.
+    # its own form): its product with x - y in form is q * (x - y) mod n.
+    # A step of the second half is one product on two rows of lanes,
+    # [y, q] times [y, x - y], which squares y and multiplies q by x - y
+    # for the same y, so each chunk starts with one more step of y and
+    # ends with one more factor of q.
     np.copyto(y, x)
     step(y, y)
     r, k, iters = 1, 0, 0
@@ -619,7 +679,7 @@ def factorize_lanes(ms, seed):
     attempt = np.zeros(len(part), dtype=np.int64)
     gave_up = []
     while len(part):
-        lanes = part < _INT64_LIMIT
+        lanes = part < INT64_LIMIT
         lanes &= np.count_nonzero(lanes) >= LANES
         prime = np.zeros(len(part), dtype=bool)
         prime[lanes] = _probable_primes(part[lanes].astype(np.uint64))
@@ -631,7 +691,7 @@ def factorize_lanes(ms, seed):
             rng = _rho_rng(m, seed, a)
             draws.append((rng.randrange(1, m), rng.randrange(1, m)))
         draws = np.array(draws, dtype=part.dtype).reshape(-1, 2).T
-        lanes = part < _INT64_LIMIT
+        lanes = part < INT64_LIMIT
         d = np.zeros_like(part)
         d[lanes] = _brent_lanes(
             part[lanes].astype(np.uint64),

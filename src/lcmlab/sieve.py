@@ -27,7 +27,8 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
   naming that N.
 - Leg 3: what remains of each |g(n)| has only prime factors above B. A
   cofactor below B^2 is then prime; it must pass a base-2 Fermat test
-  first, so that a prime Leg 1 missed cannot pass for one. The larger
+  first (``primes.fermat_base2``, beside the float-quotient product it
+  squares on), so that a prime Leg 1 missed cannot pass for one. The larger
   cofactors of a segment, int64 or Python ints, are factored in one call
   of ``primes.factorize_lanes``: Miller-Rabin and Brent's rho in rounds
   over every part left, in lockstep lanes of exact uint64 arithmetic
@@ -73,9 +74,6 @@ class LedgerMismatch(RuntimeError):
 
 SEGMENT_SIZE = 1 << 16  # values of f held at once by Leg 2
 
-_INT64_LIMIT = 1 << 63  # integer columns below this are int64
-
-
 @dataclass(frozen=True)
 class PrimeLocalData:
     """Per-prime statistics of Q(N).
@@ -109,7 +107,9 @@ class PrimeLocalData:
 def _int_column(values):
     """A column of nonnegative integers as an int64 array, or as an object
     array of Python ints when one of them is >= 2^63."""
-    if values.dtype == object and (not len(values) or values.max() < _INT64_LIMIT):
+    if values.dtype == object and (
+        not len(values) or values.max() < primes.INT64_LIMIT
+    ):
         values = values.astype(np.int64)
     return values
 
@@ -537,40 +537,6 @@ def _divide_segment(values, lo, prog, levels):
         k += 1
 
 
-def _fermat_base2(m):
-    """Whether 2^(m-1) = 1 mod m, for each m > 2 of an integer array.
-
-    Below 2^50 the columns run in lockstep int64 arithmetic, in place: the
-    exponent m - 1 is read in windows of 3 bits from the top, and each
-    window squares the residue three times (``primes.float_product``,
-    which leaves it in (-m, m): a residue of either sign squares to the
-    same value, so no step makes it nonnegative) and then multiplies it by
-    2^digit with a shift and one %, which also brings it into [0, m). A
-    residue below m < 2^50 keeps acc * 2^7 < 2^57, so 3 is the widest
-    window int64 holds. Above 2^50, one ``pow(2, m - 1, m)`` per Python
-    int.
-    """
-    passed = np.empty(len(m), dtype=bool)
-    small = m < primes.FLOAT_PRODUCT_LIMIT
-    big = np.flatnonzero(~small)
-    passed[big] = [pow(2, x - 1, x) == 1 for x in m[big].tolist()]
-    mod = m[small].astype(np.int64)
-    e = mod - 1
-    inv = 1.0 / mod
-    qf, q, digit = np.empty_like(inv), np.empty_like(e), np.empty_like(e)
-    shift = 3 * ((int(e.max(initial=1)).bit_length() - 1) // 3)
-    acc = np.left_shift(1, (e >> shift) & 7) % mod
-    for shift in range(shift - 3, -1, -3):
-        for _ in range(3):
-            primes.float_product(acc, acc, mod, inv, acc, qf, q)
-        np.right_shift(e, shift, out=digit)
-        digit &= 7
-        acc <<= digit
-        acc %= mod
-    passed[small] = acc == 1
-    return passed
-
-
 def _large_hits(f, N, B, cofactors, lo, seed):
     """(q, n) hit rows of the primes q > B in ``cofactors`` (of
     n = lo, lo + 1, ...), each prime to B divided out: one row per prime
@@ -584,7 +550,7 @@ def _large_hits(f, N, B, cofactors, lo, seed):
     n += lo
     below = c < B * B
     missed = c <= B
-    missed[below] |= ~_fermat_base2(c[below])
+    missed[below] |= ~primes.fermat_base2(c[below])
     if missed.any():
         i = int(np.argmax(missed))
         raise LedgerMismatch(
@@ -691,7 +657,7 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
     hit = (r >= 1) & ~np.isin(r, zeros)
     held[hit] = np.minimum(held[hit], r[hit])
 
-    dtype = np.int64 if polynomial.value_bound(g, N) < _INT64_LIMIT else object
+    dtype = np.int64 if polynomial.value_bound(g, N) < primes.INT64_LIMIT else object
     # the least n >= 1 of each level-1 progression r mod p
     prog = (p, np.where(r >= 1, r, p), np.repeat(np.arange(rows), per_root))
     levels = [np.zeros(rows, dtype=np.int64)]

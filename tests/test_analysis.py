@@ -19,11 +19,10 @@ from lcmlab.analysis import (
     complete_homogeneous,
     divided_difference_A,
     harvest_divisibility_tuples,
-    refined_multiplicity_threshold,
     run_checks,
 )
 from lcmlab.aggregate import summarize
-from lcmlab.polynomial import IntPoly, parse_poly, profile
+from lcmlab.polynomial import IntPoly, parse_poly
 from lcmlab.sieve import build_ledger
 
 from conftest import TEST_POLYS
@@ -99,27 +98,6 @@ def trial_division(n):
     return out
 
 
-def brute_threshold(f, n_max):
-    """1 + the largest N <= n_max at which some p > DN has more than d - i
-    of the n <= N with p^i | f(n); 1 if there is none."""
-    d = f.degree
-    D = profile(f).D
-    hits = {}  # p -> [(n, v_p(f(n)))]
-    for n in range(1, n_max + 1):
-        if f.eval(n):
-            for p, e in trial_division(abs(f.eval(n))).items():
-                hits.setdefault(p, []).append((n, e))
-    worst = 0
-    for N in range(1, n_max + 1):
-        for p, lst in hits.items():
-            if p > D * N and any(
-                sum(1 for n, e in lst if n <= N and e >= i) > d - i
-                for i in range(1, d + 1)
-            ):
-                worst = N
-    return worst + 1
-
-
 class TestMultiplicityChecks:
     def test_naive_passes_at_moderate_N(self, ledger_factory, test_poly):
         report = check_naive_multiplicity(ledger_factory(test_poly, 500))
@@ -144,24 +122,6 @@ class TestMultiplicityChecks:
         led = ledger_factory(F, 0)
         assert check_naive_multiplicity(led).status == "not-applicable"
         assert check_refined_multiplicity(led).status == "not-applicable"
-
-    def test_threshold_below_1000(self, ledger_factory, test_poly):
-        assert refined_multiplicity_threshold(ledger_factory(test_poly, 1000)) < 1000
-
-    @pytest.mark.parametrize("text", ["x^2-2", "x^5-x+1"])
-    def test_threshold_with_unit_values(self, text):
-        # |f(1)| = 1: nothing to factor at n = 1
-        assert refined_multiplicity_threshold(build_ledger(parse_poly(text), 300)) == 1
-
-    @pytest.mark.parametrize(
-        "text, expected",
-        [("-x^2+17x+23", 30), ("-x^2+25x+11", 56), ("2x^2+30x+6", 4)],
-    )
-    def test_threshold_matches_brute_force(self, text, expected):
-        f = parse_poly(text)
-        n_max = 300
-        threshold = refined_multiplicity_threshold(build_ledger(f, n_max))
-        assert threshold == brute_threshold(f, n_max) == expected
 
 
 class TestHenselFormula:

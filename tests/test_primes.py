@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcmlab import primes, sieve
+from lcmlab import gfpoly, primes, sieve
 from lcmlab.primes import (
     _brent_lanes,
     _brent_walks,
@@ -19,10 +19,13 @@ from lcmlab.primes import (
     _merge,
     _Montgomery,
     _probable_primes,
+    _strong_probable_primes,
     factorize,
     factorize_lanes,
     FactorTimeout,
+    fermat_base2,
     is_probable_prime,
+    pow_mod,
 )
 
 R = 1 << 64
@@ -183,8 +186,8 @@ class TestMontgomery:
         assert u.tolist() == [b[0], mul[-1]]
 
     def test_row_products_through_views(self):
-        # _brent_lanes: [y, q] times [y, d] from the rows [d, y, q], and the
-        # Miller-Rabin ladder: [acc, base] times base, into the same rows
+        # _brent_lanes: [y, q] times [y, d] from the rows [d, y, q], and two
+        # rows times one, into the same rows
         rng = random.Random(6)
         ms = self.MODULI
         mont = _Montgomery.of(_u64(ms))
@@ -238,7 +241,7 @@ class TestFloatQuotient:
             elif form == "two rows":
                 got = arith.mul(_u64([a, b]), _u64([b, a])).tolist()
                 wants = [want, want]
-            else:  # [a, b] times b, as the Miller-Rabin ladder multiplies
+            else:  # [a, b] times b: one row broadcast against two
                 got = arith.mul(_u64([a, b]), _u64(b)).tolist()
                 wants = [want, [y * y % m for y, m in zip(b, ms)]]
             assert got == wants
@@ -318,6 +321,151 @@ class TestFloatQuotient:
         assert all(g == 0 or 1 < g < n and n % g == 0 for g, n in zip(got, ns))
         if max_iters == 64:
             assert 0 < got.count(0) < len(ns)
+
+
+def _exponents(rng, bits):
+    """Exponents below 2^bits of every bit length: 0, 1, and 2^k - 1, 2^k,
+    2^k + 1 and one drawn in [2^k, 2^(k+1)) for each k, shuffled so that
+    lanes of different lengths sit side by side."""
+    es = [0, 1]
+    for k in range(1, bits):
+        es += [(1 << k) - 1, 1 << k, (1 << k) + 1, rng.randrange(1 << k, 2 << k)]
+    es = [e for e in es if e < 1 << bits]
+    rng.shuffle(es)
+    return es
+
+
+def _odd_moduli(rng, lo, hi, count):
+    """``count`` odd moduli in [lo, hi): primes, products of two primes and
+    random odd numbers in turn."""
+    ms = []
+    while len(ms) < count:
+        kind = len(ms) % 3
+        if kind == 0:
+            ms.append(int(sympy.prevprime(rng.randrange(lo + 2, hi))))
+        elif kind == 1:
+            p = int(sympy.nextprime(rng.randrange(3, 1 << 20)))
+            ms.append(p * int(sympy.prevprime(rng.randrange(lo // p + 3, hi // p))))
+        else:
+            ms.append(rng.randrange(lo, hi) | 1)
+    return ms
+
+
+class TestPowMod:
+    """pow_mod, the one exponent ladder for a column of bases, under each
+    product the package gives it, against Python's pow."""
+
+    @pytest.mark.parametrize(
+        "bits, e_bits, dtype",
+        [(31, 63, np.int64), (130, 130, object)],
+        ids=["int64", "python-int"],
+    )
+    def test_residues_mod_p(self, bits, e_bits, dtype):
+        # gfpoly's product x * y % P, on int64 residues below 2^31 and on
+        # Python ints above
+        rng = random.Random(21)
+        es = _exponents(rng, e_bits)
+        ms = [2, 3, *(rng.randrange(4, 1 << bits) for _ in es[2:])]
+        P = gfpoly.modulus_column(ms)
+        assert P.dtype == dtype
+        a = [rng.randrange(m) for m in ms]
+        got = gfpoly._pow_mod(np.array(a, dtype=dtype), np.array(es, dtype=dtype), P)
+        assert got.tolist() == [pow(x, e, m) for x, e, m in zip(a, es, ms)]
+
+    @pytest.mark.parametrize(
+        "lo, hi, kind",
+        [(3, 1 << 50, _FloatQuotient), (1 << 50, 1 << 63, _Montgomery)],
+        ids=["float", "montgomery"],
+    )
+    def test_lanes(self, lo, hi, kind):
+        # the lane arithmetic's mul, from to_form(1), on uint64 exponents of
+        # up to 64 bits
+        rng = random.Random(22)
+        es = _exponents(rng, 64)
+        ms = _odd_moduli(rng, lo, hi, len(es))
+        arith = _lane_arithmetic(_u64(ms))
+        assert type(arith) is kind
+        a = [rng.randrange(m) for m in ms]
+        one = arith.to_form(np.ones_like(arith.n))
+        got = pow_mod(arith.to_form(_u64(a)), _u64(es), arith.mul, one)
+        want = [pow(x, e, m) for x, e, m in zip(a, es, ms)]
+        assert arith.from_form(got).tolist() == want
+
+    def test_empty_column(self):
+        P = gfpoly.modulus_column([])
+        assert gfpoly._pow_mod(P, P, P).tolist() == []
+
+    @pytest.mark.parametrize(
+        "lo, hi, kind",
+        [(53, 1 << 50, _FloatQuotient), (1 << 50, 1 << 63, _Montgomery)],
+        ids=["float", "montgomery"],
+    )
+    def test_strong_probable_primes(self, lo, hi, kind):
+        # base^d on the ladder, then the s - 1 squarings, against the
+        # scalar test, for random bases; base-2 strong pseudoprimes pass
+        rng = random.Random(23)
+        ms = _odd_moduli(rng, lo, hi, 600)
+        bases = [rng.randrange(2, m - 1) for m in ms]
+        if kind is _FloatQuotient:
+            ms += [2047, 3215031751, 2152302898747]
+            bases += [2, 2, 2]
+        arith = _lane_arithmetic(_u64(ms))
+        assert type(arith) is kind
+        got = _strong_probable_primes(arith, _u64(bases)).tolist()
+        want = []
+        for m, a in zip(ms, bases):
+            d, r = m - 1, 0
+            while d % 2 == 0:
+                d, r = d // 2, r + 1
+            want.append(not primes._mr_composite(m, a, d, r))
+        assert got == want
+        assert True in got and False in got
+
+
+class TestFermatGate:
+    def test_fermat_kernel_matches_pow(self):
+        rng = random.Random(7)
+        # near 2^50 the rounded float quotient is off by one in either
+        # direction for a few percent of squares; residues of either sign
+        m = np.array([rng.randrange(1 << 49, 1 << 50) for _ in range(2000)])
+        a = np.array([rng.randrange(1 - x, x) for x in m.tolist()])
+        want = [x * x % z for x, z in zip(a.tolist(), m.tolist())]
+        primes.float_product(a, a, m, 1.0 / m, a, np.empty(len(m)), np.empty_like(m))
+        assert (np.abs(a) < m).all()
+        assert (a % m).tolist() == want
+        ms = [
+            rng.randrange(3, 1 << bits)
+            for bits in (12, 40, 50, 51, 62, 90)
+            for _ in range(300)
+        ]
+        ms += [(1 << 50) - 1, 1 << 50, 341, 561, 2069 * 10939, 1093**2]
+        # m - 1 of every bit length up to 50, so a multiple of the 3-bit
+        # window or not: 2^k + 1 and 2^k - 1, and the primes next to 2^k,
+        # which must pass
+        ms += [(1 << k) + s for k in range(2, 50) for s in (-1, 1)]
+        ms += [int(sympy.nextprime(1 << k)) for k in range(1, 50)]
+        ms += [int(sympy.prevprime(1 << k)) for k in range(2, 51)]
+        column = np.array(ms, dtype=object)
+        for column in (column, sieve._int_column(column[:1500])):
+            got = fermat_base2(column)
+            assert got.tolist() == [pow(2, x - 1, x) == 1 for x in column.tolist()]
+        for column in ([], [7], [9], [2**61 - 1], [2**61 + 1]):
+            got = fermat_base2(np.array(column, dtype=object))
+            assert got.tolist() == [pow(2, x - 1, x) == 1 for x in column]
+            got = fermat_base2(sieve._int_column(np.array(column, dtype=object)))
+            assert got.tolist() == [pow(2, x - 1, x) == 1 for x in column]
+
+    def test_fermat_kernel_base2_pseudoprimes(self):
+        # every m in [3, 10^4): the odd composites that pass are the base-2
+        # pseudoprimes below 10^4 (OEIS A001567)
+        column = np.arange(3, 10**4)
+        passed = fermat_base2(column)
+        assert passed.tolist() == [pow(2, x - 1, x) == 1 for x in column.tolist()]
+        pseudo = [x for x in column[passed].tolist() if not sympy.isprime(x)]
+        assert pseudo == [
+            341, 561, 645, 1105, 1387, 1729, 1905, 2047, 2465, 2701, 2821,
+            3277, 4033, 4369, 4371, 4681, 5461, 6601, 7957, 8321, 8481, 8911,
+        ]
 
 
 class TestLaneMillerRabin:

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -527,54 +526,6 @@ class TestLegCrossCheck:
         )
         with pytest.raises(LedgerMismatch, match="analytic layers"):
             build_ledger(parse_poly(poly), 10)
-
-    def test_fermat_kernel_matches_pow(self):
-        import sympy
-
-        rng = random.Random(7)
-        # near 2^50 the rounded float quotient is off by one in either
-        # direction for a few percent of squares; residues of either sign
-        m = np.array([rng.randrange(1 << 49, 1 << 50) for _ in range(2000)])
-        a = np.array([rng.randrange(1 - x, x) for x in m.tolist()])
-        want = [x * x % z for x, z in zip(a.tolist(), m.tolist())]
-        primes.float_product(a, a, m, 1.0 / m, a, np.empty(len(m)), np.empty_like(m))
-        assert (np.abs(a) < m).all()
-        assert (a % m).tolist() == want
-        ms = [
-            rng.randrange(3, 1 << bits)
-            for bits in (12, 40, 50, 51, 62, 90)
-            for _ in range(300)
-        ]
-        ms += [(1 << 50) - 1, 1 << 50, 341, 561, 2069 * 10939, 1093**2]
-        # m - 1 of every bit length up to 50, so a multiple of the 3-bit
-        # window or not: 2^k + 1 and 2^k - 1, and the primes next to 2^k,
-        # which must pass
-        ms += [(1 << k) + s for k in range(2, 50) for s in (-1, 1)]
-        ms += [int(sympy.nextprime(1 << k)) for k in range(1, 50)]
-        ms += [int(sympy.prevprime(1 << k)) for k in range(2, 51)]
-        column = np.array(ms, dtype=object)
-        for column in (column, sieve._int_column(column[:1500])):
-            got = sieve._fermat_base2(column)
-            assert got.tolist() == [pow(2, x - 1, x) == 1 for x in column.tolist()]
-        for column in ([], [7], [9], [2**61 - 1], [2**61 + 1]):
-            got = sieve._fermat_base2(np.array(column, dtype=object))
-            assert got.tolist() == [pow(2, x - 1, x) == 1 for x in column]
-            got = sieve._fermat_base2(sieve._int_column(np.array(column, dtype=object)))
-            assert got.tolist() == [pow(2, x - 1, x) == 1 for x in column]
-
-    def test_fermat_kernel_base2_pseudoprimes(self):
-        import sympy
-
-        # every m in [3, 10^4): the odd composites that pass are the base-2
-        # pseudoprimes below 10^4 (OEIS A001567)
-        column = np.arange(3, 10**4)
-        passed = sieve._fermat_base2(column)
-        assert passed.tolist() == [pow(2, x - 1, x) == 1 for x in column.tolist()]
-        pseudo = [x for x in column[passed].tolist() if not sympy.isprime(x)]
-        assert pseudo == [
-            341, 561, 645, 1105, 1387, 1729, 1905, 2047, 2465, 2701, 2821,
-            3277, 4033, 4369, 4371, 4681, 5461, 6601, 7957, 8321, 8481, 8911,
-        ]
 
 
 @pytest.mark.parametrize("span", [64, 1000])
