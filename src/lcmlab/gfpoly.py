@@ -176,9 +176,8 @@ def _pow_columns(A, E, neg_low, P):
 
 
 def _pow_mod(a, e, P):
-    """a_i^e_i mod P_i for residue columns a and P (``modulus_column``) and
-    an exponent column e: ``primes.pow_mod`` with the product x * y % P,
-    written in place."""
+    """a_i^e_i mod P_i for residue columns a and P (``modulus_column``):
+    ``primes.pow_mod`` with the product x * y % P, written in place."""
 
     def mul(x, y, out):
         return np.remainder(np.multiply(x, y, out=out), P, out=out)

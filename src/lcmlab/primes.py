@@ -5,9 +5,8 @@ All randomness is drawn from explicitly seeded ``random.Random`` instances so
 every run is reproducible.
 
 ``pow_mod`` is the one exponent ladder for a column of bases, under a
-product passed in: ``gfpoly``'s residues mod p, and the lanes below. The
-ledger's Fermat gate, ``fermat_base2``, squares in place on
-``float_product``, which the lanes bring into [0, n) below 2^50.
+product passed in; the ledger's Fermat gate, ``fermat_base2``, squares
+in place on ``float_product``, the lanes' product below 2^50.
 
 ``factorize_lanes`` is the one factorizer: it splits a column of cofactors
 in rounds, each on every part left. Miller-Rabin and Brent's rho run in

@@ -74,6 +74,7 @@ class LedgerMismatch(RuntimeError):
 
 SEGMENT_SIZE = 1 << 16  # values of f held at once by Leg 2
 
+
 @dataclass(frozen=True)
 class PrimeLocalData:
     """Per-prime statistics of Q(N).
