@@ -21,10 +21,12 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
   segments end at each checkpoint. Each level-1 progression n = r mod p
   is expanded into its hits and p is divided out again and again, which
   gives every v_p(g(n)) exactly. A progression carries its next n from
-  segment to segment, so a segment reads only those that hit it. At each
-  checkpoint the layer vector counted from these valuations must equal
-  Leg 1's layers of g for every prime, or the pass raises LedgerMismatch
-  naming that N.
+  segment to segment, so a segment reads only those that hit it. Leg 1's
+  layers of g, in its run order, number the slots of one flat count
+  array: the k-th division of g(n) by p counts at its row's k-th slot,
+  and a k past the row's slots raises LedgerMismatch naming p and n. At
+  each checkpoint Leg 1's count of every one of these layers must equal
+  the slot's, or the pass raises LedgerMismatch naming that N.
 - Leg 3: what remains of each |g(n)| has only prime factors above B. A
   cofactor below B^2 is then prime; it must pass a base-2 Fermat test
   first (``primes.fermat_base2``, beside the float-quotient product it
@@ -43,11 +45,11 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
 
 The ledger at checkpoint N_i equals a pass to N_i alone. The n <= N_i
 that a prime p > D*N_i divides lie in distinct classes mod p, so they are
-its roots of f in [1, N_i], and the ledger keeps them as its roots: for
-a Leg 1 prime in (D*N_i, B], its level-1 roots in [1, N_i] that are no
-zeros of f, with Leg 1's layers; above B, the n of its pairs in the run,
-which give its layers (``_group_run``). A FactorLedger holds columns
-sorted by p; ``FactorLedger.entries`` reads them as a mapping
+its roots of f in [1, N_i], and the ledger keeps them as its roots: a
+Leg 1 root r of such a p is kept when r in [1, N_i] is no zero of f, and
+the prime keeps Leg 1's layers; above B, the n of its pairs in the run
+give the roots and the layers (``_group_run``). A FactorLedger holds
+columns sorted by p; ``FactorLedger.entries`` reads them as a mapping
 p -> PrimeLocalData, and ``FactorLedger.prime_hits`` the hits of one
 prime. No other module reads the layout.
 """
@@ -157,7 +159,7 @@ class Csr:
             np.concatenate((self.values, other.values)),
         )
 
-    def take(self, rows, keep=True):
+    def take(self, rows, keep):
         """The table of the rows the boolean mask ``rows`` selects, holding
         only the values the boolean mask ``keep`` selects."""
         keep = np.repeat(rows, self.lengths()) & keep
@@ -258,14 +260,10 @@ class FactorLedger:
         upto = np.searchsorted(self.p, c, side="right")
         drop = np.zeros(len(self.p), dtype=np.int64)
         drop[:upto] = [_valuation(c, q) for q in self.p[:upto].tolist()]
-        offsets, values = self.layers.offsets, self.layers.values
-        lengths = self.layers.lengths()
-        at = np.arange(len(values)) - np.repeat(offsets[:-1], lengths)
-        layers = Csr(
-            np.concatenate(([0], np.cumsum(lengths - drop))),
-            values[at >= np.repeat(drop, lengths)],
-        )
-        return dataclasses.replace(self, layers=layers)
+        first = np.repeat(self.layers.offsets[:-1] + drop, self.layers.lengths())
+        keep = np.arange(len(self.layers.values)) >= first
+        rows = np.ones(len(self.p), dtype=bool)
+        return dataclasses.replace(self, layers=self.layers.take(rows, keep))
 
 
 class LedgerEntries(Mapping):
@@ -359,33 +357,31 @@ class PrimeColumns:
     @functools.cached_property
     def _runs(self):
         """The progressions of each layer, a run of (row, level): the first
-        and last progression of each run, its row, and whether it is a
-        layer of g (not a content layer), or None when every layer is."""
+        progression of each run, its row, and whether it is a layer of g
+        (not a content layer), or None when every layer is."""
         new = np.ones(len(self.row), dtype=bool)
         new[1:] = (np.diff(self.row) != 0) | (np.diff(self.level) != 0)
         first = np.flatnonzero(new)
-        last = np.append(first, len(new))[1:] - 1
         g = self.m[first] > 1
-        return first, last, self.row[first], None if g.all() else g
+        return first, self.row[first], None if g.all() else g
+
+    @functools.cached_property
+    def slots(self):
+        """The layers of g, in run order, as slots of a flat count array:
+        those of row i are slots[i] .. slots[i + 1] - 1, one per level."""
+        _, row, g = self._runs
+        per_row = np.bincount(row if g is None else row[g], minlength=len(self.p))
+        return np.concatenate(([0], np.cumsum(per_row)))
 
     def layers(self, n_max, nzeros):
-        """The layer tables at n_max <= N, of f and of g, for ``nzeros``
-        integer zeros of f in [1, n_max]."""
-        first, last, row, g = self._runs
-        total = np.cumsum(_count_progression(self.r, self.m, n_max))
-        b = total[last]
-        b[1:] -= total[first[1:] - 1]
+        """The count of every layer at n_max <= N, in run order, and of every
+        layer of g, in slot order, for ``nzeros`` integer zeros of f in
+        [1, n_max]. Every row is nonincreasing, so its positive counts are
+        a prefix."""
+        first, _, g = self._runs
+        b = np.add.reduceat(_count_progression(self.r, self.m, n_max), first)
         b = np.maximum(b - nzeros, 0)
-        table = self._table(b, row)
-        return table, table if g is None else self._table(b[g], row[g])
-
-    def _table(self, b, row):
-        """The layer table of the layer counts b of rows ``row``; every row
-        is nonincreasing, so its positive counts are a prefix."""
-        keep = b > 0
-        offsets = np.zeros(len(self.p) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row[keep], minlength=len(self.p)), out=offsets[1:])
-        return Csr(offsets, b[keep])
+        return b, b if g is None else b[g]
 
 
 def _prime_columns(coeffs, block, N, zeros, seed):
@@ -450,10 +446,10 @@ def prime_data(f: IntPoly, p, N, zeros, seed):
     cols = _prime_columns(f.coeffs, (p,), N, zeros, seed)
     if not len(cols.p):
         return PrimeLocalData(p=p, layer_counts=(), roots=())
-    layers, _ = cols.layers(N, len(zeros))
+    b, _ = cols.layers(N, len(zeros))
     return PrimeLocalData(
         p=p,
-        layer_counts=tuple(layers.row(0).tolist()),
+        layer_counts=tuple(b[b > 0].tolist()),
         roots=tuple(cols.roots.row(0).tolist()),
     )
 
@@ -481,7 +477,7 @@ def _leg1(coeffs, B, N, zeros, seed, workers):
 def factor_cofactor(c, seed=0):
     """Factor a residual cofactor (all prime factors exceed the sieve
     bound) into a sorted list of (prime, exponent). The pass factors a
-    segment's cofactors in one _factor_large call instead, as (q, n)
+    segment's cofactors in one _large_hits call instead, as (q, n)
     rows."""
     return primes.factorize(c, seed=seed)
 
@@ -498,16 +494,17 @@ def _abs_values(f: IntPoly, lo, hi, dtype):
     return np.abs(acc)
 
 
-def _divide_segment(values, lo, prog, levels):
-    """The cofactors of values = |f(n)|, n = lo, lo + 1, ..., once every
+def _divide_segment(f, N, values, lo, prog, slots, counts):
+    """The cofactors of values = |g(n)|, n = lo, lo + 1, ..., once every
     small prime is divided out along its level-1 progressions.
 
     ``prog`` holds the columns (p, nxt, i): the prime, the least n >= lo
     of the progression and the prime's row. Only the progressions with
     nxt in the segment are read, and their nxt moves past it in place, so
-    a segment costs its hits, not every progression. levels[k - 1][i]
-    gains the number of n with p_i^k | f(n) != 0; a level is appended when
-    first reached.
+    a segment costs its hits, not every progression. Each n with
+    p_i^k | g(n) != 0 adds one to ``counts`` at slot slots[i] + k - 1
+    (``PrimeColumns.slots``); a slot past row i's raises LedgerMismatch,
+    naming f, N, p and n.
     """
     p, nxt, row = prog
     hi = lo + len(values) - 1
@@ -522,19 +519,27 @@ def _divide_segment(values, lo, prog, levels):
     at = first[g] - lo + j * q
     live = values[at] != 0
     at, q, row = at[live], q[live].astype(values.dtype), row[live]
+    slot, end = slots[row], slots[row + 1]
     cur = values[at]
     divisor = np.ones_like(values)
-    k = 0
+    k = 1
     while True:
         divisible = cur % q == 0
-        if not divisible.any():
+        if not divisible.all():
+            at, q, cur, slot, end = (x[divisible] for x in (at, q, cur, slot, end))
+        if not len(at):
             return values // divisor
-        at, q, row = at[divisible], q[divisible], row[divisible]
-        cur = cur[divisible] // q
+        deep = slot >= end
+        if deep.any():
+            i = int(np.argmax(deep))
+            raise LedgerMismatch(
+                f"{f} at N={N}: p={q[i]}: n={lo + at[i]}: v_p(g(n)) >= {k}, "
+                f"past Leg 1's {k - 1} layers of g"
+            )
+        cur //= q
         np.multiply.at(divisor, at, q)
-        if k == len(levels):
-            levels.append(np.zeros_like(levels[0]))
-        levels[k] += np.bincount(row, minlength=len(levels[0]))
+        np.add.at(counts, slot, 1)
+        slot += 1
         k += 1
 
 
@@ -544,7 +549,9 @@ def _large_hits(f, N, B, cofactors, lo, seed):
     factor with its multiplicity.
 
     A cofactor in (B, B^2) is prime unless a prime <= B was missed, and
-    must pass a base-2 Fermat test; larger ones are factored by rho.
+    must pass a base-2 Fermat test; the larger ones go to
+    primes.factorize_lanes, which takes an int64 or an object batch. A
+    FactorTimeout names f, N, n and the cofactor.
     """
     n = np.flatnonzero(cofactors > 1)
     c = cofactors[n]
@@ -558,7 +565,15 @@ def _large_hits(f, N, B, cofactors, lo, seed):
             f"{f} at N={N}: the cofactor {c[i]} of f({n[i]}) is not a "
             "prime above B, so the sieve missed a prime <= B"
         )
-    q, hit = _factor_large(f, N, n[~below], c[~below], seed)
+    large, hit = c[~below], n[~below]
+    try:
+        owner, q = primes.factorize_lanes(large, seed)
+    except primes.FactorTimeout as exc:
+        i = exc.owner
+        raise primes.FactorTimeout(
+            f"{f} at N={N}: n={hit[i]}, cofactor {large[i]}: {exc}", i
+        ) from exc
+    hit = hit[owner]
     missed = q <= B
     if missed.any():
         i = int(np.argmax(missed))
@@ -566,22 +581,6 @@ def _large_hits(f, N, B, cofactors, lo, seed):
             f"{f} at N={N}: prime {q[i]} <= B survived the sieve at n={hit[i]}"
         )
     return np.concatenate((c[below], q)), np.concatenate((n[below], hit))
-
-
-def _factor_large(f, N, n, c, seed):
-    """(q, n) hit rows of the primes q of the cofactors c of f(n), all
-    above B^2: one row for each prime factor with its multiplicity, from
-    primes.factorize_lanes, which takes an int64 or an object batch. A
-    FactorTimeout names f, N, n and the cofactor.
-    """
-    try:
-        owner, q = primes.factorize_lanes(c, seed)
-    except primes.FactorTimeout as exc:
-        i = exc.owner
-        raise primes.FactorTimeout(
-            f"{f} at N={N}: n={n[i]}, cofactor {c[i]}: {exc}", i
-        ) from exc
-    return q, n[owner]
 
 
 def _merge_hits(run, q, n):
@@ -649,66 +648,63 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
     g = primitive_part(f)
     zeros = f.profile.integer_roots_in_range(N)
     cols = PrimeColumns.concat(_leg1(f.coeffs, B, N, zeros, seed, workers))
-    rows = len(cols.p)
     per_root = cols.roots.lengths()
     p, r = np.repeat(cols.p, per_root), cols.roots.values
-    # the least checkpoint that holds each root r of p: N >= p / D, or,
-    # as a hit of p, N >= r when r >= 1 is no integer zero of f
-    held = -(-p // f.profile.D)
-    hit = (r >= 1) & ~np.isin(r, zeros)
-    held[hit] = np.minimum(held[hit], r[hit])
-
     dtype = np.int64 if polynomial.value_bound(g, N) < primes.INT64_LIMIT else object
     # the least n >= 1 of each level-1 progression r mod p
-    prog = (p, np.where(r >= 1, r, p), np.repeat(np.arange(rows), per_root))
-    levels = [np.zeros(rows, dtype=np.int64)]
+    prog = (p, np.where(r >= 1, r, p), np.repeat(np.arange(len(cols.p)), per_root))
+    counts = np.zeros(cols.slots[-1], dtype=np.int64)
     run = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=np.uint8),)
     lo = 1
     for n_max in schedule:
         while lo <= n_max:
             hi = min(lo + SEGMENT_SIZE - 1, n_max)
             values = _abs_values(g, lo, hi, dtype)
-            cofactors = _divide_segment(values, lo, prog, levels)
+            cofactors = _divide_segment(f, n_max, values, lo, prog, cols.slots, counts)
             q, n = _large_hits(f, n_max, B, cofactors, lo, seed)
             if len(q):
                 run = _merge_hits(run, q, n)
             lo = hi + 1
-        yield _checkpoint(f, n_max, cols, held, Csr.from_levels(levels, rows), run)
+        yield _checkpoint(f, n_max, cols, counts, run)
 
 
-def _checkpoint(f, N, cols, held, sieved, run):
+def _checkpoint(f, N, cols, counts, run):
     """The FactorLedger of Q(N) at a checkpoint of a pass, once every n <= N
-    is sieved. ``sieved`` holds the layers of g Leg 2 counted for each row
-    of the PrimeColumns ``cols``, and ``run`` Leg 3's hits (``_merge_hits``).
+    is sieved. ``counts`` holds the layers of g Leg 2 counted, in the slots
+    of the PrimeColumns ``cols``, and ``run`` Leg 3's hits
+    (``_merge_hits``).
 
-    Leg 1's layers of g must equal ``sieved`` at every row. Every Leg 1
-    prime with a hit keeps Leg 1's layers, and the roots that ``held``
-    marks as held from N or earlier: up to D*N its level-1 roots, and above
-    D*N those of them in [1, N] that are no zeros of f. Leg 3's primes, all
-    above B, follow with the layers and roots of their run.
+    Leg 1's count of every layer of g must equal its slot's. Every Leg 1
+    prime with a hit keeps Leg 1's layers, and its level-1 roots: all of
+    them up to D*N, and above D*N those in [1, N] that are no zeros of f.
+    Leg 3's primes, all above B, follow with the layers and roots of their
+    run.
     """
     zeros = f.profile.integer_roots_in_range(N)
-    layers, g_layers = cols.layers(N, len(zeros))
-    if not (
-        np.array_equal(g_layers.offsets, sieved.offsets)
-        and np.array_equal(g_layers.values, sieved.values)
-    ):
-        i = next(
-            i for i in range(len(cols.p))
-            if g_layers.row(i).tolist() != sieved.row(i).tolist()
-        )
+    b, analytic = cols.layers(N, len(zeros))
+    if not np.array_equal(analytic, counts):
+        slot = int(np.argmax(analytic != counts))
+        i = int(np.searchsorted(cols.slots, slot, side="right")) - 1
+        at = slice(cols.slots[i], cols.slots[i + 1])
         raise LedgerMismatch(
             f"{f} at N={N}: p={cols.p[i]}: analytic layers "
-            f"{tuple(g_layers.row(i).tolist())} != sieved "
-            f"{tuple(sieved.row(i).tolist())}"
+            f"{tuple(analytic[at].tolist())} != sieved {tuple(counts[at].tolist())}"
         )
 
-    kept = layers.lengths() > 0
+    keep = b > 0
+    row = cols._runs[1][keep]
+    kept = np.zeros(len(cols.p), dtype=bool)
+    kept[row] = True
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    small = np.searchsorted(cols.p, f.profile.D * N, side="right")
+    r = cols.roots.values
+    roots = (r >= 1) & (r <= N) & ~np.isin(r, zeros)
+    roots[: cols.roots.offsets[small]] = True
     p, hit_layers, hit_roots = _group_run(*run)
     return FactorLedger(
         f=f,
         N=N,
         p=_int_column(np.concatenate((cols.p[kept], p))),
-        layers=layers.take(kept).concat(hit_layers),
-        roots=cols.roots.take(kept, held <= N).concat(hit_roots),
+        layers=Csr(np.append(first, len(row)), b[keep]).concat(hit_layers),
+        roots=cols.roots.take(kept, roots).concat(hit_roots),
     )

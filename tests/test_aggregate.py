@@ -178,7 +178,7 @@ class TestSweep:
         def off_at_10(cols, n_max, nzeros):
             full, g = layers(cols, n_max, nzeros)
             if n_max == 10:
-                g.values[0] += 1
+                g[0] += 1
             return full, g
 
         monkeypatch.setattr(sieve.PrimeColumns, "layers", off_at_10)

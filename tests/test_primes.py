@@ -602,7 +602,7 @@ class TestLaneBrent:
         n = np.arange(7, 7 + len(batch))
         error = f"^f at N=99: n=8, cofactor {ms[-1]}: rho gave up on {ms[-1]}$"
         with pytest.raises(FactorTimeout, match=error):
-            sieve._factor_large("f", 99, n, np.array(batch, np.int64), 0)
+            sieve._large_hits("f", 99, 1, np.array(batch, np.int64), n[0], 0)
 
     def test_handoff_state_is_the_scalar_walks(self, monkeypatch):
         calls = _spy(monkeypatch, "_brent_walks")
@@ -645,7 +645,7 @@ class TestLaneBrent:
         monkeypatch.setattr(sieve, "factor_cofactor", _not_called)
         cs = [p * m for m in G_EQ_N for p, _ in factorize(m)]
         n = np.arange(1, len(cs) + 1)
-        hits = sieve._factor_large("f", len(cs), n, np.array(cs, np.int64), 0)
+        hits = sieve._large_hits("f", len(cs), 1, np.array(cs, np.int64), n[0], 0)
         rows = _grouped_rows(hits)
         assert rows == [(i, p, k) for i, c in zip(n, cs) for p, k in factorize(c)]
 
@@ -655,7 +655,7 @@ class TestLaneBrent:
         monkeypatch.setattr(sieve, "factor_cofactor", _not_called)
         cs = [2**3 * 1_000_003 * 1_000_033, 2 * G_EQ_N[0], 1_000_003**2, *G_EQ_N]
         n = np.arange(7, 7 + len(cs))
-        hits = sieve._factor_large("f", 99, n, np.array(cs, np.int64), 0)
+        hits = sieve._large_hits("f", 99, 1, np.array(cs, np.int64), n[0], 0)
         rows = _grouped_rows(hits)
         assert rows == [(i, p, k) for i, c in zip(n, cs) for p, k in factorize(c)]
 

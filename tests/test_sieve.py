@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -500,7 +501,8 @@ class TestLegCrossCheck:
         # progressions 7 mod 25 and 18 mod 25 of x^2+1 then count in b_1,
         # and (4, 1) -> (5,) keeps alpha = 5 at N = 10. For 5x^2+5 the row
         # at p = 5 starts with the content layer (10,), and its layers of
-        # x^2+1 become (5,) in the same way.
+        # x^2+1 become (5,) in the same way. Leg 2 stops at n = 7: 25
+        # divides g(7) = 50, past the moved layer.
         exact = sieve._prime_columns
 
         def wrong_layers(*args, **kwargs):
@@ -510,8 +512,9 @@ class TestLegCrossCheck:
             return dataclasses.replace(cols, level=cols.level - last)
 
         monkeypatch.setattr(sieve, "_prime_columns", wrong_layers)
-        with pytest.raises(LedgerMismatch, match="p=5: "):
+        with pytest.raises(LedgerMismatch, match="p=5: ") as info:
             build_ledger(parse_poly(poly), 10)
+        assert re.search(r"\bn=7\b", str(info.value))
 
     @pytest.mark.parametrize("poly", ["x^2-1", "6x^3-6x"])
     def test_dropped_zero_fails(self, monkeypatch, poly):
