@@ -525,6 +525,7 @@ def _divide_segment(f, N, values, lo, prog, slots, counts):
     k = 1
     while True:
         divisible = cur % q == 0
+        # at the first level p divides every hit, and nothing is copied
         if not divisible.all():
             at, q, cur, slot, end = (x[divisible] for x in (at, q, cur, slot, end))
         if not len(at):
@@ -565,15 +566,15 @@ def _large_hits(f, N, B, cofactors, lo, seed):
             f"{f} at N={N}: the cofactor {c[i]} of f({n[i]}) is not a "
             "prime above B, so the sieve missed a prime <= B"
         )
-    large, hit = c[~below], n[~below]
+    n_large, c_large = n[~below], c[~below]
     try:
-        owner, q = primes.factorize_lanes(large, seed)
+        owner, q = primes.factorize_lanes(c_large, seed)
     except primes.FactorTimeout as exc:
         i = exc.owner
         raise primes.FactorTimeout(
-            f"{f} at N={N}: n={hit[i]}, cofactor {large[i]}: {exc}", i
+            f"{f} at N={N}: n={n_large[i]}, cofactor {c_large[i]}: {exc}", i
         ) from exc
-    hit = hit[owner]
+    hit = n_large[owner]
     missed = q <= B
     if missed.any():
         i = int(np.argmax(missed))
