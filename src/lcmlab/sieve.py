@@ -38,17 +38,19 @@ gcd of its coefficients) and g = f/c its primitive part. Three legs run:
   products otherwise), and in packs of the scalar walk, each a single
   walk modulo the product of its moduli, for the last walks and the
   larger parts. Each prime factor q of the cofactor of n is one (q, n)
-  row, repeated with its multiplicity. A segment's rows are sorted once
-  and merged into one run of distinct (q, n) pairs, kept sorted by
-  (q, n) across the pass (``_merge_hits``), each with its number of rows,
-  v_q(f(n)); the hits of such primes up to a checkpoint are the run.
+  row, repeated with its multiplicity, so a pair (q, n) has v_q(f(n))
+  rows. The rows of the segments since the last checkpoint are sorted
+  once at the checkpoint and merged into one run, kept sorted by (q, n)
+  across the pass (``_merge_hits``); the hits of such primes up to a
+  checkpoint are the run.
 
 The ledger at checkpoint N_i equals a pass to N_i alone. The n <= N_i
 that a prime p > D*N_i divides lie in distinct classes mod p, so they are
 its roots of f in [1, N_i], and the ledger keeps them as its roots: a
 Leg 1 root r of such a p is kept when r in [1, N_i] is no zero of f, and
-the prime keeps Leg 1's layers; above B, the n of its pairs in the run
-give the roots and the layers (``_group_run``). A FactorLedger holds
+the prime keeps Leg 1's layers; above B, its distinct n in the run are
+its roots, and a pair of e rows counts in each of its first e layers
+(``_group_run``). A FactorLedger holds
 columns sorted by p; ``FactorLedger.entries`` reads them as a mapping
 p -> PrimeLocalData, and ``FactorLedger.prime_hits`` the hits of one
 prime. No other module reads the layout.
@@ -60,6 +62,7 @@ import collections
 import dataclasses
 import functools
 import math
+import os
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -123,18 +126,6 @@ class Csr:
 
     offsets: np.ndarray  # int64, one longer than the table
     values: np.ndarray
-
-    @classmethod
-    def from_levels(cls, levels, rows):
-        """The table of layer vectors with levels[k - 1][i] = b_k of row i.
-
-        Every row must be nonincreasing, so its nonzero counts are a
-        prefix.
-        """
-        counts = np.array(levels, dtype=np.int64).reshape(len(levels), rows).T
-        offsets = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(counts, axis=1), out=offsets[1:])
-        return cls(offsets, counts[counts > 0])
 
     def row(self, i):
         return self.values[self.offsets[i] : self.offsets[i + 1]]
@@ -458,9 +449,12 @@ def _leg1(coeffs, B, N, zeros, seed, workers):
     """The PrimeColumns of each int64 block of ``modular.BLOCK_SIZE``
     primes <= B, in order. With workers > 1 the blocks run in a process
     pool, at most 2 * workers of them at once, so the primes are read as
-    the results are taken."""
+    the results are taken. The pool has at most ``os.cpu_count()``
+    workers: it starts all of them at once, and the blocks do not depend
+    on their number."""
     blocks = primes.prime_blocks(B, modular.BLOCK_SIZE)
     run = functools.partial(_prime_columns, coeffs, N=N, zeros=zeros, seed=seed)
+    workers = min(workers, os.cpu_count() or 1)
     if workers == 1:
         yield from map(run, blocks)
         return
@@ -584,43 +578,47 @@ def _large_hits(f, N, B, cofactors, lo, seed):
     return np.concatenate((c[below], q)), np.concatenate((n[below], hit))
 
 
-def _merge_hits(run, q, n):
-    """Leg 3's ``run`` of hits with a segment's (q, n) hit rows merged in.
+def _merge_hits(run, rows):
+    """Leg 3's ``run`` with the (q, n) hit rows of the list ``rows`` merged
+    in; ``rows`` is emptied as it is read.
 
-    A run is three columns (q, n, e): the distinct pairs (q, n) sorted by
-    (q, n), and e = v_q(f(n)), the number of rows of the pair. The rows
-    are sorted here, once; every n of the segment exceeds those of the
-    run, so a pair goes after the run's pairs of its q.
+    A run is two columns (q, n), one row per unit of v_q(f(n)), sorted by
+    (q, n). The new rows are sorted here, once; every n of them exceeds
+    those of the run, so a row goes after the run's rows of its q.
     """
+    rq, rn = run
+    # the empty heads keep the run's dtypes, and serve N = 0, with no rows
+    q = np.concatenate([rq[:0], *(q for q, _ in rows)])
+    n = np.concatenate([rn[:0], *(n for _, n in rows)])
+    rows.clear()
     order = np.lexsort((n, q))
     q, n = q[order], n[order]
-    first = np.ones(len(q), dtype=bool)  # the first row of each (q, n)
-    first[1:] = (q[1:] != q[:-1]) | (n[1:] != n[:-1])
-    at = np.flatnonzero(first)
-    e = np.diff(at, append=len(q))
-    e = e.astype(np.min_scalar_type(e.max(initial=0)))  # uint8 but for huge f(n)
-    q, n = q[at], n[at]
-    rq, rn, re = run
-    rq, q = (x.astype(np.result_type(rq, q), copy=False) for x in (rq, q))
-    re, e = (x.astype(np.result_type(re, e), copy=False) for x in (re, e))
     at = np.searchsorted(rq, q, side="right")
-    return np.insert(rq, at, q), np.insert(rn, at, n), np.insert(re, at, e)
+    return np.insert(rq, at, q), np.insert(rn, at, n)
 
 
-def _group_run(q, n, e):
+def _group_run(q, n):
     """The p column, layer table and root table of the primes of a run
-    (``_merge_hits``): the roots of q are its n, and its layer b_k counts
-    its pairs with e >= k."""
-    new = np.ones(len(q), dtype=bool)
-    new[1:] = q[1:] != q[:-1]
-    starts = np.flatnonzero(new)
-    group = np.cumsum(new) - 1
-    levels = [
-        np.bincount(group[e >= k], minlength=len(starts))
-        for k in range(1, int(e.max(initial=0)) + 1)
-    ]
-    roots = Csr(np.append(starts, len(q)), n)
-    return q[starts], Csr.from_levels(levels, len(starts)), roots
+    (``_merge_hits``): the roots of q are its distinct n. A pair (q, n) of
+    e = v_q(f(n)) rows adds one to each of the first e of q's layers, one
+    slot each up to its largest e, so b_k counts its pairs with e >= k."""
+    first = np.ones(len(q), dtype=bool)  # the first row of each q
+    first[1:] = q[1:] != q[:-1]
+    p = q[first]
+    pair = first.copy()  # the first row of each (q, n)
+    pair[1:] |= n[1:] != n[:-1]
+    if pair.all():  # every e is 1, so each q has one layer
+        roots = Csr(np.append(np.flatnonzero(first), len(n)), n)
+        return p, Csr(np.arange(len(p) + 1), roots.lengths()), roots
+    at = np.flatnonzero(pair)
+    e = np.diff(at, append=len(q))
+    n, first = n[at], first[at]
+    starts = np.flatnonzero(first)
+    offsets = np.concatenate(([0], np.cumsum(np.maximum.reduceat(e, starts))))
+    # row j of pair i, at at[i] + j, counts at slot offsets[q's group] + j
+    slot = np.repeat(offsets[np.cumsum(first) - 1] - at, e) + np.arange(len(q))
+    layers = Csr(offsets, np.bincount(slot, minlength=offsets[-1]))
+    return p, layers, Csr(np.append(starts, len(n)), n)
 
 
 def build_ledger(f: IntPoly, N, seed=0, workers=1):
@@ -655,31 +653,31 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
     # the least n >= 1 of each level-1 progression r mod p
     prog = (p, np.where(r >= 1, r, p), np.repeat(np.arange(len(cols.p)), per_root))
     counts = np.zeros(cols.slots[-1], dtype=np.int64)
-    run = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=np.uint8),)
+    # Leg 3's run, and its hit rows of the segments since the last checkpoint
+    run, rows = (np.zeros(0, dtype=dtype), np.zeros(0, dtype=np.int64)), []
     lo = 1
     for n_max in schedule:
         while lo <= n_max:
             hi = min(lo + SEGMENT_SIZE - 1, n_max)
             values = _abs_values(g, lo, hi, dtype)
             cofactors = _divide_segment(f, n_max, values, lo, prog, cols.slots, counts)
-            q, n = _large_hits(f, n_max, B, cofactors, lo, seed)
-            if len(q):
-                run = _merge_hits(run, q, n)
+            rows.append(_large_hits(f, n_max, B, cofactors, lo, seed))
             lo = hi + 1
+        run = _merge_hits(run, rows)
         yield _checkpoint(f, n_max, cols, counts, run)
 
 
 def _checkpoint(f, N, cols, counts, run):
     """The FactorLedger of Q(N) at a checkpoint of a pass, once every n <= N
     is sieved. ``counts`` holds the layers of g Leg 2 counted, in the slots
-    of the PrimeColumns ``cols``, and ``run`` Leg 3's hits
-    (``_merge_hits``).
+    of the PrimeColumns ``cols``, and ``run`` Leg 3's (q, n) rows of every
+    n <= N (``_merge_hits``).
 
     Leg 1's count of every layer of g must equal its slot's. Every Leg 1
     prime with a hit keeps Leg 1's layers, and its level-1 roots: all of
     them up to D*N, and above D*N those in [1, N] that are no zeros of f.
-    Leg 3's primes, all above B, follow with the layers and roots of their
-    run.
+    Leg 3's primes, all above B, follow with the layers and roots that
+    ``_group_run`` reads off the run.
     """
     zeros = f.profile.integer_roots_in_range(N)
     b, analytic = cols.layers(N, len(zeros))

@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import math
+import os
 import re
 import subprocess
 import sys
@@ -326,6 +328,13 @@ class TestCheckpointPass:
             assert dict(led.entries) == dict(single.entries), (poly, led.N)
             assert summarize(led) == summarize(single)
             assert dataclasses.replace(rec, seconds=0.0) == summarize(single)
+        if poly == "x^5-x+1":
+            # Leg 3 primes above B = 900: 929^2 | f(60), a pair of two rows,
+            # and 3121's hits 5 and 81 lie in different segments and
+            # checkpoints
+            last = ledgers[-1].entries
+            assert last[929].layer_counts == (1, 1)
+            assert last[3121].roots == (5, 81)
 
     def test_leg1_streams_primes(self, monkeypatch):
         # with 2 workers at most 4 blocks are in flight, so the first
@@ -341,6 +350,7 @@ class TestCheckpointPass:
 
         monkeypatch.setattr(primes, "prime_blocks", counted)
         monkeypatch.setattr(modular, "BLOCK_SIZE", 16)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool's cap
         N = 20000
         blocks = sieve._leg1(F.coeffs, 3 * N, N, (), 0, workers=2)
         first = next(blocks)
@@ -348,6 +358,33 @@ class TestCheckpointPass:
         cols = sieve.PrimeColumns.concat([first, *blocks])
         assert len(read) == 6057  # the primes up to B = 60000
         assert cols.p.tolist() == [p for p in read if p == 2 or p % 4 == 1]
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # a pool starts all its workers at the first submit, so --workers
+        # 10^6 would fork 10^6 processes; this pool runs each block in-line
+        made = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(sieve, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(modular, "BLOCK_SIZE", 16)
+        led = build_ledger(F, 2000, workers=10**6)
+        assert made == [3]
+        assert dict(led.entries) == dict(build_ledger(F, 2000).entries)
 
 
 def per_prime_columns(f, block, N, zeros):
