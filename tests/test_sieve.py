@@ -364,15 +364,9 @@ class TestCheckpointPass:
         # 10^6 would fork 10^6 processes; this pool runs each block in-line
         made = []
 
-        class InlinePool:
+        class InlinePool(concurrent.futures.Executor):
             def __init__(self, max_workers):
                 made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def submit(self, fn, *args):
                 future = concurrent.futures.Future()
