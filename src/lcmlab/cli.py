@@ -209,9 +209,7 @@ def cmd_local(args):
     if not primes.is_probable_prime(args.p, seed=args.seed):
         raise ConfigError(f"--p {args.p} is not a prime")
     _check_n(args.n)
-    data = sieve.prime_data(
-        f, args.p, args.n, f.profile.integer_roots_in_range(args.n), args.seed
-    )
+    data = sieve.prime_data(f, args.p, args.n, args.seed)
     doc = {
         "version": SCHEMA_VERSION,
         "seed": args.seed,

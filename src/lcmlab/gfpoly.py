@@ -289,8 +289,6 @@ def low_degree_roots(c0, c1, quad, P):
     roots[0] = -c0 % P
     count = np.ones(len(P), dtype=np.int64)
     q = np.flatnonzero(quad)
-    if not len(q):
-        return roots, count
     P, c0, c1 = P[q], c0[q], c1[q]
     disc = (c1 * c1 - 4 * c0) % P
     s, square = _square_roots(disc, P)

@@ -51,10 +51,6 @@ class RootSet:
     roots: tuple
     simple_flags: tuple  # per root: f'(r) invertible mod p
 
-    def __post_init__(self):
-        if len(self.roots) != len(self.simple_flags):
-            raise ValueError("roots and simple_flags must align")
-
 
 @dataclass(frozen=True, eq=False)
 class RootColumns:

@@ -274,9 +274,8 @@ def factorize(n, seed=0):
     return sorted(Counter(q.tolist()).items())
 
 
-# Fewer walks than this finish in packs of the scalar walk, and a round
-# of factorize_lanes with fewer parts below 2^63 tests them for primality
-# one at a time (is_probable_prime).
+# Fewer walks than this finish in packs of the scalar walk; Miller-Rabin
+# has no such threshold, and runs in lanes on every part below 2^63.
 # At 128 lanes a lockstep step costs 27-34 us (14-17 us in the first half
 # of a round), a pack's 0.19-0.22 us a walk (0.08-0.09): the crossover is
 # 140-190 walks. The cofactors of x^5-x+1 at N = 6000 and x^3+2 at
@@ -655,9 +654,9 @@ def factorize_lanes(ms, seed):
 
     The primes of _TINY_PRIMES are divided out first, 2 included, so the
     lane arithmetic sees odd moduli only. Then each round takes
-    every part left. Miller-Rabin runs in lanes (_probable_primes) on the
-    parts below 2^63 when there are at least LANES of them, and part by
-    part (is_probable_prime) otherwise. Rho attempt a on a composite m
+    every part left. Miller-Rabin runs in lanes (_probable_primes) on every
+    part below 2^63, however few, and part by part (is_probable_prime) on
+    the parts above. Rho attempt a on a composite m
     draws y0 and c from _rho_rng(m, seed, a) and walks in lanes
     (_brent_lanes) below 2^63, in packs of the scalar walk (_brent_walks)
     above. A factor d of m puts d and m / d in the next round at attempt
@@ -679,7 +678,6 @@ def factorize_lanes(ms, seed):
     gave_up = []
     while len(part):
         lanes = part < INT64_LIMIT
-        lanes &= np.count_nonzero(lanes) >= LANES
         prime = np.zeros(len(part), dtype=bool)
         prime[lanes] = _probable_primes(part[lanes].astype(np.uint64))
         prime[~lanes] = [is_probable_prime(m, seed) for m in part[~lanes].tolist()]

@@ -86,8 +86,8 @@ class PrimeLocalData:
 
     layer_counts[i] = b_{i+1} = #{n <= N : p^(i+1) | f(n)}; trailing zeros
     are never stored. ``roots`` holds the level-1 roots of f mod p for a
-    prime up to the sieve bound, and for a prime above it the n <= N with
-    p | f(n) != 0, which are its roots in [1, N].
+    prime up to D*N, and above D*N the n <= N with p | f(n) != 0, its
+    roots in [1, N], as ledgers and ``prime_data`` keep them (``kept_roots``).
     """
 
     p: int
@@ -226,17 +226,21 @@ class FactorLedger:
         raise KeyError(p)
 
     def prime_hits(self, p, limit):
-        """(n, v_p(f(n))) for each n <= limit that p divides, in n order.
+        """(n, v_p(f(n))) for each n <= limit that p divides, in n order,
+        for a limit up to N (ValueError above it).
 
-        ``limit`` must be under p, so the hits are roots of f mod p, which
-        above B are kept only in [1, N], and v_p(f(n)) is read off f(n); a
-        prime of the content of f divides every f(n), so every n is a hit.
+        The hits are the n = r mod p for the roots r of p's row, which above
+        B are kept only in [1, N], and v_p(f(n)) is read off f(n); a prime
+        of the content of f divides every f(n), so every n is a hit.
         """
         i = self._row(p)
+        if limit > self.N:
+            raise ValueError(f"limit {limit} exceeds the ledger's N = {self.N}")
         if math.gcd(*self.f.coeffs) % p == 0:
             candidates = range(1, limit + 1)
         else:
-            candidates = [r for r in self.roots.row(i).tolist() if 1 <= r <= limit]
+            first = [r % p or p for r in self.roots.row(i).tolist()]
+            candidates = sorted(n for r in first for n in range(r, limit + 1, p))
         hits = []
         for n in candidates:
             if (fn := self.f.eval(n)) and (v := _valuation(fn, p)):
@@ -348,20 +352,19 @@ class PrimeColumns:
     @functools.cached_property
     def _runs(self):
         """The progressions of each layer, a run of (row, level): the first
-        progression of each run, its row, and whether it is a layer of g
-        (not a content layer), or None when every layer is."""
+        progression of each run, its row, and the mask of the runs that are
+        layers of g, not content layers."""
         new = np.ones(len(self.row), dtype=bool)
         new[1:] = (np.diff(self.row) != 0) | (np.diff(self.level) != 0)
         first = np.flatnonzero(new)
-        g = self.m[first] > 1
-        return first, self.row[first], None if g.all() else g
+        return first, self.row[first], self.m[first] > 1
 
     @functools.cached_property
     def slots(self):
         """The layers of g, in run order, as slots of a flat count array:
         those of row i are slots[i] .. slots[i + 1] - 1, one per level."""
         _, row, g = self._runs
-        per_row = np.bincount(row if g is None else row[g], minlength=len(self.p))
+        per_row = np.bincount(row[g], minlength=len(self.p))
         return np.concatenate(([0], np.cumsum(per_row)))
 
     def layers(self, n_max, nzeros):
@@ -372,7 +375,17 @@ class PrimeColumns:
         first, _, g = self._runs
         b = np.add.reduceat(_count_progression(self.r, self.m, n_max), first)
         b = np.maximum(b - nzeros, 0)
-        return b, b if g is None else b[g]
+        return b, b[g]
+
+    def kept_roots(self, f, N):
+        """The mask of the level-1 roots that the ledger of f at a checkpoint
+        N keeps: every root of a prime up to D*N, and above D*N those in
+        [1, N] that are no zeros of f, which are the n <= N it divides."""
+        r = self.roots.values
+        keep = (r >= 1) & (r <= N) & ~np.isin(r, f.profile.integer_roots_in_range(N))
+        small = np.searchsorted(self.p, f.profile.D * N, side="right")
+        keep[: self.roots.offsets[small]] = True
+        return keep
 
 
 def _prime_columns(coeffs, block, N, zeros, seed):
@@ -432,16 +445,16 @@ def _prime_columns(coeffs, block, N, zeros, seed):
     return PrimeColumns(_int_column(rc.p[kept]), roots, *progs)
 
 
-def prime_data(f: IntPoly, p, N, zeros, seed):
-    """Exact PrimeLocalData of f at one prime p: Leg 1 on the block (p,)."""
+def prime_data(f: IntPoly, p, N, seed):
+    """Exact PrimeLocalData of f at one prime p: Leg 1 on the block (p,),
+    with the roots that the ledger of f at N keeps (``kept_roots``)."""
+    zeros = f.profile.integer_roots_in_range(N)
     cols = _prime_columns(f.coeffs, (p,), N, zeros, seed)
-    if not len(cols.p):
-        return PrimeLocalData(p=p, layer_counts=(), roots=())
     b, _ = cols.layers(N, len(zeros))
     return PrimeLocalData(
         p=p,
         layer_counts=tuple(b[b > 0].tolist()),
-        roots=tuple(cols.roots.row(0).tolist()),
+        roots=tuple(cols.roots.values[cols.kept_roots(f, N)].tolist()),
     )
 
 
@@ -488,22 +501,24 @@ def _abs_values(f: IntPoly, lo, hi, dtype):
     return np.abs(acc)
 
 
-def _divide_segment(f, N, values, lo, prog, slots, counts):
-    """The cofactors of values = |g(n)|, n = lo, lo + 1, ..., once every
-    small prime is divided out along its level-1 progressions.
+def _divide_segment(f, N, values, lo, cols, prog, counts):
+    """Divide every small prime out of values = |g(n)|, n = lo, lo + 1,
+    ..., in place, along its level-1 progressions, which leaves the
+    cofactors.
 
-    ``prog`` holds the columns (p, nxt, i): the prime, the least n >= lo
-    of the progression and the prime's row. Only the progressions with
-    nxt in the segment are read, and their nxt moves past it in place, so
-    a segment costs its hits, not every progression. Each n with
-    p_i^k | g(n) != 0 adds one to ``counts`` at slot slots[i] + k - 1
-    (``PrimeColumns.slots``); a slot past row i's raises LedgerMismatch,
+    ``prog`` holds the columns (nxt, i): the least n >= lo of the
+    progression and the row of its prime p_i in the PrimeColumns ``cols``.
+    Only the progressions with nxt in the segment are read, and their nxt
+    moves past it in place, so a segment costs its hits, not every
+    progression. Each n with p_i^k | g(n) != 0 adds one to ``counts`` at
+    slot cols.slots[i] + k - 1; a slot past row i's raises LedgerMismatch,
     naming f, N, p and n.
     """
-    p, nxt, row = prog
+    nxt, row = prog
     hi = lo + len(values) - 1
     g = np.flatnonzero(nxt <= hi)
-    q, first, row = p[g], nxt[g], row[g]
+    first, row = nxt[g], row[g]
+    q = cols.p[row]
     count = (hi - first) // q + 1
     nxt[g] = first + count * q
     # hit j of progression g lies at first[g] + j * q[g], j < count[g]
@@ -513,9 +528,8 @@ def _divide_segment(f, N, values, lo, prog, slots, counts):
     at = first[g] - lo + j * q
     live = values[at] != 0
     at, q, row = at[live], q[live].astype(values.dtype), row[live]
-    slot, end = slots[row], slots[row + 1]
+    slot, end = cols.slots[row], cols.slots[row + 1]
     cur = values[at]
-    divisor = np.ones_like(values)
     k = 1
     while True:
         divisible = cur % q == 0
@@ -523,7 +537,7 @@ def _divide_segment(f, N, values, lo, prog, slots, counts):
         if not divisible.all():
             at, q, cur, slot, end = (x[divisible] for x in (at, q, cur, slot, end))
         if not len(at):
-            return values // divisor
+            return
         deep = slot >= end
         if deep.any():
             i = int(np.argmax(deep))
@@ -532,7 +546,7 @@ def _divide_segment(f, N, values, lo, prog, slots, counts):
                 f"past Leg 1's {k - 1} layers of g"
             )
         cur //= q
-        np.multiply.at(divisor, at, q)
+        np.floor_divide.at(values, at, q)
         np.add.at(counts, slot, 1)
         slot += 1
         k += 1
@@ -647,11 +661,10 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
     g = primitive_part(f)
     zeros = f.profile.integer_roots_in_range(N)
     cols = PrimeColumns.concat(_leg1(f.coeffs, B, N, zeros, seed, workers))
-    per_root = cols.roots.lengths()
-    p, r = np.repeat(cols.p, per_root), cols.roots.values
     dtype = np.int64 if polynomial.value_bound(g, N) < primes.INT64_LIMIT else object
-    # the least n >= 1 of each level-1 progression r mod p
-    prog = (p, np.where(r >= 1, r, p), np.repeat(np.arange(len(cols.p)), per_root))
+    # the least n >= 1 of each level-1 progression r mod p, and p's row
+    row, r = np.repeat(np.arange(len(cols.p)), cols.roots.lengths()), cols.roots.values
+    prog = (np.where(r >= 1, r, cols.p[row]), row)
     counts = np.zeros(cols.slots[-1], dtype=np.int64)
     # Leg 3's run, and its hit rows of the segments since the last checkpoint
     run, rows = (np.zeros(0, dtype=dtype), np.zeros(0, dtype=np.int64)), []
@@ -660,8 +673,8 @@ def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
         while lo <= n_max:
             hi = min(lo + SEGMENT_SIZE - 1, n_max)
             values = _abs_values(g, lo, hi, dtype)
-            cofactors = _divide_segment(f, n_max, values, lo, prog, cols.slots, counts)
-            rows.append(_large_hits(f, n_max, B, cofactors, lo, seed))
+            _divide_segment(f, n_max, values, lo, cols, prog, counts)
+            rows.append(_large_hits(f, n_max, B, values, lo, seed))
             lo = hi + 1
         run = _merge_hits(run, rows)
         yield _checkpoint(f, n_max, cols, counts, run)
@@ -679,8 +692,7 @@ def _checkpoint(f, N, cols, counts, run):
     Leg 3's primes, all above B, follow with the layers and roots that
     ``_group_run`` reads off the run.
     """
-    zeros = f.profile.integer_roots_in_range(N)
-    b, analytic = cols.layers(N, len(zeros))
+    b, analytic = cols.layers(N, len(f.profile.integer_roots_in_range(N)))
     if not np.array_equal(analytic, counts):
         slot = int(np.argmax(analytic != counts))
         i = int(np.searchsorted(cols.slots, slot, side="right")) - 1
@@ -695,15 +707,11 @@ def _checkpoint(f, N, cols, counts, run):
     kept = np.zeros(len(cols.p), dtype=bool)
     kept[row] = True
     first = np.flatnonzero(np.diff(row, prepend=-1))
-    small = np.searchsorted(cols.p, f.profile.D * N, side="right")
-    r = cols.roots.values
-    roots = (r >= 1) & (r <= N) & ~np.isin(r, zeros)
-    roots[: cols.roots.offsets[small]] = True
     p, hit_layers, hit_roots = _group_run(*run)
     return FactorLedger(
         f=f,
         N=N,
         p=_int_column(np.concatenate((cols.p[kept], p))),
         layers=Csr(np.append(first, len(row)), b[keep]).concat(hit_layers),
-        roots=cols.roots.take(kept, roots).concat(hit_roots),
+        roots=cols.roots.take(kept, cols.kept_roots(f, N)).concat(hit_roots),
     )

@@ -306,8 +306,12 @@ class TestOtherCommands:
             code, out, _ = _run(
                 capsys, "local", "--poly", poly, "--p", str(p), "--n", str(N)
             )
-            expected = led.entries[p].layer_counts if p in led.entries else ()
-            assert code == 0 and tuple(json.loads(out)["layer_counts"]) == expected, p
+            entry = led.entries.get(p)
+            layers, roots = (entry.layer_counts, entry.roots) if entry else ((), ())
+            doc = json.loads(out)
+            assert code == 0 and tuple(doc["layer_counts"]) == layers, p
+            # above D*N, only the n <= N that p divides
+            assert tuple(doc["roots"]) == roots, p
 
     def test_float_format_17_digits(self, tmp_path, capsys):
         out = tmp_path / "f.csv"

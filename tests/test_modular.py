@@ -542,6 +542,24 @@ class TestClosedForm:
             if n:
                 assert r0 * r0 % p == x and r0 <= r1 == (p - r0) % p, (p, x)
 
+    @pytest.mark.parametrize("ps", [[3, 5, 7, 65537], [3221225473, 2**61 - 1]])
+    def test_linear_and_empty_columns(self, ps):
+        # with no quadratic column, and with no column at all, the lockstep
+        # code still runs: each column holds the one root -c0 of x + c0
+        P = gfpoly.modulus_column(ps)
+        assert P.dtype == (object if ps[0] > 2**31 else np.int64)
+        c0 = np.array([p // 3 * (i + 1) % p for i, p in enumerate(ps)], P.dtype)
+        for cols in (slice(None), slice(0)):
+            P_, c0_ = P[cols], c0[cols]
+            roots, count = gfpoly.low_degree_roots(
+                c0_, 0 * c0_, np.zeros(len(P_), bool), P_
+            )
+            assert roots.shape == (2, len(P_)) and roots.dtype == P.dtype
+            assert count.tolist() == [1] * len(P_)
+            closed = [-c % p for c, p in zip(c0_.tolist(), P_.tolist())]
+            assert roots[0].tolist() == closed
+            assert roots[1].tolist() == [0] * len(P_)
+
     def test_stalled_loop_raises(self):
         # 21 = 5 mod 8 takes z = 2, which is a square mod 7, so c = z^q has
         # too low an order for the loop to lower that of b

@@ -651,7 +651,7 @@ class TestLaneBrent:
 
     def test_small_batch_with_even_cofactors(self, monkeypatch):
         # fewer than primes.LANES cofactors: factorize_lanes divides out 2 and
-        # the other tiny primes, and tests the parts one at a time
+        # the other tiny primes, and tests the parts in lanes all the same
         monkeypatch.setattr(sieve, "factor_cofactor", _not_called)
         cs = [2**3 * 1_000_003 * 1_000_033, 2 * G_EQ_N[0], 1_000_003**2, *G_EQ_N]
         n = np.arange(7, 7 + len(cs))

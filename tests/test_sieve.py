@@ -82,16 +82,16 @@ def _assert_matches_oracle(f, N):
 
 class TestLocalData:
     def test_example_p5(self):
-        d = prime_data(F, 5, 10, (), 0)
+        d = prime_data(F, 5, 10, 0)
         assert (d.alpha, d.max_exp, d.hit_count) == (5, 2, 4)
         assert d.layer_counts == (4, 1)
 
     def test_example_rho_zero(self):
-        d = prime_data(F, 3, 100, (), 0)
+        d = prime_data(F, 3, 100, 0)
         assert (d.alpha, d.max_exp, d.hit_count) == (0, 0, 0)
 
     def test_example_single_large_hit(self):
-        d = prime_data(F, 101, 10, (), 0)
+        d = prime_data(F, 101, 10, 0)
         assert (d.alpha, d.max_exp, d.hit_count) == (1, 1, 1)
 
     def test_maximum_between_critical_points(self):
@@ -103,7 +103,7 @@ class TestLocalData:
         coeffs[0] -= q**5 + 1
         f = IntPoly(tuple(coeffs))
         assert f.eval(5001) == f.eval(4999) == -(q**5)
-        d = prime_data(f, q, N, (), 0)
+        d = prime_data(f, q, N, 0)
         assert d.roots == (4999, 5001)
         assert d.layer_counts == (2, 2, 2, 2, 2)
 
@@ -159,7 +159,7 @@ class TestBuildLedger:
 
     def test_quintic_lanes_equal_scalar(self, monkeypatch):
         # 1225 cofactors above B^2, 478 of them composite; with LANES =
-        # 10^9 every part is tested one at a time and every walk is scalar
+        # 10^9 every walk is scalar
         f = parse_poly("x^5-x+1")
         lanes = build_ledger(f, 1500)
         monkeypatch.setattr(primes, "LANES", 10**9)
@@ -210,6 +210,27 @@ class TestBuildLedger:
                     expected.append((n, e))
             assert ledger.prime_hits(p, N) == expected, p
             assert ledger.entries[p].roots == tuple(n for n, _ in expected), p
+
+    @pytest.mark.parametrize("poly", ["x^2+1", "x^3+2", "6x^2-6"])
+    def test_prime_hits_at_any_limit(self, poly):
+        # a limit at or past p reads every n = r mod p, not only the roots
+        # r; 6x^2-6 has the content primes 2 and 3 and the zero n = 1
+        f, N = parse_poly(poly), 30
+        led = build_ledger(f, N)
+        for p in led.entries:
+            expected = []
+            for n in range(1, N + 1):
+                v, e = f.eval(n), 0
+                while v and v % p == 0:
+                    v //= p
+                    e += 1
+                if e:
+                    expected.append((n, e))
+            for limit in sorted({1, min(p, N), N}):
+                hits = [(n, e) for n, e in expected if n <= limit]
+                assert led.prime_hits(p, limit) == hits, (p, limit)
+        with pytest.raises(ValueError, match="exceeds"):
+            led.prime_hits(2, N + 1)
 
     def test_log_sum_agreement(self, ledger_factory, test_poly):
         N = 300
