@@ -191,7 +191,7 @@ def cmd_verify(args):
             f, args.n, names, seed=args.seed, workers=workers
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 1
     doc = {
         "version": SCHEMA_VERSION,
@@ -301,6 +301,12 @@ def build_parser():
     return parser
 
 
+def _print_error(exc):
+    """One stderr line: the error, then each of its notes in parentheses."""
+    context = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+    print(f"error: {exc}{context}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -312,8 +318,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ConfigError, sieve.LedgerMismatch) as exc:
-        context = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
-        print(f"error: {exc}{context}", file=sys.stderr)
+        _print_error(exc)
         return 1
     except primes.FactorTimeout as exc:
         # exit 2 as for a sweep gap; sweep itself turns a timeout into one

@@ -37,9 +37,21 @@ if TYPE_CHECKING:
     from .polynomial import IntPoly
 
 
-# Primes per call of roots_mod_primes in the ledger; bounds the lockstep
-# arrays and the root and progression columns of a block held at once.
-BLOCK_SIZE = 2048
+# Primes per call of roots_mod_primes in the ledger. Each Frobenius power
+# and each splitting round is a few hundred numpy calls however wide the
+# block, so wider blocks pay that fixed cost less often. Leg 1 alone, ms,
+# best of 3, interleaved, on a 2-vCPU Xeon VM (numpy 2.4), at 2^11, 2^12,
+# 2^14 and 2^16 primes a block:
+#   x^2+1 at 10^6            301 / 262 / 243 / 274
+#   x^3+2 at 10^5            268 / 225 / 189 / 182
+#   x^4+1 at 2*10^4          126 / 102 /  83 /  84
+#   x^5-x+1 at 2*10^4        138 / 108 / 102 / 101
+# A block's memory is its lockstep matrices, at most 2d - 1 rows of
+# BLOCK_SIZE residues each, and its root and progression columns, a few
+# int64 words per root and level: one block's traced peak is 6.3-7.0 MiB
+# at 2^14 for x^2+1 at 10^6, x^3+2 at 10^5 and x^5-x+1 at 2*10^4. A pool
+# holds at most 2 * workers blocks in flight.
+BLOCK_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -275,17 +275,17 @@ def factorize(n, seed=0):
 
 
 # Fewer walks than this finish in packs of the scalar walk; Miller-Rabin
-# has no such threshold, and runs in lanes on every part below 2^63.
-# At 128 lanes a lockstep step costs 27-34 us (14-17 us in the first half
-# of a round), a pack's 0.19-0.22 us a walk (0.08-0.09): the crossover is
-# 140-190 walks. The cofactors of x^5-x+1 at N = 6000 and x^3+2 at
-# N = 5000 took 1.40 s at 128, 1.49-1.52 s at 96, 192 and 256 (best of 5).
-# These timings, and PACK's and _MR_CHUNK's, were taken with every lane on
-# Montgomery products, before the float-quotient product served moduli
-# below 2^50.
+# has no such threshold, and runs in lanes on every part below 2^63. A
+# lockstep step costs about as much for a few live lanes as for many, and
+# a pack's step a share per walk, so the crossover is a count of walks.
+# The cofactors of x^3+2 at N = 5000 (1,280, in float-quotient lanes) and
+# of x^5-x+1 at N = 6000 (5,185, in Montgomery lanes) took 17.3 / 1,181,
+# 17.2 / 1,172, 18.0 / 1,084, 18.0 / 1,144 and 22.1 / 1,188 ms at 64, 96,
+# 128, 192 and 256 (best of 5, interleaved, on a 2-vCPU Xeon VM).
 LANES = 128
-# Walks per pack: the same cofactors took 1.82, 1.53, 1.47, 1.45, 1.46 and
-# 1.59 s with 1, 2, 3, 4, 6 and 8 (bigint division grows quadratically).
+# Walks per pack: the same cofactors took 24.4 / 1,409, 19.8 / 1,165,
+# 18.5 / 1,167, 18.2 / 1,106, 18.9 / 1,142 and 18.6 / 1,190 ms with 1, 2,
+# 3, 4, 6 and 8 (bigint division grows quadratically).
 PACK = 4
 # Rho's budget: steps per attempt, and attempts, each from new draws of
 # _rho_rng, before factorize_lanes gives up on a part
@@ -297,9 +297,11 @@ RHO_ATTEMPTS = 8
 _LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
 _32 = np.array(32, dtype=np.uint64)
 _1 = np.array(1, dtype=np.uint64)
-# Values per Miller-Rabin call. The 11,395 parts of the same batches took
-# 0.31, 0.19, 0.15, 0.12 and 0.15 s with 128, 256, 512, 1024 and 2048
-# (best of 5); 1024 adds nothing to the build's traced peak, 2048 0.7 MB.
+# Values per Miller-Rabin call. The 1,716 and 9,753 parts that Miller-
+# Rabin sees in the same batches took 9.4 / 115, 7.2 / 74, 6.0 / 64,
+# 4.7 / 53 and 4.8 / 53 ms with 256, 512, 1024, 2048 and 4096 (best of 5,
+# interleaved). 2048 would add 0.01 and 0.49 MiB to the builds' traced
+# peaks of 1.06 and 2.29 MiB.
 _MR_CHUNK = 1024
 
 

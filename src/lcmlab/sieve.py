@@ -401,12 +401,19 @@ def _prime_columns(coeffs, block, N, zeros, seed):
     every nonzero |g(n)|. Each root carries p^k from the level before, and
     p^(k+1) = p^k * p, in ``modular.power_dtype``, serves both that test
     and the lift.
+
+    An error of the root finder, which names only its p, gets a note that
+    names f, N and the block's first and last prime.
     """
     f = IntPoly(coeffs)
     g = primitive_part(f)
     cap = polynomial.value_bound(g, N)
     c = math.gcd(*coeffs)
-    rc = modular.roots_mod_primes(g, block, seed)
+    try:
+        rc = modular.roots_mod_primes(g, block, seed)
+    except (ValueError, ArithmeticError) as exc:
+        exc.add_note(f"Leg 1 of {f} at N={N}, primes {block[0]}..{block[-1]}")
+        raise
     e = np.zeros(len(block), dtype=np.int64)
     if c > 1 and N > len(zeros):
         ps = np.array(block, dtype=object)
@@ -460,11 +467,12 @@ def prime_data(f: IntPoly, p, N, seed):
 
 def _leg1(coeffs, B, N, zeros, seed, workers):
     """The PrimeColumns of each int64 block of ``modular.BLOCK_SIZE``
-    primes <= B, in order. With workers > 1 the blocks run in a process
-    pool, at most 2 * workers of them at once, so the primes are read as
-    the results are taken. The pool has at most ``os.cpu_count()``
-    workers: it starts all of them at once, and the blocks do not depend
-    on their number."""
+    primes <= B, in order. Each step of the root finder pays its fixed
+    cost once a block, and B up to 180,503, the 16,384th prime, is one
+    block. With workers > 1 the blocks run in a process pool, at most
+    2 * workers of them at once, so the primes are read as the results
+    are taken. The pool has at most ``os.cpu_count()`` workers: it starts
+    all of them at once, and the blocks do not depend on their number."""
     blocks = primes.prime_blocks(B, modular.BLOCK_SIZE)
     run = functools.partial(_prime_columns, coeffs, N=N, zeros=zeros, seed=seed)
     workers = min(workers, os.cpu_count() or 1)

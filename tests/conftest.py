@@ -56,6 +56,20 @@ def power_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def unsplit_blocks(monkeypatch):
+    """gfpoly.roots_of_split fails on any call for more than one prime, as
+    a Leg 1 block makes; the profile's calls, one prime each, still run."""
+    split = gfpoly.roots_of_split
+
+    def unsplit(H, P, seed):
+        if len(P) == 1:
+            return split(H, P, seed)
+        raise ValueError(f"roots_of_split: p={P[0]} did not split")
+
+    monkeypatch.setattr(gfpoly, "roots_of_split", unsplit)
+
+
 def poly_matrix(hs, ps):
     """The list polynomials hs over GF(p) for p in ps as gfpoly's
     coefficient matrix, one column each, and the modulus column."""

@@ -185,6 +185,14 @@ class TestVerify:
         _assert_config_error(*result)
         assert "names no check" in result[2]
 
+    def test_root_finder_error_exit_1(self, unsplit_blocks, capsys):
+        result = _run(capsys, "verify", "--poly", "x^3+2", "--n", "500")
+        _assert_config_error(*result)
+        assert result[2] == (
+            "error: roots_of_split: p=3 did not split"
+            " (Leg 1 of x^3+2 at N=500, primes 2..1999)\n"
+        )
+
     def test_all_checks_seven_reports(self, capsys):
         code, out, _ = _run(
             capsys, "verify", "--poly", "x^3+2", "--n", "200", "--checks", "all"

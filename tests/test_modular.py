@@ -280,10 +280,11 @@ RANDOM_QUARTIC = IntPoly((-41, 17, 0, -23, 6))
 RANDOM_SEXTIC = IntPoly((29, -8, 15, 0, -31, 4, 3))
 # SHA-256 of the rows repr((p, roots, simple_flags)) of roots_mod_primes
 # with seed 3, in order: at every prime up to 2*10^5 in blocks of
-# BLOCK_SIZE, and at the 24 primes after 2^31, 2^40 and 2^61 (8 each), in
-# one call on Python-int columns. Recorded from the per-prime list gcd
-# that the lockstep Euclid replaced, whose roots and flags were checked
-# against the scan and the reference above.
+# BLOCK_SIZE, or of 2048 (nine blocks, the last short), and at the 24
+# primes after 2^31, 2^40 and 2^61 (8 each), in one call on Python-int
+# columns. The roots do not depend on the partition. Recorded from the
+# per-prime list gcd that the lockstep Euclid replaced, whose roots and
+# flags were checked against the scan and the reference above.
 RECORDED_ROOTS = {
     "x^2+1": (
         "5488c8ad0680534e22ae752e1fdef1576efe477734f06f1f838b00a1a0f2c175",
@@ -316,8 +317,15 @@ RECORDED_ROOTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(RECORDED_ROOTS))
-def test_roots_match_recorded(name):
+@pytest.mark.parametrize(
+    "name, size",
+    [
+        pytest.param(name, size, id=name if size == BLOCK_SIZE else f"{name}-{size}")
+        for name in sorted(RECORDED_ROOTS)
+        for size in (BLOCK_SIZE, 2048)
+    ],
+)
+def test_roots_match_recorded(name, size):
     others = {
         "x^5-x+1": parse_poly("x^5-x+1"),
         "quartic": RANDOM_QUARTIC,
@@ -330,7 +338,7 @@ def test_roots_match_recorded(name):
         for _ in range(8):
             start = int(sympy.nextprime(start))
             wide.append(start)
-    blocks = [small[lo : lo + BLOCK_SIZE] for lo in range(0, len(small), BLOCK_SIZE)]
+    blocks = [small[lo : lo + size] for lo in range(0, len(small), size)]
     calls = (blocks, [wide])
     for recorded, blocks in zip(RECORDED_ROOTS[name], calls):
         digest = hashlib.sha256()

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -581,6 +582,16 @@ class TestLegCrossCheck:
         )
         with pytest.raises(LedgerMismatch, match="analytic layers"):
             build_ledger(parse_poly(poly), 10)
+
+
+def test_root_finder_error_names_block(unsplit_blocks):
+    # x^3+2 at 500: B = 2000, one block of the 303 primes 2..1999; the
+    # note survives the pickling that brings it back from a pool worker
+    with pytest.raises(ValueError, match="p=3 did not split") as info:
+        build_ledger(parse_poly("x^3+2"), 500)
+    note = "Leg 1 of x^3+2 at N=500, primes 2..1999"
+    assert info.value.__notes__ == [note]
+    assert pickle.loads(pickle.dumps(info.value)).__notes__ == [note]
 
 
 @pytest.mark.parametrize("span", [64, 1000])
