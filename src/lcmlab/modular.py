@@ -15,11 +15,12 @@ f must not vanish identically mod p: a prime of the content of f is
 refused, since every residue would be a root. The ledger strips the
 content first.
 
-``lift_columns`` lifts the roots mod p^k of a block to p^(k+1). Simple
-roots lift uniquely by a Newton step (Hensel), all rows in lockstep;
-roots at ramified primes are lifted exhaustively over all p candidates
-per level. ``roots_mod_p`` and ``lift_roots`` are the same for one prime,
-as a ``RootSet``.
+``lift_columns`` lifts the roots mod p^k of a block to p^(k+1) by one
+linear congruence per root (Hensel's lemma), all rows in lockstep: a
+root where f' does not vanish mod p lifts once, by a Newton step, and
+one where it does lifts to all p residues above it or to none.
+``roots_mod_p`` and ``lift_roots`` are the same for one prime, as a
+``RootSet``.
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ BLOCK_SIZE = 1 << 14
 
 @dataclass(frozen=True)
 class RootSet:
-    """Residues r in [0, p^k - 1] with p^k | f(r)."""
+    """The roots of f mod p^k at one prime p: the residues r in
+    [0, p^k - 1] with p^k | f(r), ascending."""
 
     p: int
     k: int
     roots: tuple
-    simple_flags: tuple  # per root: f'(r) invertible mod p
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,21 +74,17 @@ class RootColumns:
     k: int
     row: np.ndarray  # int64: the index of the root's prime in p
     r: np.ndarray  # in ``power_dtype(p, k)``
-    simple: np.ndarray  # bool: f'(r) invertible mod p
 
     def take(self, rows):
         """The roots the boolean mask ``rows`` selects."""
-        return dataclasses.replace(
-            self, row=self.row[rows], r=self.r[rows], simple=self.simple[rows]
-        )
+        return dataclasses.replace(self, row=self.row[rows], r=self.r[rows])
 
     def root_sets(self):
         """The RootSet of each prime, in order."""
         ends = np.searchsorted(self.row, np.arange(len(self.p) + 1)).tolist()
-        r, simple = self.r.tolist(), self.simple.tolist()
+        r = self.r.tolist()
         for i, p in enumerate(self.p.tolist()):
-            lo, hi = ends[i], ends[i + 1]
-            yield RootSet(p, self.k, tuple(r[lo:hi]), tuple(simple[lo:hi]))
+            yield RootSet(p, self.k, tuple(r[ends[i] : ends[i + 1]]))
 
 
 def power_dtype(p, k):
@@ -143,55 +140,44 @@ def roots_mod_primes(f: IntPoly, primes, seed=0):
         two = [x for x in (0, 1) if f.eval(x) % 2 == 0]
         at = np.searchsorted(row, i)
         row, r = np.insert(row, at, [i] * len(two)), np.insert(r, at, two)
-    _, der = _horner(C[:, row], r, P[row])
-    r = r.astype(power_dtype(P, 1))
-    return RootColumns(p=P, k=1, row=row, r=r, simple=der != 0)
+    return RootColumns(p=P, k=1, row=row, r=r.astype(power_dtype(P, 1)))
 
 
 def lift_columns(f: IntPoly, cols: RootColumns, moduli):
     """The RootColumns of f mod p^(k+1) from those mod p^k, where
     ``moduli`` holds p^(k+1) for each root.
 
-    A simple root r lifts to its one root r - p^k * t mod p^(k+1), with
-    t = (f(r)/p^k) * f'(r)^-1 mod p, in lockstep: one Horner pass gives
-    f(r) and f'(r) mod p^(k+1), in int64 while every p^(k+1) < 2^31 and in
-    Python ints otherwise, and f'(r) mod p is the latter mod p. Each
-    non-simple root is tested against all p candidates r + j * p^k; its
-    lifts are non-simple too.
+    Hensel's lemma as a linear congruence (Niven, Zuckerman & Montgomery,
+    An Introduction to the Theory of Numbers, on prime-power moduli): for
+    k >= 1 every Taylor term of f(r + j p^k) past the linear one has
+    p^(2k), so f(r + j p^k) = p^k (a + j b) mod p^(k+1), with
+    a = f(r)/p^k and b = f'(r) mod p. A root with b != 0 lifts once, at
+    j = -a/b mod p, the Newton step; a root with b = 0 lifts to all p
+    residues r + j p^k when a = 0, and to none otherwise. Every lift keeps
+    its root's b, as f'(r + j p^k) = f'(r) mod p.
+
+    All rows go in lockstep: one Horner pass gives f(r) and f'(r) mod
+    p^(k+1), in int64 while every p^(k+1) < 2^31 and in Python ints
+    otherwise, and one ``np.repeat`` makes the lifts.
     """
-    k = cols.k
-    s = np.flatnonzero(cols.simple)
-    row = cols.row[s]
-    p = cols.p[row]
-    m = gfpoly.modulus_column(moduli[s])
+    m = gfpoly.modulus_column(moduli)
+    p = cols.p[cols.row]
     pk = m // p.astype(m.dtype)
-    r = cols.r[s].astype(m.dtype)
-    val, der = _horner([gfpoly.residue(c, m) for c in f.coeffs], r, m)
-    der = (der % p).astype(p.dtype)
-    # f(r) mod p^(k+1) is p^k * (f(r)/p^k mod p)
-    t = (val // pk).astype(p.dtype) * gfpoly.inverse(der, p) % p
-    lifted = [(row, (r - pk * t) % m)]
-    rest = np.flatnonzero(~cols.simple)
-    for i in dict.fromkeys(cols.row[rest].tolist()):
-        prime = int(cols.p[i])
-        pk = prime**k
-        new = [
-            x + j * pk
-            for x in cols.r[rest][cols.row[rest] == i].tolist()
-            for j in range(prime)
-            if f.eval(x + j * pk) % (pk * prime) == 0
-        ]
-        lifted.append((np.full(len(new), i), np.array(new, dtype=object)))
-    dtype = power_dtype(cols.p, k + 1)
-    row = np.concatenate([np.zeros(0, np.int64)] + [i for i, _ in lifted])
-    r = np.concatenate([x.astype(dtype) for _, x in lifted])
-    simple = np.repeat(
-        [True] + [False] * (len(lifted) - 1), [len(x) for _, x in lifted]
-    )
+    coeffs = [gfpoly.residue(c, m) for c in f.coeffs]
+    val, der = _horner(coeffs, cols.r.astype(m.dtype), m)
+    a = (val // pk).astype(p.dtype)
+    b = (der % p).astype(p.dtype)
+    # gfpoly.inverse is 0 at b = 0, so j starts at 0 there
+    j = -a * gfpoly.inverse(b, p) % p
+    count = np.where(b != 0, 1, np.where(a == 0, p, 0)).astype(np.int64)
+    src = np.repeat(np.arange(len(count)), count)
+    # the lifts of one root take j, j + 1, ..., j + count - 1
+    step = np.arange(len(src)) - (np.cumsum(count) - count)[src]
+    dtype = power_dtype(cols.p, cols.k + 1)
+    r, j, pk = (x.astype(dtype)[src] for x in (cols.r, j, pk))
+    row, r = cols.row[src], r + (j + step) * pk
     order = np.lexsort((r, row))
-    return RootColumns(
-        p=cols.p, k=k + 1, row=row[order], r=r[order], simple=simple[order]
-    )
+    return RootColumns(p=cols.p, k=cols.k + 1, row=row[order], r=r[order])
 
 
 def lift_roots(f: IntPoly, prev: RootSet):
@@ -203,6 +189,5 @@ def lift_roots(f: IntPoly, prev: RootSet):
         k=prev.k,
         row=np.zeros(len(prev.roots), dtype=np.int64),
         r=np.array(prev.roots, dtype=power_dtype(P, prev.k)),
-        simple=np.array(prev.simple_flags, dtype=bool),
     )
     return next(lift_columns(f, cols, powers(P[cols.row], prev.k + 1)).root_sets())

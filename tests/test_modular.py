@@ -36,16 +36,12 @@ REFERENCE_PRIMES = [2**31 - 1, 2**31 + 11, 2**32 + 15, 10**12 + 39, 2**61 - 1]
 
 
 def scan_roots(f, p):
-    """Roots of f mod p and their simple flags, by evaluating f and f' at
-    every residue."""
+    """Roots of f mod p, by evaluating f at every residue."""
     x = np.arange(p, dtype=np.int64)
     val = np.zeros(p, dtype=np.int64)
-    der = np.zeros(p, dtype=np.int64)
     for c in reversed(f.coeffs):
-        der = (der * x + val) % p
         val = (val * x + c % p) % p
-    roots = np.flatnonzero(val == 0)
-    return tuple(roots.tolist()), tuple((der[roots] != 0).tolist())
+    return tuple(np.flatnonzero(val == 0).tolist())
 
 
 def reference_roots(f, p):
@@ -72,14 +68,13 @@ class TestRootsModP:
     def test_examples(self):
         assert roots_mod_p(F, 5).roots == (2, 3)
         assert roots_mod_p(F, 3).roots == ()
-        rs = roots_mod_p(F, 2)
-        assert rs.roots == (1,) and rs.simple_flags == (False,)
+        assert roots_mod_p(F, 2).roots == scan_roots(F, 2) == (1,)
 
     @pytest.mark.parametrize("p", [2053, 3001, 4001, 5003, 65537])
     def test_gcd_path_matches_scan(self, p):
         for f in TEST_POLYS.values():
             rs = roots_mod_p(f, p)
-            assert (rs.roots, rs.simple_flags) == scan_roots(f, p)
+            assert rs.roots == scan_roots(f, p)
 
     @given(
         polys(),
@@ -109,15 +104,10 @@ class TestRootsModP:
         found = list(roots_mod_primes(g, SCAN_PRIMES, seed=seed).root_sets())
         assert [rs.p for rs in found] == SCAN_PRIMES
         for rs in found:
-            assert (rs.roots, rs.simple_flags) == scan_roots(g, rs.p), rs.p
+            assert rs.roots == scan_roots(g, rs.p), rs.p
         sampled = [int(sympy.nextprime(s)) for s in starts] + REFERENCE_PRIMES
-        deriv = f.deriv_coeffs()
         for rs in roots_mod_primes(f, sampled, seed=seed).root_sets():
             assert rs.roots == reference_roots(f, rs.p), rs.p
-            assert rs.simple_flags == tuple(
-                sum(c * r**i for i, c in enumerate(deriv)) % rs.p != 0
-                for r in rs.roots
-            )
 
     def test_root_count_at_most_d(self):
         for f in TEST_POLYS.values():
@@ -278,13 +268,14 @@ class TestLockstepEuclid:
 
 RANDOM_QUARTIC = IntPoly((-41, 17, 0, -23, 6))
 RANDOM_SEXTIC = IntPoly((29, -8, 15, 0, -31, 4, 3))
-# SHA-256 of the rows repr((p, roots, simple_flags)) of roots_mod_primes
-# with seed 3, in order: at every prime up to 2*10^5 in blocks of
-# BLOCK_SIZE, or of 2048 (nine blocks, the last short), and at the 24
-# primes after 2^31, 2^40 and 2^61 (8 each), in one call on Python-int
-# columns. The roots do not depend on the partition. Recorded from the
-# per-prime list gcd that the lockstep Euclid replaced, whose roots and
-# flags were checked against the scan and the reference above.
+# SHA-256 of the rows repr((p, roots, simple)) of roots_mod_primes with
+# seed 3, simple holding f'(r) != 0 mod p for each root r, in order: at
+# every prime up to 2*10^5 in blocks of BLOCK_SIZE, or of 2048 (nine
+# blocks, the last short), and at the 24 primes after 2^31, 2^40 and 2^61
+# (8 each), in one call on Python-int columns. The roots do not depend on
+# the partition. Recorded from the per-prime list gcd that the lockstep
+# Euclid replaced, whose roots and flags were checked against a scan of
+# every residue and the reference above.
 RECORDED_ROOTS = {
     "x^2+1": (
         "5488c8ad0680534e22ae752e1fdef1576efe477734f06f1f838b00a1a0f2c175",
@@ -340,12 +331,23 @@ def test_roots_match_recorded(name, size):
             wide.append(start)
     blocks = [small[lo : lo + size] for lo in range(0, len(small), size)]
     calls = (blocks, [wide])
+    deriv = f.deriv_coeffs()
     for recorded, blocks in zip(RECORDED_ROOTS[name], calls):
         digest = hashlib.sha256()
         for block in blocks:
             for rs in roots_mod_primes(f, block, seed=3).root_sets():
-                digest.update(repr((rs.p, rs.roots, rs.simple_flags)).encode())
+                simple = tuple(
+                    sum(c * r**i for i, c in enumerate(deriv)) % rs.p != 0
+                    for r in rs.roots
+                )
+                digest.update(repr((rs.p, rs.roots, simple)).encode())
         assert digest.hexdigest() == recorded
+
+
+def brute_lifts(f, p, k):
+    """{r < p^k : p^k | f(r)}, sorted."""
+    pk = p**k
+    return tuple(r for r in range(pk) if f.eval(r) % pk == 0)
 
 
 class TestLiftRoots:
@@ -366,10 +368,24 @@ class TestLiftRoots:
                 k = 2
                 while p**k <= 10**5:
                     rs = lift_roots(f, rs)
-                    pk = p**k
-                    brute = tuple(r for r in range(pk) if f.eval(r) % pk == 0)
-                    assert rs.roots == brute, (f.coeffs, p, k)
+                    assert rs.roots == brute_lifts(f, p, k), (f.coeffs, p, k)
                     k += 1
+
+    @given(polys())
+    # 0 is a double root at 2 and 3, and lifts to all p residues mod p^2
+    @example(parse_poly("x^2+36"))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_random_chains_match_brute_force(self, f):
+        # every level of the chain while p^k <= 3000, at each prime below
+        # 30 that does not divide the content of f
+        c = math.gcd(*f.coeffs)
+        for p in sieve_primes(30):
+            if c % p == 0:
+                continue
+            rs = roots_mod_p(f, p)
+            while p ** (rs.k + 1) <= 3000:
+                rs = lift_roots(f, rs)
+                assert rs.roots == brute_lifts(f, p, rs.k), (p, rs.k)
 
     def test_reduction_coherence(self):
         for f in TEST_POLYS.values():
@@ -429,12 +445,6 @@ while len(WIDE_PRIMES) < 16:
     WIDE_PRIMES.append(int(sympy.nextprime(WIDE_PRIMES[-1])))
 
 
-def brute_lifts(f, p, k):
-    """{r < p^k : p^k | f(r)}, sorted."""
-    pk = p**k
-    return tuple(r for r in range(pk) if f.eval(r) % pk == 0)
-
-
 class TestClosedForm:
     """gfpoly.low_degree_roots, the one root finder for degree <= 2, alone
     and behind roots_mod_primes, against brute force and the per-prime
@@ -451,8 +461,8 @@ class TestClosedForm:
         found = roots_mod_primes(f, ODD_PRIMES).root_sets()
         for i, (p, rs) in enumerate(zip(ODD_PRIMES, found)):
             expected = scan_roots(f, p)
-            assert tuple(roots[: count[i], i].tolist()) == expected[0], p
-            assert (rs.roots, rs.simple_flags) == expected, p
+            assert tuple(roots[: count[i], i].tolist()) == expected, p
+            assert rs.roots == expected, p
 
     def test_degree_drops_at_a_prime_of_the_lead(self):
         # 3x^2 + 5x + 7 is 2x + 1 mod 3, whose root is 1
@@ -460,7 +470,7 @@ class TestClosedForm:
         found = list(roots_mod_primes(f, ODD_PRIMES).root_sets())
         assert found[0].p == 3 and found[0].roots == (1,)
         for rs in found:
-            assert (rs.roots, rs.simple_flags) == scan_roots(f, rs.p), rs.p
+            assert rs.roots == scan_roots(f, rs.p), rs.p
 
     @pytest.mark.parametrize("poly", ["x^2+4x+4", "x^2-45", "9x^2+6x+1"])
     def test_double_roots_lift_exhaustively(self, poly):
@@ -469,16 +479,14 @@ class TestClosedForm:
         f = parse_poly(poly)
         cols = roots_mod_primes(f, ODD_PRIMES)
         for rs in cols.root_sets():
-            assert (rs.roots, rs.simple_flags) == scan_roots(f, rs.p), rs.p
+            assert rs.roots == scan_roots(f, rs.p), rs.p
         small = [p for p in ODD_PRIMES if p < 50]
+        assert any(discriminant(f) % p == 0 for p in small)
         cols = cols.take(cols.p[cols.row] < 50)
-        assert not cols.simple.all()
         for k in (2, 3):
             cols = lift_columns(f, cols, powers(cols.p[cols.row], k))
             for p, rs in zip(small, cols.root_sets()):
                 assert rs.roots == brute_lifts(f, p, k), (p, k)
-                simple = discriminant(f) % p != 0
-                assert rs.simple_flags == (simple,) * len(rs.roots), (p, k)
 
     def test_every_square_mod_primes_1_mod_8(self):
         # p = 1 mod 8 has no fixed small nonresidue, so Tonelli-Shanks takes

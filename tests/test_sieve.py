@@ -108,6 +108,24 @@ class TestLocalData:
         assert d.roots == (4999, 5001)
         assert d.layer_counts == (2, 2, 2, 2, 2)
 
+    @pytest.mark.parametrize(
+        "poly, p, N, layers",
+        [
+            # the root 0 has no lift mod p^2
+            ("x^2+1000003", 1000003, 2000006, (2,)),
+            # 4295098369 = 65537^2: the root 0 lifts to all p residues
+            ("x^2+4295098369", 65537, 131074, (2, 2)),
+        ],
+        ids=["x^2+1000003", "x^2+65537^2"],
+    )
+    def test_large_ramified_prime(self, poly, p, N, layers):
+        # p^2 >= 2^31, so the lifts run on Python-int moduli; the roots of
+        # f mod p are its multiples of p
+        f = parse_poly(poly)
+        v = [sieve._valuation(f.eval(n), p) for n in range(p, N + 1, p)]
+        expected = tuple(sum(x >= k for x in v) for k in range(1, max(v) + 1))
+        assert prime_data(f, p, N, 0).layer_counts == expected == layers
+
     def test_layer_identities(self, ledger_factory, test_poly):
         ledger = ledger_factory(test_poly, 300)
         for p, d in ledger.entries.items():
@@ -412,7 +430,7 @@ def per_prime_columns(f, block, N, zeros):
     c = math.gcd(*f.coeffs)
     ps, roots, progs = [], [], []
     for p in block:
-        rs = scan_roots(g, p)[0]
+        rs = scan_roots(g, p)
         e = sieve._valuation(c, p) if c % p == 0 and N > len(zeros) else 0
         if not (rs or e):
             continue
