@@ -3,17 +3,14 @@
 Zone decomposition (p <= N, N < p <= DN, p > DN), log of the LCM and its
 radical, conjecture ratios, and multi-N sweeps from one ledger pass.
 
-Every log-space sum is one Kahan pass in ascending p over natural logs
-from ``math.log`` (``np.log`` may differ in the last bit), which keeps
-every float, and so the CSV, byte-reproducible. A pass runs over chunks
-of at most ``CHUNK`` primes, carrying its running sum and compensation
-from chunk to chunk, so ``summarize`` holds the columns of one chunk at
-a time; ``log_QS`` is log_Q's state after the primes up to N. Each term,
-such as alpha * log p, is one float64 product in numpy, the same IEEE
-multiply as Python's int * float, since every exponent is below 2^53;
-the loop reads the column through a memoryview, which yields its floats
-one at a time. A sweep takes the log of each prime once: every ledger of
-a pass holds the primes of the one before it.
+Every log-space sum is exact, rounded once, so it is ``math.fsum`` of its
+terms in any order, and the CSV is byte-reproducible. A term, such as
+alpha * log p, is one float64 product in numpy (the same IEEE multiply as
+Python's int * float, every exponent being below 2^53) over a natural log
+from ``math.log`` (``np.log`` may differ in the last bit). ``summarize``
+holds the columns of one chunk of at most ``CHUNK`` primes at a time, and
+``log_Q`` is the exact total of its three zones. A sweep takes the log of
+each prime once: every ledger of a pass holds the primes of the one before.
 """
 
 from __future__ import annotations
@@ -28,19 +25,21 @@ import numpy as np
 from . import primes, sieve
 from .polynomial import IntPoly
 
-CHUNK = 1 << 16  # primes per chunk of a summarize pass
+CHUNK = 1 << 16  # primes per chunk of a summarize pass, at most 2^16
 
 
-def _kahan_sum(terms, state=(0.0, 0.0)):
-    """The compensated sum (s, c) of ``terms`` in order, continuing the
-    running sum s and compensation c of ``state``; s is the sum."""
-    s, c = state
-    for x in terms:
-        y = x - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s, c
+def _exact_sum(terms):
+    """The exact sum of the float64 ``terms``, at most 2^16 of them, each in
+    [1/2, 2^30), as an int in units of 2^-53. Each t * 2^17, a multiple of
+    2^-36 below 2^47, splits into an int64 integer part (sums below 2^63)
+    and a fraction (sums are multiples of 2^-36 below 2^16: exact floats)."""
+    low, high = terms.min(initial=0.5), terms.max(initial=0.5)
+    if not (low >= 0.5 and high < 2.0**30):
+        raise ValueError(f"log terms from {low} to {high} leave [1/2, 2^30)")
+    scaled = terms * 2.0**17
+    whole = scaled.astype(np.int64)
+    scaled -= whole
+    return (int(whole.sum()) << 36) + int(scaled.sum() * 2.0**36)
 
 
 @dataclass(frozen=True)
@@ -70,11 +69,9 @@ def summarize(ledger: sieve.FactorLedger) -> SweepRecord:
 
 def _summarize(ledger, logs):
     """summarize, with logs[i] = math.log(ledger.p[i]) when given."""
-    d = ledger.f.degree
     N = ledger.N
     small, linear = np.searchsorted(ledger.p, (N, ledger.B), side="right").tolist()
-    # the Kahan state (s, c) of each sum, s being the sum
-    log_q = log_qs = log_qli = log_ql = log_l = log_rad = (0.0, 0.0)
+    sums = [0] * 5  # exact: log_QS, log_QLI, log_QL, log_L and log_rad
     n_squareful = n_repeated = 0
     for lo in range(0, len(ledger.p), CHUNK):
         part = ledger.rows(lo, min(lo + CHUNK, len(ledger.p)))
@@ -85,23 +82,19 @@ def _summarize(ledger, logs):
         alpha = part.alpha
         # the chunk's terms in each zone: [0, a), [a, b) and [b, len)
         a, b = (min(max(x - lo, 0), len(lp)) for x in (small, linear))
-        terms = memoryview(alpha * lp)
-        # log_QS is log_Q's running state after its first ``small`` terms
-        log_q = _kahan_sum(terms[:a], log_q)
-        if lo + a == small:
-            log_qs = log_q
-        log_q = _kahan_sum(terms[a:], log_q)
-        log_qli = _kahan_sum(terms[a:b], log_qli)
-        log_ql = _kahan_sum(terms[b:], log_ql)
-        log_l = _kahan_sum(memoryview(part.max_exp * lp), log_l)
-        log_rad = _kahan_sum(memoryview(lp), log_rad)
+        terms = alpha * lp
+        columns = (terms[:a], terms[a:b], terms[b:], part.max_exp * lp, lp)
+        try:
+            sums = [s + _exact_sum(t) for s, t in zip(sums, columns)]
+        except ValueError as exc:
+            raise ValueError(f"{ledger.f} at N={N}: {exc}") from None
+        del terms, columns  # freed before the next chunk's are made
         n_squareful += int(np.count_nonzero(alpha >= 2))
         n_repeated += int(np.count_nonzero(part.hit_count >= 2))
-    log_q, log_qs, log_qli, log_ql, log_l, log_rad = (
-        s for s, _ in (log_q, log_qs, log_qli, log_ql, log_l, log_rad)
-    )
+    log_qs, log_qli, log_ql, log_l, log_rad = (s / 2**53 for s in sums)
+    log_q = sum(sums[:3]) / 2**53
     log_n = math.log(N) if N >= 2 else 0.0
-    norm = (d - 1) * N * log_n if d >= 2 else 0.0
+    norm = (ledger.f.degree - 1) * N * log_n
     norm_qs = N * log_n
     return SweepRecord(
         N=N,

@@ -651,17 +651,23 @@ def build_ledger(f: IntPoly, N, seed=0, workers=1):
 
 
 def iter_ledgers(f: IntPoly, schedule, seed=0, workers=1):
-    """Yield build_ledger(f, N) for each N of the strictly increasing
+    """An iterator of build_ledger(f, N) for each N of the strictly increasing
     ``schedule``, from one pass sieved up to B = D*N for its largest N.
 
     Leg 1 runs once. Legs 2 and 3 walk n upward in segments that end at
     each checkpoint, where the ledger of that N is made and yielded before
     any larger n is read. A rho timeout at n thus ends the pass after the
-    ledgers of every N < n.
+    ledgers of every N < n. A bad schedule raises at the call, not the pass.
     """
     schedule = list(schedule)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
+    for a, b in zip(schedule, schedule[1:]):
+        if b <= a:
+            raise ValueError(f"schedule must be strictly increasing: {b} follows {a}")
+    return _pass(f, schedule, seed, workers)
+
+
+def _pass(f, schedule, seed, workers):
+    """The generator of ``iter_ledgers`` over its checked ``schedule``."""
     if not schedule:
         return
     N = schedule[-1]

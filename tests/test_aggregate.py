@@ -9,7 +9,7 @@ import pytest
 
 from lcmlab import aggregate, primes, sieve
 from lcmlab.aggregate import summarize, sweep
-from lcmlab.polynomial import parse_poly
+from lcmlab.polynomial import IntPoly, parse_poly
 
 F = parse_poly("x^2+1")
 
@@ -53,39 +53,90 @@ def record_sums(rec):
 
 
 def one_list_sums(ledger):
-    """The sums of ``record_sums`` for a ledger, each one Kahan sum over one
-    list of Python floats in ascending p."""
+    """The sums of ``record_sums`` for a ledger, each ``math.fsum`` over the
+    float64 terms of one list of Python floats in ascending p."""
     logs = [math.log(p) for p in ledger.p.tolist()]
     contrib = [a * lp for a, lp in zip(ledger.alpha.tolist(), logs)]
     lcm = [m * lp for m, lp in zip(ledger.max_exp.tolist(), logs)]
     small, linear = np.searchsorted(ledger.p, (ledger.N, ledger.B), side="right")
     zones = (contrib[:small], contrib[small:linear], contrib[linear:])
-    return tuple(aggregate._kahan_sum(t)[0] for t in (contrib, *zones, lcm, logs))
+    return tuple(math.fsum(t) for t in (contrib, *zones, lcm, logs))
+
+
+def chunked_sum(terms, chunk):
+    """The float of aggregate._exact_sum added over chunks of ``terms``."""
+    total = sum(
+        aggregate._exact_sum(terms[lo : lo + chunk])
+        for lo in range(0, len(terms), chunk)
+    )
+    return total / 2**53
+
+
+def random_irreducible(rng, degree):
+    """A seeded random f of the degree, irreducible over Q and profiled."""
+    while True:
+        coeffs = [rng.randint(-30, 30) for _ in range(degree)]
+        f = IntPoly(tuple(coeffs + [rng.choice([-3, -2, -1, 1, 2, 5])]))
+        try:
+            if f.profile.irreducible:
+                return f
+        except ValueError:  # a zero discriminant
+            pass
 
 
 class TestChunkedKahan:
+    """Chunked exact sums against math.fsum of the same float64 terms."""
+
     @pytest.mark.parametrize("length", ["0", "1", "c-1", "c", "c+1", "3c+5"])
     def test_chunks_equal_one_list(self, length):
+        # terms from 1/2 to below 2^30, log-uniform, so each chunk mixes
+        # magnitudes across the whole exact range
         chunk = aggregate.CHUNK
         extra = {"0": -chunk, "1": 1 - chunk, "c-1": -1, "c": 0, "c+1": 1}.get(
             length, 2 * chunk + 5
         )
         rng = random.Random(extra)
-        terms = np.array([rng.uniform(0, 20) for _ in range(chunk + extra)])
-        state = (0.0, 0.0)
-        for lo in range(0, len(terms), chunk):
-            state = aggregate._kahan_sum(memoryview(terms[lo : lo + chunk]), state)
-        assert state == aggregate._kahan_sum(terms.tolist())
+        terms = np.array(
+            [min(2 ** rng.uniform(-1, 30), 2**30 - 1) for _ in range(chunk + extra)]
+        )
+        assert chunked_sum(terms, chunk) == math.fsum(terms.tolist())
+
+    def test_range_ends(self):
+        # a full chunk just below 2^30 fills both int64 sums to their
+        # largest; terms at 1/2 are the smallest exact ones
+        top = np.full(aggregate.CHUNK, np.nextafter(2.0**30, 0))
+        half = np.full(aggregate.CHUNK, 0.5)
+        mixed = np.concatenate((top, half, top[:3], half[:5]))
+        for terms in (top, half, mixed):
+            expect = math.fsum(terms.tolist())
+            assert chunked_sum(terms, aggregate.CHUNK) == expect
+
+    @pytest.mark.parametrize("bad", [2.0**30, 2.0**40, math.nan, 0.25])
+    def test_term_outside_range_raises(self, bad, ledger_factory):
+        terms = np.array([1.0, bad, 3.0])
+        with pytest.raises(ValueError, match=r"leave \[1/2, 2\^30\)"):
+            aggregate._exact_sum(terms)
+        # in summarize, the error names f and N
+        led = ledger_factory(F, 300)
+        logs = np.array([math.log(p) for p in led.p.tolist()])
+        logs[len(logs) // 2] = bad
+        with pytest.raises(ValueError, match=r"^x\^2\+1 at N=300: log terms"):
+            aggregate._summarize(led, logs)
 
     def test_summarize_chunks(self, ledger_factory, monkeypatch):
-        # chunks of 1, 7, n - 1, n and n + 1 primes, so the zone bounds
-        # fall inside chunks and at their ends; and ledgers of 0 and 1
-        # primes
-        led = ledger_factory(F, 300)
-        n = len(led.p)
-        for chunk in (1, 7, n - 1, n, n + 1):
-            monkeypatch.setattr(aggregate, "CHUNK", chunk)
-            assert record_sums(summarize(led)) == one_list_sums(led), chunk
+        # chunks of 1, 7, n - 1, n, n + 1 and 2^16 primes, so the zone
+        # bounds fall inside chunks and at their ends; at N = 110 a Kahan
+        # sum of log_QS misses fsum by one ulp
+        cases = [ledger_factory(F, N) for N in (110, 300)]
+        rng = random.Random(31)
+        for degree in (2, 2, 3, 3, 4):
+            cases.append(sieve.build_ledger(random_irreducible(rng, degree), 60))
+        for led in cases:
+            n = len(led.p)
+            for chunk in (1, 7, n - 1, n, n + 1, 1 << 16):
+                monkeypatch.setattr(aggregate, "CHUNK", chunk)
+                assert record_sums(summarize(led)) == one_list_sums(led), chunk
+        # ledgers of 0 and 1 primes
         for f, N, held in (("x^2-1", 1, 0), ("x^2+1", 1, 1)):
             led = sieve.build_ledger(parse_poly(f), N)
             assert len(led.p) == held
@@ -134,8 +185,30 @@ class TestSweep:
             assert b.log_rad >= a.log_rad
 
     def test_rejects_nonincreasing_schedule(self):
-        with pytest.raises(ValueError):
+        # the schedule is checked before the pass, so no N is blamed
+        with pytest.raises(ValueError, match="10 follows 100") as info:
             sweep(F, [100, 10])
+        assert not hasattr(info.value, "__notes__")
+        # at the call of iter_ledgers, before any iteration
+        with pytest.raises(ValueError, match="3 follows 3"):
+            sieve.iter_ledgers(F, [3, 3])
+
+    @pytest.mark.parametrize(
+        "poly, schedule",
+        [
+            ("x^2+1", [70000, 140000]),  # two segments per checkpoint
+            ("6x^2-6", [1, 2, 3, 64, 65, 300]),  # a content, and a zero at n = 1
+            ("x^5-x+1", [10, 200, 1500]),
+        ],
+    )
+    def test_records_equal_single_builds(self, poly, schedule):
+        f = parse_poly(poly)
+        records, gaps = sweep(f, schedule)
+        assert not gaps
+        assert [rec.N for rec in records] == schedule
+        for rec in records:
+            alone = summarize(sieve.build_ledger(f, rec.N))
+            assert rec == dataclasses.replace(alone, seconds=rec.seconds)
 
     def test_sink_receives_in_order(self):
         seen = []
